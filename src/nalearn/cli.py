@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import experiments
 from .data import read_csv, write_csv
-from .errors import NalearnError
+from .errors import ConfigError, NalearnError
 from .model import (
     Dag,
     df_complexity,
@@ -25,17 +25,18 @@ from .model import (
 from .population import beta_of_collection, check_identifiability
 from .sampling import Bernoulli, KPerRecord, apply_mcar, forward_sample
 from .scoring import Penalty, power_law, score_decomposable, score_global
-from .search import SearchSpace, complexity_profile, learn_structure
+from .search import Evaluator, SearchSpace, complexity_profile, learn_structure
 from .equivalence import dags_equivalent, edge_precision_recall, edge_f_score
 
 
 def _penalty_from_args(args, num_vars: int) -> Penalty:
     if args.penalty in ("aic", "bic", "none"):
         return Penalty(args.penalty)
-    if args.penalty == "power":
-        coef = args.coef if args.coef is not None else 1.0 / num_vars
+    coef = args.coef if args.coef is not None else 1.0 / num_vars
+    try:
         return power_law(coef, args.alpha)
-    raise SystemExit(2)
+    except ValueError as exc:
+        raise ConfigError(f"--penalty power: {exc}") from None
 
 
 def _add_penalty_args(sub):
@@ -75,8 +76,8 @@ def _schema_from(args):
 
 def cmd_score(args) -> int:
     variables, dag = load_structure(args.net_structure)
-    data = read_csv(args.data, variables)
     penalty = _penalty_from_args(args, len(variables))
+    data = read_csv(args.data, variables)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     if args.decomposable:
         total, breakdown = score_decomposable(data, dag, penalty)
@@ -140,22 +141,28 @@ def cmd_population(args) -> int:
     return 0
 
 
-def cmd_learn(args) -> int:
-    variables, _ = load_structure(args.structure) if args.structure else (None, None)
-    if variables is None:
-        raise SystemExit(2)
-    data = read_csv(args.data, variables)
+def _space_from_args(args, variables) -> SearchSpace:
     names = [v.name for v in variables]
-    if args.order:
-        order = [names.index(nm) for nm in args.order.split(",")]
-    else:
-        order = list(range(len(names)))
-    space = SearchSpace(order, args.max_parents)
+    try:
+        if args.order:
+            order = [names.index(nm) for nm in args.order.split(",")]
+        else:
+            order = list(range(len(names)))
+        return SearchSpace(order, args.max_parents)
+    except ValueError as exc:
+        raise ConfigError(f"bad --order or --max-parents: {exc}") from None
+
+
+def cmd_learn(args) -> int:
+    variables, _ = load_structure(args.structure)
+    space = _space_from_args(args, variables)
     penalty = _penalty_from_args(args, len(variables))
-    learned = learn_structure(data, space, penalty)
+    data = read_csv(args.data, variables)
+    evaluator = Evaluator(data)  # the profile reuses the search's counts
+    learned = learn_structure(data, space, penalty, evaluator)
     save_structure(learned, variables, args.out)
     if args.profile:
-        points = complexity_profile(data, space)
+        points = complexity_profile(data, space, evaluator)
         with open(args.profile, "w", encoding="utf-8", newline="\n") as f:
             writer = csv.writer(f, lineterminator="\n")
             writer.writerow(["t", "score", "edges"])

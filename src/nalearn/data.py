@@ -4,12 +4,25 @@ A dataset is an (n, N) array of int16 category codes; MISSING (-1) marks an
 unobserved cell. Counts for a (node, parent set) pair use available-case
 analysis: a record contributes only when the node and every parent in the
 candidate set are all observed in that record.
+
+Counting codes a missing cell as one extra state. In ``Dataset.codes`` a
+column of cardinality q holds ``values % (q + 1)``, which leaves 0..q-1 as
+they are and maps MISSING to q (computed as a masked copy, which is
+cheaper than an integer modulo). The mixed-radix code of the node and its
+parents then indexes a cube of shape (q_i + 1, q_p1 + 1, ...), and one
+``bincount`` over all n records fills it. A record with any missing
+coordinate lands in some last index q, so the slice [:q_i, :q_p1, ...] keeps
+exactly the records where all are observed: it is the available-case n_ikj,
+with no row mask. This relies on every value lying in [-1, q-1], which the
+constructor checks.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,20 +43,21 @@ class Dataset:
 
     def __init__(self, variables: Iterable[Variable], values):
         variables = tuple(variables)
-        a = np.asarray(values, dtype=np.int16)
+        a = np.asarray(values)
         if a.size == 0:
             a = a.reshape(0, len(variables))
         if a.ndim != 2 or a.shape[1] != len(variables):
             raise SchemaMismatch(
                 f"values shape {a.shape} does not match {len(variables)} variables"
             )
+        # checked before the int16 cast, which would wrap large values into range
         for i, v in enumerate(variables):
             col = a[:, i]
-            if col.size and (col.min() < MISSING or col.max() >= v.cardinality):
+            if col.size and not (col.min() >= MISSING and col.max() < v.cardinality):
                 raise SchemaMismatch(
                     f"column {v.name!r} has values outside 0..{v.cardinality - 1}"
                 )
-        a = a.copy()
+        a = a.astype(np.int16)
         a.setflags(write=False)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "values", a)
@@ -58,6 +72,15 @@ class Dataset:
 
     def is_complete(self) -> bool:
         return bool(np.all(self.values != MISSING))
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """(N, n) int64 state codes, one row per variable, MISSING coded as q."""
+        cards = np.array([[v.cardinality] for v in self.variables], dtype=np.int64)
+        codes = np.array(self.values.T, dtype=np.int64, order="C")
+        np.copyto(codes, cards, where=codes == MISSING)  # = values % (q + 1)
+        codes.setflags(write=False)
+        return codes
 
 
 @dataclass(frozen=True)
@@ -90,25 +113,19 @@ def count_sufficient_stats(
         if p == node:
             raise IndexOutOfRange(f"node {node} cannot be its own parent")
 
-    vals = data.values
+    codes = data.codes
     q_i = data.variables[node].cardinality
-    q_parents = [data.variables[p].cardinality for p in parents]
-    q_pa = int(np.prod(q_parents)) if parents else 1
+    shape = [q_i + 1]
+    code = codes[node]
+    q_pa = 1
+    for p in parents:  # last parent varies fastest
+        q = data.variables[p].cardinality
+        code = code * (q + 1) + codes[p]
+        shape.append(q + 1)
+        q_pa *= q
 
-    mask = vals[:, node] != MISSING
-    for p in parents:
-        mask &= vals[:, p] != MISSING
-
-    child = vals[mask, node].astype(np.int64)
-    if parents:
-        j = np.zeros(child.shape[0], dtype=np.int64)
-        for p, q in zip(parents, q_parents):  # last parent varies fastest
-            j = j * q + vals[mask, p].astype(np.int64)
-    else:
-        j = np.zeros(child.shape[0], dtype=np.int64)
-
-    flat = np.bincount(child * q_pa + j, minlength=q_i * q_pa)
-    n_ikj = flat.reshape(q_i, q_pa).astype(np.int64)
+    cube = np.bincount(code, minlength=math.prod(shape)).reshape(shape)
+    n_ikj = cube[tuple(slice(s - 1) for s in shape)].reshape(q_i, q_pa)
     n_ij = n_ikj.sum(axis=0)
     n_i = int(n_ij.sum())
     return SufficientCounts(node, parents, data.num_records, n_i, n_ij, n_ikj)
@@ -175,17 +192,26 @@ def read_csv(path_or_buf, variables: Sequence[Variable]) -> Dataset:
         if header != names:
             raise SchemaMismatch(f"CSV header {header} != schema {names}")
         rows = []
-        for line in f:
+        for lineno, line in enumerate(f, start=2):
             line = line.rstrip("\r\n")
             if not line:
                 continue
-            rows.append(
-                [MISSING if c == MISSING_TOKEN else int(c) for c in line.split(",")]
-            )
+            cells = line.split(",")
+            if len(cells) != len(names):
+                raise SchemaMismatch(
+                    f"CSV line {lineno} has {len(cells)} cells, expected {len(names)}"
+                )
+            try:
+                rows.append([MISSING if c == MISSING_TOKEN else int(c) for c in cells])
+            except ValueError:
+                raise SchemaMismatch(
+                    f"CSV line {lineno}: cells must be integers or {MISSING_TOKEN}"
+                ) from None
     finally:
         if close:
             f.close()
-    values = np.asarray(rows, dtype=np.int16) if rows else np.empty((0, len(variables)))
+    # the Dataset range check rejects cells too large for a category code
+    values = rows if rows else np.empty((0, len(variables)))
     return Dataset(variables, values)
 
 

@@ -25,7 +25,7 @@ from .model import BayesNet, Dag, df_complexity, load_net
 from .networks import eight_node_net, two_node_chain_dag, two_node_net
 from .sampling import Bernoulli, KPerRecord, MissingnessModel, apply_mcar, derive_seed, forward_sample, splitmix64
 from .scoring import NEG_INFINITY, Penalty, lambda_value, node_nal_from_counts, power_law
-from .search import SearchSpace, _Evaluator, best_parent_set
+from .search import Evaluator, SearchSpace, learn_structure
 
 
 @dataclass
@@ -272,16 +272,11 @@ def _recovery_replicate(args):
     if missing is not None:
         data = apply_mcar(data, missing, derive_seed(rep_seed, 1))
     space = SearchSpace(order, max_parents)
-    evaluator = _Evaluator(data)  # share the count memo across penalties
+    evaluator = Evaluator(data)  # share the count memo across penalties
     out = []
     for spec in penalty_specs:
         penalty = resolve_penalty(spec, net.num_nodes)
-        learned = Dag(
-            [
-                best_parent_set(data, i, space, penalty, evaluator).parents
-                for i in range(space.num_nodes)
-            ]
-        )
+        learned = learn_structure(data, space, penalty, evaluator)
         out.append(
             (
                 edge_f_score(net.dag, learned),

@@ -35,7 +35,7 @@ class Penalty:
         if self.kind == "power":
             if not 0.0 < self.alpha < 1.0:
                 raise ValueError("power-law alpha must lie in (0,1)")
-            if self.coefficient <= 0:
+            if not self.coefficient > 0:  # also rejects NaN
                 raise ValueError("power-law coefficient must be positive")
 
     def label(self) -> str:
@@ -85,14 +85,12 @@ def node_nal_from_counts(counts: SufficientCounts) -> float:
     """
     if counts.n_i == 0:
         return NEG_INFINITY
-    n_ij = counts.n_ij.astype(float)
-    n_ikj = counts.n_ikj.astype(float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        theta = n_ikj / np.where(n_ij > 0, n_ij, 1.0)[None, :]
-        terms = np.where(n_ikj > 0, theta * np.log(np.where(theta > 0, theta, 1.0)), 0.0)
-    inner = terms.sum(axis=0)  # sum over child states k, per config j
-    weights = np.where(n_ij > 0, n_ij / counts.n_i, 0.0)
-    return float(math.fsum(w * v for w, v in zip(weights, inner) if w > 0))
+    n_ij = counts.n_ij
+    theta = counts.n_ikj / np.maximum(n_ij, 1)
+    terms = theta * np.log(np.where(theta > 0, theta, 1.0))  # 0 ln 0 = 0
+    # an unobserved configuration adds exactly 0.0; fsum makes the total
+    # independent of the order of the configurations
+    return math.fsum(((n_ij / counts.n_i) * terms.sum(axis=0)).tolist())
 
 
 def node_nal(data: Dataset, node: int, parents: Sequence[int]) -> float:

@@ -67,8 +67,13 @@ class ProfilePoint:
     dag: Dag
 
 
-class _Evaluator:
-    """Memoizes (nal, n_i, df) per (node, parent set) for one dataset."""
+class Evaluator:
+    """Memoizes (nal, n_i, df) per (node, parent set) for one dataset.
+
+    Pass one evaluator to every search over the same data (several
+    penalties, learn_structure and complexity_profile) so that each
+    candidate is counted and scored once.
+    """
 
     def __init__(self, data: Dataset):
         self.data = data
@@ -92,16 +97,24 @@ def _check_space(data: Dataset, space: SearchSpace) -> None:
         raise SchemaMismatch("search space and data disagree on node count")
 
 
+def _evaluator_for(data: Dataset, evaluator: Evaluator | None) -> Evaluator:
+    if evaluator is None:
+        return Evaluator(data)
+    if evaluator.data is not data:
+        raise ValueError("evaluator was built for a different dataset")
+    return evaluator
+
+
 def best_parent_set(
     data: Dataset,
     node: int,
     space: SearchSpace,
     penalty: Penalty,
-    _evaluator: _Evaluator | None = None,
+    evaluator: Evaluator | None = None,
 ) -> NodeScore:
     """Exhaustive per-node winner under the decomposable score."""
     _check_space(data, space)
-    ev = _evaluator or _Evaluator(data)
+    ev = _evaluator_for(data, evaluator)
     best: NodeScore | None = None
     for parents in space.candidate_parent_sets(node):
         value, n_i, df = ev.evaluate(node, parents)
@@ -123,10 +136,15 @@ def _better(a: NodeScore, b: NodeScore) -> bool:
     return (-a.penalized, a.df, a.parents) < (-b.penalized, b.df, b.parents)
 
 
-def learn_structure(data: Dataset, space: SearchSpace, penalty: Penalty) -> Dag:
+def learn_structure(
+    data: Dataset,
+    space: SearchSpace,
+    penalty: Penalty,
+    evaluator: Evaluator | None = None,
+) -> Dag:
     """Argmax of the decomposable score over the order-compatible space."""
     _check_space(data, space)
-    ev = _Evaluator(data)
+    ev = _evaluator_for(data, evaluator)
     winners = [
         best_parent_set(data, i, space, penalty, ev).parents
         for i in range(space.num_nodes)
@@ -135,7 +153,7 @@ def learn_structure(data: Dataset, space: SearchSpace, penalty: Penalty) -> Dag:
 
 
 def _node_frontier(
-    ev: _Evaluator, node: int, space: SearchSpace
+    ev: Evaluator, node: int, space: SearchSpace
 ) -> list[tuple[int, float, tuple[int, ...]]]:
     """Pareto frontier of (df, best NAL, parents) for one node.
 
@@ -163,14 +181,16 @@ def _node_frontier(
     return frontier
 
 
-def complexity_profile(data: Dataset, space: SearchSpace) -> list[ProfilePoint]:
+def complexity_profile(
+    data: Dataset, space: SearchSpace, evaluator: Evaluator | None = None
+) -> list[ProfilePoint]:
     """Best total NAL at each achievable total complexity t.
 
     Points dominated by a cheaper structure with at least the same NAL are
     pruned, so t and best_score are both strictly increasing.
     """
     _check_space(data, space)
-    ev = _Evaluator(data)
+    ev = _evaluator_for(data, evaluator)
     # DP state: total df -> (total nal, per-node parents chosen so far)
     states: dict[int, tuple[float, tuple[tuple[int, ...], ...]]] = {0: (0.0, ())}
     for node in range(space.num_nodes):

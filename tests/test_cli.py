@@ -8,12 +8,17 @@ import pytest
 
 from nalearn import (
     Dag,
+    KPerRecord,
+    SearchSpace,
     Variable,
+    apply_mcar,
+    forward_sample,
     load_structure,
     read_csv,
     save_net,
     save_structure,
     two_node_net,
+    write_csv,
 )
 from nalearn.cli import main
 from nalearn.networks import eight_node_net
@@ -129,6 +134,66 @@ def test_learn_and_compare(two_node_files, tmp_path, capsys):
     assert code == 0
     assert "f_score 1" in out
     assert "equivalent yes" in out
+
+
+def test_learn_profile_counts_each_candidate_once(tmp_path, capsys, monkeypatch):
+    import nalearn.search
+
+    net = eight_node_net()
+    structure_path = tmp_path / "structure.json"
+    save_structure(net.dag, list(net.variables), structure_path)
+    data_path = tmp_path / "data.csv"
+    write_csv(apply_mcar(forward_sample(net, 300, seed=5), KPerRecord(2), seed=6), data_path)
+    calls = []
+    real = nalearn.search.count_sufficient_stats
+
+    def counting(data, node, parents):
+        calls.append((node, tuple(parents)))
+        return real(data, node, parents)
+
+    monkeypatch.setattr(nalearn.search, "count_sufficient_stats", counting)
+    code, _, _ = run(capsys, [
+        "learn", "--data", str(data_path), "--structure", str(structure_path),
+        "--penalty", "bic", "--out", str(tmp_path / "learned.json"),
+        "--profile", str(tmp_path / "profile.csv"),
+    ])
+    assert code == 0
+    space = SearchSpace(range(8), 3)
+    candidates = [(i, ps) for i in range(8) for ps in space.candidate_parent_sets(i)]
+    assert sorted(calls) == sorted(candidates)
+
+
+@pytest.mark.parametrize("extra", [
+    ["--penalty", "bic", "--max-parents", "-1"],
+    ["--penalty", "power", "--alpha", "1.5"],
+    ["--penalty", "power", "--alpha", "0.3", "--coef", "0"],
+    ["--penalty", "bic", "--order", "X2,X9"],
+    ["--penalty", "bic", "--order", "X1,X1"],
+])
+def test_learn_bad_arguments_exit_2(two_node_files, tmp_path, capsys, extra):
+    _, _, structure_path = two_node_files
+    data_path = tmp_path / "data.csv"
+    data_path.write_text("X1,X2\n0,1\n")
+    code, _, err = run(capsys, [
+        "learn", "--data", str(data_path), "--structure", str(structure_path),
+        "--out", str(tmp_path / "learned.json"), *extra,
+    ])
+    assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("body", ["0,1\n1\n", "0,one\n", "0,40000\n"])
+def test_malformed_csv_exit_2(two_node_files, tmp_path, capsys, body):
+    _, _, structure_path = two_node_files
+    data_path = tmp_path / "data.csv"
+    data_path.write_text("X1,X2\n" + body)
+    for argv in (
+        ["learn", "--structure", str(structure_path), "--penalty", "bic",
+         "--out", str(tmp_path / "learned.json")],
+        ["score", "--net-structure", str(structure_path), "--penalty", "power",
+         "--alpha", "0.3"],
+    ):
+        code, _, err = run(capsys, [*argv, "--data", str(data_path)])
+        assert code == 2 and err.startswith("error:")
 
 
 def test_experiment_subcommand(tmp_path, capsys):

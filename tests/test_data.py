@@ -23,6 +23,7 @@ from nalearn import (
 from nalearn.data import dataset_to_csv_string
 from nalearn.errors import IndexOutOfRange, SchemaMismatch
 from nalearn.population import induced_theta_mcar
+from nalearn.scoring import NEG_INFINITY, node_nal_from_counts
 
 from util import random_dataset
 
@@ -112,6 +113,43 @@ def test_count_consistency_property(seed, n, missing_frac):
     np.testing.assert_array_equal(c.n_ikj, brute_force_counts(data, node, parents))
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**31),
+    st.lists(st.integers(2, 5), min_size=2, max_size=5),
+    st.integers(0, 30),
+    st.data(),
+)
+def test_sentinel_counts_match_row_loop(seed, cards, n, draw):
+    """The sentinel cube's slice equals a plain row loop, whatever is missing."""
+    rng = np.random.default_rng(seed)
+    variables = [Variable(f"X{i}", q) for i, q in enumerate(cards)]
+    # per-column missing rates, 1.0 makes a column entirely missing
+    rates = draw.draw(st.lists(st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+                               min_size=len(cards), max_size=len(cards)))
+    values = np.stack([rng.integers(0, q, size=n) for q in cards], axis=1)
+    values[rng.random(values.shape) < np.array(rates)] = MISSING
+    data = Dataset(variables, values)
+    node = draw.draw(st.integers(0, len(cards) - 1))
+    others = [i for i in range(len(cards)) if i != node]
+    parents = draw.draw(st.lists(st.sampled_from(others), max_size=3, unique=True))
+    c = count_sufficient_stats(data, node, parents)
+    expect = brute_force_counts(data, node, sorted(parents))
+    assert c.n_ikj.dtype == np.int64
+    np.testing.assert_array_equal(c.n_ikj, expect)
+    np.testing.assert_array_equal(c.n_ij, expect.sum(axis=0))
+    assert c.n_i == int(expect.sum()) and c.n == n
+    if c.n_i == 0:  # n = 0, or the node or a parent never observed
+        assert node_nal_from_counts(c) == NEG_INFINITY
+
+
+def test_codes_map_missing_to_extra_state():
+    data = Dataset([Variable("A", 2), Variable("B", 3)], [(0, MISSING), (MISSING, 2)])
+    np.testing.assert_array_equal(data.codes, [[0, 2], [3, 2]])
+    assert data.codes.flags.c_contiguous and not data.codes.flags.writeable
+    assert Dataset(BIN2, np.empty((0, 2))).codes.shape == (2, 0)
+
+
 def test_counts_deterministic():
     rng = np.random.default_rng(0)
     data = random_dataset(BIN2, 50, rng, 0.3)
@@ -168,6 +206,17 @@ def test_csv_header_mismatch():
 def test_dataset_rejects_out_of_range_cells():
     with pytest.raises(SchemaMismatch):
         Dataset(BIN2, [(0, 2)])
+    for cell in (65536, 40000, -2, 10**30, np.nan):  # 65536 wraps to 0 in int16
+        with pytest.raises(SchemaMismatch):
+            Dataset(BIN2, [(0, cell)])
+
+
+@pytest.mark.parametrize(
+    "body", ["0,1\n1\n", "0,1\n0,1,1\n", "0,x\n", "0,1.5\n", "0,40000\n"]
+)
+def test_csv_malformed_rows_are_schema_errors(body):
+    with pytest.raises(SchemaMismatch, match="line|outside"):
+        read_csv(io.StringIO("X1,X2\n" + body), BIN2)
 
 
 def test_empty_dataset():

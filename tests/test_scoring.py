@@ -27,6 +27,7 @@ from nalearn import (
     standard_avg_loglik,
 )
 from nalearn.errors import ZeroSampleSize
+from nalearn.data import SufficientCounts
 from nalearn.scoring import node_nal_from_counts
 
 from util import random_dataset, random_net
@@ -51,6 +52,37 @@ def rational_node_nal(data, node, parents):
             r = Fraction(int(c.n_ikj[k, j]), int(c.n_ij[j]))
             total += float(w) * float(r) * math.log(r)
     return total
+
+
+def loop_node_nal(c):
+    """The NAL kernel as first written: masked float arrays and a generator fsum."""
+    if c.n_i == 0:
+        return NEG_INFINITY
+    n_ij = c.n_ij.astype(float)
+    n_ikj = c.n_ikj.astype(float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta = n_ikj / np.where(n_ij > 0, n_ij, 1.0)[None, :]
+        terms = np.where(n_ikj > 0, theta * np.log(np.where(theta > 0, theta, 1.0)), 0.0)
+    inner = terms.sum(axis=0)
+    weights = np.where(n_ij > 0, n_ij / c.n_i, 0.0)
+    return float(math.fsum(w * v for w, v in zip(weights, inner) if w > 0))
+
+
+def test_node_nal_kernel_bit_identical_to_loop_form():
+    rng = np.random.default_rng(2011)
+    for trial in range(400):
+        q_i, q_pa = int(rng.integers(2, 6)), int(rng.integers(1, 30))
+        n_ikj = rng.integers(0, 50, size=(q_i, q_pa)) * (rng.random((q_i, q_pa)) < 0.6)
+        n_ikj[:, rng.random(q_pa) < 0.3] = 0  # unobserved parent configurations
+        if trial % 50 == 0:
+            n_ikj[:] = 0
+        n_ij = n_ikj.sum(axis=0)
+        c = SufficientCounts(0, (), int(n_ij.sum()) + 7, int(n_ij.sum()), n_ij, n_ikj)
+        value = node_nal_from_counts(c)
+        assert value == loop_node_nal(c)  # -inf == -inf when n_i = 0
+        perm = rng.permutation(q_pa)
+        shuffled = SufficientCounts(0, (), c.n, c.n_i, n_ij[perm], n_ikj[:, perm])
+        assert node_nal_from_counts(shuffled) == value
 
 
 def test_node_nal_hand_marginal():

@@ -26,6 +26,7 @@ from nalearn import (
 )
 from nalearn.errors import AllCandidatesUnobservable
 from nalearn.model import is_compatible_with_order, node_df
+from nalearn.search import Evaluator
 from nalearn.scoring import node_nal
 
 from util import random_dataset, random_net
@@ -221,6 +222,22 @@ def test_profile_matches_brute_force():
         assert [(p.t, p.dag) for p in got] == [(t, d) for t, _, d in want]
         for p, (_, score, _) in zip(got, want):
             assert p.best_score == pytest.approx(score, abs=1e-12)
+
+
+def test_shared_evaluator_matches_fresh_ones():
+    rng = np.random.default_rng(89)
+    for trial in range(10):
+        variables = [Variable(f"X{i}", int(rng.integers(2, 4))) for i in range(4)]
+        data = random_dataset(variables, 60, rng, 0.2)
+        space = SearchSpace(list(rng.permutation(4)), 2)
+        shared = Evaluator(data)
+        for penalty in (AIC, BIC, power_law(0.5, 0.3)):
+            assert learn_structure(data, space, penalty, shared) == learn_structure(
+                data, space, penalty
+            )
+        assert complexity_profile(data, space, shared) == complexity_profile(data, space)
+    with pytest.raises(ValueError):
+        learn_structure(Dataset(variables, data.values), space, AIC, shared)
 
 
 def test_select_from_profile_matches_global_learning():
