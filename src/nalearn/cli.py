@@ -9,34 +9,35 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
+from itertools import product
 from pathlib import Path
 
 from . import experiments
 from .data import read_csv, write_csv
-from .errors import ConfigError, NalearnError
-from .model import (
-    Dag,
-    df_complexity,
-    load_net,
-    load_structure,
-    save_structure,
-)
+from .errors import ConfigError, NalearnError, StateSpaceTooLarge
+from .model import Dag, load_net, load_structure, save_structure
 from .population import beta_of_collection, check_identifiability
-from .sampling import Bernoulli, KPerRecord, apply_mcar, forward_sample
-from .scoring import Penalty, power_law, score_decomposable, score_global
+from .sampling import apply_mcar, forward_sample, parse_missingness
+from .scoring import Penalty, parse_penalty, score_decomposable, score_global
 from .search import Evaluator, SearchSpace, complexity_profile, learn_structure
 from .equivalence import dags_equivalent, edge_precision_recall, edge_f_score
 
 
+# `population --candidates order` builds the exact joint once per DAG
+# (about 1 ms each on the eight-node net), so larger spaces are refused
+ORDER_DAG_CAP = 10_000
+
+
 def _penalty_from_args(args, num_vars: int) -> Penalty:
-    if args.penalty in ("aic", "bic", "none"):
-        return Penalty(args.penalty)
-    coef = args.coef if args.coef is not None else 1.0 / num_vars
-    try:
-        return power_law(coef, args.alpha)
-    except ValueError as exc:
-        raise ConfigError(f"--penalty power: {exc}") from None
+    return parse_penalty({"kind": args.penalty, "alpha": args.alpha, "coef": args.coef}, num_vars)
+
+
+def _require_nonnegative(**options) -> None:
+    for name, value in options.items():
+        if value < 0:
+            raise ConfigError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
 
 
 def _add_penalty_args(sub):
@@ -46,6 +47,7 @@ def _add_penalty_args(sub):
 
 
 def cmd_sample(args) -> int:
+    _require_nonnegative(n=args.n, seed=args.seed)
     net = load_net(args.net)
     data = forward_sample(net, args.n, args.seed)
     write_csv(data, args.out)
@@ -53,25 +55,15 @@ def cmd_sample(args) -> int:
 
 
 def cmd_mask(args) -> int:
-    variables, _ = _schema_from(args)
-    data = read_csv(args.infile, variables)
-    if args.mode == "bernoulli":
-        probs = [float(x) for x in args.p.split(",")]
-        if len(probs) == 1:
-            probs = probs * data.num_variables
-        model = Bernoulli(probs)
+    _require_nonnegative(seed=args.seed)
+    if args.net:
+        variables = list(load_net(args.net).variables)
     else:
-        model = KPerRecord(args.k)
+        variables, _ = load_structure(args.structure)
+    model = parse_missingness({"mode": args.mode, "p": args.p, "k": args.k}, len(variables))
+    data = read_csv(args.infile, variables)
     write_csv(apply_mcar(data, model, args.seed), args.out)
     return 0
-
-
-def _schema_from(args):
-    if args.net:
-        net = load_net(args.net)
-        return list(net.variables), net.dag
-    variables, dag = load_structure(args.structure)
-    return variables, dag
 
 
 def cmd_score(args) -> int:
@@ -95,34 +87,24 @@ def cmd_score(args) -> int:
     return 0
 
 
-def _missing_from_spec(spec: str, num_vars: int):
-    if spec == "none":
-        return None
-    kind, _, rest = spec.partition(":")
-    if kind == "bernoulli":
-        probs = [float(x) for x in rest.split(",")]
-        if len(probs) == 1:
-            probs = probs * num_vars
-        return Bernoulli(probs)
-    if kind == "kper":
-        return KPerRecord(int(rest))
-    raise SystemExit(2)
-
-
 def cmd_population(args) -> int:
     net = load_net(args.net)
+    missing = parse_missingness(args.missing, net.num_nodes)
     if args.candidates == "order":
-        order = net.dag.topological_order()
-        space = SearchSpace(order, args.max_parents)
-        from itertools import product
-
+        _require_nonnegative(max_parents=args.max_parents)
+        space = SearchSpace(net.dag.topological_order(), args.max_parents)
         candidate_lists = [space.candidate_parent_sets(i) for i in range(net.num_nodes)]
+        total = math.prod(len(c) for c in candidate_lists)
+        if total > ORDER_DAG_CAP:
+            raise StateSpaceTooLarge(
+                f"--candidates order spans {total} DAGs, above the cap of "
+                f"{ORDER_DAG_CAP}; lower --max-parents or pass a candidate file"
+            )
         candidates = [Dag(choice) for choice in product(*candidate_lists)]
     else:
         with open(args.candidates, "r", encoding="utf-8") as f:
             candidates = [Dag(p) for p in json.load(f)]
-    missing = _missing_from_spec(args.missing, net.num_nodes)
-    report = check_identifiability(net, candidates, missing)
+    report = check_identifiability(net, candidates)
     beta = beta_of_collection(candidates, missing, net.num_nodes)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["dag", "df", "population_nal", "is_superset_of_true", "maximizer"])
@@ -202,11 +184,9 @@ def cmd_experiment(args) -> int:
     elif mode == "recovery":
         rows = experiments.run_recovery(config, jobs=args.jobs)
         experiments.write_rows(rows, out_dir / "recovery.csv")
-    elif mode == "rates":
+    else:
         rows = experiments.run_rate_probe(config)
         experiments.write_rows(rows, out_dir / "rates.csv")
-    else:
-        raise SystemExit(2)
     return 0
 
 
@@ -232,8 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="deletions per record")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--net", default=None, help="network file giving the schema")
-    p.add_argument("--structure", default=None, help="structure file giving the schema")
+    schema = p.add_mutually_exclusive_group(required=True)
+    schema.add_argument("--net", help="network file giving the schema")
+    schema.add_argument("--structure", help="structure file giving the schema")
     p.set_defaults(func=cmd_mask)
 
     p = subs.add_parser("score", help="score a structure against a dataset")

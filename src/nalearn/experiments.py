@@ -23,8 +23,8 @@ from .equivalence import edge_f_score
 from .errors import ConfigError, InsufficientGrid
 from .model import BayesNet, Dag, df_complexity, load_net
 from .networks import eight_node_net, two_node_chain_dag, two_node_net
-from .sampling import Bernoulli, KPerRecord, MissingnessModel, apply_mcar, derive_seed, forward_sample, splitmix64
-from .scoring import NEG_INFINITY, Penalty, lambda_value, node_nal_from_counts, power_law
+from .sampling import Bernoulli, apply_mcar, derive_seed, forward_sample, parse_missingness, splitmix64
+from .scoring import NEG_INFINITY, Penalty, lambda_value, node_nal, node_nal_from_counts, parse_penalty
 from .search import Evaluator, SearchSpace, learn_structure
 
 
@@ -67,7 +67,10 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
     for key, value in obj.items():
         if key not in known:
             raise ConfigError(f"unknown config field {key!r}")
-        setattr(cfg, key, known[key](value))
+        try:
+            setattr(cfg, key, known[key](value))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad config field {key!r}: {exc}") from None
     cfg.validate()
     return cfg
 
@@ -75,24 +78,6 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as f:
         return config_from_dict(json.load(f))
-
-
-def resolve_penalty(spec, num_vars: int) -> Penalty:
-    """Penalty from a config spec; power-law coefficient defaults to 1/N."""
-    if isinstance(spec, Penalty):
-        return spec
-    if isinstance(spec, str):
-        if spec in ("aic", "bic", "none"):
-            return Penalty(spec)
-        if spec.startswith("a"):  # shorthand like "a0.3"
-            return power_law(1.0 / num_vars, float(spec[1:]))
-        raise ConfigError(f"unknown penalty spec {spec!r}")
-    if isinstance(spec, dict):
-        kind = spec.get("kind", "power")
-        if kind != "power":
-            return Penalty(kind)
-        return power_law(float(spec.get("coef", 1.0 / num_vars)), float(spec["alpha"]))
-    raise ConfigError(f"unknown penalty spec {spec!r}")
 
 
 def penalty_label(spec) -> str:
@@ -111,20 +96,6 @@ def resolve_net(spec: str) -> BayesNet:
     if spec == "eight-node":
         return eight_node_net()
     return load_net(spec)
-
-
-def resolve_missingness(spec: dict, num_vars: int) -> MissingnessModel | None:
-    mode = spec.get("mode", "none")
-    if mode == "none":
-        return None
-    if mode == "bernoulli":
-        p = spec["p"]
-        if isinstance(p, (int, float)):
-            p = [p] * num_vars
-        return Bernoulli(p)
-    if mode == "kper":
-        return KPerRecord(int(spec["k"]))
-    raise ConfigError(f"unknown missingness mode {mode!r}")
 
 
 def missingness_label(spec: dict) -> str:
@@ -179,7 +150,7 @@ def two_node_wrong_fraction(
 def run_two_node(config: ExperimentConfig) -> list[dict]:
     """Wrong-selection percentages over the (beta, n, penalty) grid."""
     config.validate()
-    penalties = [resolve_penalty(p, 2) for p in config.penalties]
+    penalties = [parse_penalty(p, 2) for p in config.penalties]
     labels = [penalty_label(p) for p in config.penalties]
     rows = []
     for bi, beta in enumerate(config.betas):
@@ -266,16 +237,13 @@ def check_two_node(rows: Sequence[dict], reference=None) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _recovery_replicate(args):
-    (net, order, max_parents, n, miss_spec, penalty_specs, rep_seed) = args
+    (net, space, n, missing, penalties, rep_seed) = args
     data = forward_sample(net, n, rep_seed)
-    missing = resolve_missingness(miss_spec, net.num_nodes)
     if missing is not None:
         data = apply_mcar(data, missing, derive_seed(rep_seed, 1))
-    space = SearchSpace(order, max_parents)
     evaluator = Evaluator(data)  # share the count memo across penalties
     out = []
-    for spec in penalty_specs:
-        penalty = resolve_penalty(spec, net.num_nodes)
+    for penalty in penalties:
         learned = learn_structure(data, space, penalty, evaluator)
         out.append(
             (
@@ -293,21 +261,16 @@ def run_recovery(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     order = config.order if config.order is not None else tuple(
         net.dag.topological_order()
     )
+    space = SearchSpace(order, config.max_parents)
+    models = [parse_missingness(spec, net.num_nodes) for spec in config.missingness]
+    penalties = tuple(parse_penalty(spec, net.num_nodes) for spec in config.penalties)
     true_df = net.df()
     rows = []
-    for mi, miss_spec in enumerate(config.missingness):
+    for mi, (miss_spec, missing) in enumerate(zip(config.missingness, models)):
         for ni, n in enumerate(config.sample_sizes):
             cell_seed = derive_seed(config.seed, splitmix64(mi * 2003 + ni))
             tasks = [
-                (
-                    net,
-                    order,
-                    config.max_parents,
-                    n,
-                    miss_spec,
-                    tuple(config.penalties),
-                    derive_seed(cell_seed, r),
-                )
+                (net, space, n, missing, penalties, derive_seed(cell_seed, r))
                 for r in range(config.replicates)
             ]
             if jobs > 1:
@@ -349,15 +312,19 @@ def run_rate_probe(
     config.validate()
     if len(set(config.sample_sizes)) < 2:
         raise InsufficientGrid("rate probe needs at least two sample sizes")
+    if config.replicates < 2:
+        raise InsufficientGrid("rate probe needs at least two replicates for an sd")
     net = resolve_net(config.net)
     if g0 is None or g1 is None:
         if config.net != "two-node":
             raise ConfigError("g0 and g1 required for a custom net")
         g0, g1 = net.dag, two_node_chain_dag()
-    regimes = [(missingness_label(spec), spec) for spec in config.missingness]
+    regimes = [
+        (parse_missingness(spec, net.num_nodes), missingness_label(spec))
+        for spec in config.missingness
+    ]
     rows = []
-    for ri, (label, miss_spec) in enumerate(regimes):
-        missing = resolve_missingness(miss_spec, net.num_nodes)
+    for ri, (missing, label) in enumerate(regimes):
         sds = []
         for ni, n in enumerate(config.sample_sizes):
             cell_seed = derive_seed(config.seed, splitmix64(ri * 4001 + ni))
@@ -367,18 +334,10 @@ def run_rate_probe(
                 data = forward_sample(net, n, rep_seed)
                 if missing is not None:
                     data = apply_mcar(data, missing, derive_seed(rep_seed, 1))
-                d = 0.0
-                for i in range(net.num_nodes):
-                    if g0.parents[i] == g1.parents[i]:
-                        continue
-                    a = node_nal_from_counts(
-                        count_sufficient_stats(data, i, g1.parents[i])
-                    )
-                    b = node_nal_from_counts(
-                        count_sufficient_stats(data, i, g0.parents[i])
-                    )
-                    d += a - b
-                diffs.append(d)
+                diffs.append(sum(
+                    node_nal(data, i, p1) - node_nal(data, i, p0)
+                    for i, (p0, p1) in enumerate(zip(g0.parents, g1.parents)) if p0 != p1
+                ))
             sds.append(float(np.std(diffs, ddof=1)))
         slope = float(
             np.polyfit(np.log(np.asarray(config.sample_sizes, float)), np.log(sds), 1)[0]

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import StateSpaceTooLarge, TableMismatch
 from .model import BayesNet, Dag, df_complexity, is_subgraph
-from .sampling import Bernoulli, KPerRecord, MissingnessModel, subset_observation_probability
+from .sampling import Bernoulli, MissingnessModel, subset_observation_probability
+from .scoring import neg_conditional_entropy
 
 STATE_SPACE_CAP = 1 << 24
 
@@ -60,7 +61,6 @@ class NodeTable:
     theta_i: float  # P(node and parents all observed)
     theta_ij: np.ndarray  # P(Pa_i = j), canonical j order
     theta_ikj: np.ndarray  # P(X_i = k | Pa_i = j), shape (q_i, q_pa)
-    uniform_flags: np.ndarray  # True where a zero-probability config was padded
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,8 @@ def _node_table(joint: np.ndarray, node: int, parents: tuple[int, ...], theta_i:
     zero = theta_ij <= 0
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = pa_child / np.where(zero, 1.0, theta_ij)[:, None]
-    cond[zero] = 1.0 / q_i  # unreachable configs padded uniform, flagged
-    return NodeTable(node, parents, theta_i, theta_ij, cond.T.copy(), zero.copy())
+    cond[zero] = 1.0 / q_i  # unreachable configs padded uniform
+    return NodeTable(node, parents, theta_i, theta_ij, cond.T.copy())
 
 
 def induced_theta_mcar(
@@ -135,10 +135,7 @@ def induced_joint(g: Dag, net0: BayesNet, cap: int = STATE_SPACE_CAP) -> np.ndar
 
 def node_population_nal(entry: NodeTable) -> float:
     """Observed population negative conditional entropy of one node."""
-    theta = entry.theta_ikj
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inner = np.where(theta > 0, theta * np.log(np.where(theta > 0, theta, 1.0)), 0.0)
-    return float(np.dot(entry.theta_ij, inner.sum(axis=0)))
+    return neg_conditional_entropy(entry.theta_ij, entry.theta_ikj)
 
 
 def population_nal(g: Dag, table: InducedTable) -> float:
@@ -177,16 +174,15 @@ class IdentifiabilityReport:
 def check_identifiability(
     net0: BayesNet,
     candidates: Sequence[Dag],
-    missing: MissingnessModel | None = None,
     tol: float = 1e-9,
     cap: int = STATE_SPACE_CAP,
 ) -> IdentifiabilityReport:
-    """Evaluate l(G|G0) over candidates and locate the minimal maximizers."""
+    """Evaluate l(G|G0) over candidates and locate the minimal maximizers.
+
+    MCAR missingness leaves the population NAL, hence the report, unchanged.
+    """
     true_nal = population_nal_of(net0.dag, net0, cap)
-    values = []
-    for g in candidates:
-        v = population_nal_of(g, net0, cap)
-        values.append(v)
+    values = [population_nal_of(g, net0, cap) for g in candidates]
     best = max(values) if values else true_nal
     maximizer_flags = [abs(v - best) <= tol for v in values]
     maximizers = [g for g, f in zip(candidates, maximizer_flags) if f]

@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import MISSING, Dataset
+from .errors import ConfigError
 from .model import BayesNet
 
 _MASK64 = (1 << 64) - 1
@@ -60,8 +61,38 @@ class KPerRecord:
 MissingnessModel = Bernoulli | KPerRecord
 
 
-def complete_model(num_vars: int) -> Bernoulli:
-    return Bernoulli((1.0,) * num_vars)
+def parse_missingness(spec, num_vars: int) -> MissingnessModel | None:
+    """MCAR model from "none" | "bernoulli:p[,p...]" | "kper:k" or a dict
+    {mode, p, k}, mode defaulting to "none" (which gives None). Bernoulli takes
+    1 probability (for every variable) or num_vars, as a number, list or comma
+    list; k-per-record needs 0 <= k < num_vars. Raises ConfigError quoting `spec`.
+    """
+    fields = spec
+    if isinstance(spec, str):
+        mode, _, arg = spec.partition(":")
+        fields = {"mode": mode, "p" if mode == "bernoulli" else "k": arg or None}
+    mode = fields.get("mode", "none") if isinstance(fields, dict) else None
+    if mode not in ("none", "bernoulli", "kper"):
+        raise ConfigError(f"unknown missingness spec {spec!r}")
+    given = sorted(key for key, value in fields.items() if key != "mode" and value is not None)
+    wanted = {"none": [], "bernoulli": ["p"], "kper": ["k"]}[mode]
+    if given != wanted:
+        raise ConfigError(f"missingness spec {spec!r}: mode {mode!r} takes {wanted or 'nothing'}")
+    try:
+        if mode == "bernoulli":
+            p = fields["p"].split(",") if isinstance(fields["p"], str) else fields["p"]
+            probs = [float(x) for x in (p if isinstance(p, (list, tuple)) else [p])]
+            if len(probs) not in (1, num_vars):
+                raise ValueError(f"needs 1 or {num_vars} probabilities, got {len(probs)}")
+            return Bernoulli(probs * (num_vars // len(probs)))
+        if mode == "kper":
+            k = int(fields["k"])
+            if k != float(fields["k"]) or not 0 <= k < num_vars:
+                raise ValueError(f"k must be an integer with 0 <= k < {num_vars}")
+            return KPerRecord(k)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"missingness spec {spec!r}: {exc}") from None
+    return None
 
 
 def forward_sample(net: BayesNet, n: int, seed: int) -> Dataset:

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset, SufficientCounts, count_sufficient_stats
-from .errors import SchemaMismatch, ZeroSampleSize
+from .errors import ConfigError, SchemaMismatch, ZeroSampleSize
 from .model import Dag, node_df
 
 NEG_INFINITY = float("-inf")
@@ -53,6 +53,29 @@ def power_law(coefficient: float, alpha: float) -> Penalty:
     return Penalty("power", coefficient, alpha)
 
 
+def parse_penalty(spec, num_vars: int) -> Penalty:
+    """Penalty from "aic" | "bic" | "none" | "a<alpha>", a dict {kind, alpha,
+    coef} whose kind defaults to "power", or a Penalty. The power-law
+    coefficient defaults to 1/num_vars. Raises ConfigError quoting `spec`.
+    """
+    if isinstance(spec, Penalty):
+        return spec
+    if spec in ("aic", "bic", "none"):
+        return Penalty(spec)
+    fields = {"alpha": spec[1:]} if isinstance(spec, str) and spec.startswith("a") else spec
+    if not isinstance(fields, dict) or not set(fields) <= {"kind", "alpha", "coef"}:
+        raise ConfigError(f"unknown penalty spec {spec!r}")
+    kind, alpha, coef = fields.get("kind", "power"), fields.get("alpha"), fields.get("coef")
+    if kind == "power" and alpha is None:
+        raise ConfigError(f"penalty spec {spec!r}: a power law needs alpha")
+    try:
+        if kind != "power":
+            return Penalty(kind)
+        return power_law(1.0 / num_vars if coef is None else float(coef), float(alpha))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"penalty spec {spec!r}: {exc}") from None
+
+
 def lambda_value(penalty: Penalty, m: int | float) -> float:
     """Evaluate the penalty weight lambda at sample size m."""
     if penalty.kind == "none":
@@ -86,11 +109,16 @@ def node_nal_from_counts(counts: SufficientCounts) -> float:
     if counts.n_i == 0:
         return NEG_INFINITY
     n_ij = counts.n_ij
-    theta = counts.n_ikj / np.maximum(n_ij, 1)
-    terms = theta * np.log(np.where(theta > 0, theta, 1.0))  # 0 ln 0 = 0
-    # an unobserved configuration adds exactly 0.0; fsum makes the total
-    # independent of the order of the configurations
-    return math.fsum(((n_ij / counts.n_i) * terms.sum(axis=0)).tolist())
+    return neg_conditional_entropy(n_ij / counts.n_i, counts.n_ikj / np.maximum(n_ij, 1))
+
+
+def neg_conditional_entropy(weights: np.ndarray, theta: np.ndarray) -> float:
+    """sum_j weights_j sum_k theta_kj ln theta_kj, theta of shape (q_i, q_pa).
+
+    0 ln 0 = 0; fsum makes the total independent of the configuration order.
+    """
+    terms = theta * np.log(np.where(theta > 0, theta, 1.0))
+    return math.fsum((weights * terms.sum(axis=0)).tolist())
 
 
 def node_nal(data: Dataset, node: int, parents: Sequence[int]) -> float:

@@ -181,6 +181,54 @@ def test_learn_bad_arguments_exit_2(two_node_files, tmp_path, capsys, extra):
     assert code == 2 and err.startswith("error:")
 
 
+_NET = ["--net", "{net}"]
+_MASK = ["mask", "--in", "{data}", *_NET, "--out", "{out}"]
+_TWO_NODE = ["experiment", "--config", "{config}", "--mode", "two-node", "--out", "{out_dir}"]
+_TWO_NODE_CONFIG = {"sample_sizes": [100], "betas": [1.0], "replicates": 2}
+
+
+@pytest.mark.parametrize("argv, config", [
+    *[(["population", *_NET, "--candidates", "order", "--missing", spec], None)
+      for spec in ["kper:x", "kper:2", "mar", "bernoulli:abc", "bernoulli:2",
+                   "bernoulli:0.5,0.5,0.5"]],
+    ([*_MASK, "--mode", "bernoulli", "--seed", "1"], None),
+    ([*_MASK, "--mode", "kper", "--seed", "1"], None),
+    ([*_MASK, "--mode", "kper", "--k", "1", "--seed", "-1"], None),
+    (["sample", *_NET, "--n", "10", "--seed", "-1", "--out", "{out}"], None),
+    (["sample", *_NET, "--n", "-1", "--seed", "1", "--out", "{out}"], None),
+    *[(_TWO_NODE, {**_TWO_NODE_CONFIG, "penalties": ["aic", spec]})
+      for spec in ["a0.x", {"kind": "power"}, "mdl"]],
+    (["experiment", "--config", "{config}", "--mode", "rates", "--out", "{out_dir}"],
+     {"sample_sizes": [100, 200], "replicates": 1}),
+    (["population", "--net", "{net8}", "--candidates", "order"], None),  # 67,092,480 DAGs
+    (["population", *_NET, "--candidates", "order", "--max-parents", "-1"], None),
+])
+def test_malformed_spec_exit_2(two_node_files, tmp_path, capsys, argv, config):
+    _, net_path, _ = two_node_files
+    net8_path = tmp_path / "net8.json"
+    save_net(eight_node_net(), net8_path)
+    data_path = tmp_path / "data.csv"
+    data_path.write_text("X1,X2\n0,1\n")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    paths = {"net": net_path, "net8": net8_path, "data": data_path, "config": config_path,
+             "out": tmp_path / "out.csv", "out_dir": tmp_path / "out"}
+    code, _, err = run(capsys, [arg.format(**paths) for arg in argv])
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def test_mask_needs_exactly_one_schema(two_node_files, tmp_path, capsys):
+    _, net_path, structure_path = two_node_files
+    base = ["mask", "--in", "data.csv", "--mode", "kper", "--k", "1", "--seed", "1",
+            "--out", str(tmp_path / "out.csv")]
+    for schema in ([], ["--net", str(net_path), "--structure", str(structure_path)]):
+        with pytest.raises(SystemExit) as exc:
+            main([*base, *schema])
+        assert exc.value.code == 2
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("body", ["0,1\n1\n", "0,one\n", "0,40000\n"])
 def test_malformed_csv_exit_2(two_node_files, tmp_path, capsys, body):
     _, _, structure_path = two_node_files

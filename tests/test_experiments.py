@@ -11,16 +11,15 @@ from nalearn.experiments import (
     check_two_node,
     config_from_dict,
     penalty_label,
-    resolve_missingness,
     resolve_net,
-    resolve_penalty,
     run_rate_probe,
     run_recovery,
     run_two_node,
     two_node_wrong_fraction,
     write_rows,
 )
-from nalearn.sampling import Bernoulli, KPerRecord
+from nalearn.sampling import Bernoulli, KPerRecord, parse_missingness
+from nalearn.scoring import parse_penalty
 
 
 def test_config_rejects_unknown_field():
@@ -46,15 +45,20 @@ def test_config_round_trip_fields():
     assert cfg.replicates == 3
 
 
-def test_resolve_penalty_variants():
-    assert resolve_penalty("aic", 2) == Penalty("aic")
-    assert resolve_penalty("bic", 2) == Penalty("bic")
-    p = resolve_penalty("a0.3", 2)
+def test_parse_penalty_variants():
+    assert parse_penalty("aic", 2) == Penalty("aic")
+    assert parse_penalty("bic", 2) == Penalty("bic")
+    p = parse_penalty("a0.3", 2)
     assert p.kind == "power" and p.alpha == 0.3 and p.coefficient == 0.5
-    q = resolve_penalty({"kind": "power", "alpha": 0.4, "coef": 0.25}, 2)
+    q = parse_penalty({"kind": "power", "alpha": 0.4, "coef": 0.25}, 2)
     assert q == power_law(0.25, 0.4)
-    with pytest.raises(ConfigError):
-        resolve_penalty("mdl", 2)
+    assert parse_penalty({"alpha": 0.4, "coef": None}, 4) == power_law(0.25, 0.4)
+    assert parse_penalty({"kind": "bic", "alpha": 0.5}, 2) == BIC
+    assert parse_penalty(AIC, 2) is AIC
+    for bad in ["mdl", "a0.x", "a1.5", "power", {"kind": "power"},
+                {"alpha": 0.3, "coeff": 1.0}, {"alpha": 0.3, "coef": 0}, 0.3]:
+        with pytest.raises(ConfigError, match="penalty spec"):
+            parse_penalty(bad, 2)
 
 
 def test_penalty_labels():
@@ -62,21 +66,29 @@ def test_penalty_labels():
     assert penalty_label("bic") == "bic"
 
 
-def test_resolve_net_and_missingness():
+def test_resolve_net_and_parse_missingness():
     assert resolve_net("two-node").num_nodes == 2
     assert resolve_net("eight-node").num_nodes == 8
-    assert resolve_missingness({"mode": "none"}, 2) is None
-    m = resolve_missingness({"mode": "bernoulli", "p": 0.75}, 2)
+    assert parse_missingness({"mode": "none"}, 2) is None
+    assert parse_missingness("none", 2) is None
+    m = parse_missingness({"mode": "bernoulli", "p": 0.75}, 2)
     assert m == Bernoulli((0.75, 0.75))
-    assert resolve_missingness({"mode": "kper", "k": 2}, 8) == KPerRecord(2)
-    with pytest.raises(ConfigError):
-        resolve_missingness({"mode": "mar"}, 2)
+    assert parse_missingness("bernoulli:0.75", 2) == m
+    assert parse_missingness("bernoulli:0.5,1", 2) == Bernoulli((0.5, 1.0))
+    assert parse_missingness({"mode": "bernoulli", "p": [0.5, 1]}, 2) == Bernoulli((0.5, 1.0))
+    assert parse_missingness({"mode": "kper", "k": 2}, 8) == KPerRecord(2)
+    assert parse_missingness("kper:0", 2) == KPerRecord(0)
+    for bad in [{"mode": "mar"}, "mar", "kper:x", "kper:2", "kper:-1", {"mode": "kper", "k": 1.5},
+                {"mode": "kper"}, "bernoulli:abc", "bernoulli:2", "bernoulli:0.5,0.5,0.5",
+                {"mode": "bernoulli", "k": 1}, "none:3", ["none"]]:
+        with pytest.raises(ConfigError, match="missingness spec"):
+            parse_missingness(bad, 2)
 
 
 def test_two_node_wrong_fraction_extremes():
     # alpha = 0.2 with complete data: wrong selections are (near) impossible
     fractions = two_node_wrong_fraction(
-        1.0, 1000, [resolve_penalty("a0.2", 2)], replicates=50, seed=11
+        1.0, 1000, [parse_penalty("a0.2", 2)], replicates=50, seed=11
     )
     assert fractions[0] <= 0.005 + 1e-12
 
@@ -133,6 +145,26 @@ def test_run_rate_probe_slopes_and_grid():
     assert rows[0]["slope"] < -0.5  # complete data decays faster than root-n
     with pytest.raises(InsufficientGrid):
         run_rate_probe(ExperimentConfig(sample_sizes=(100,), replicates=10, seed=1))
+    with pytest.raises(InsufficientGrid):  # one replicate has no sd
+        run_rate_probe(ExperimentConfig(sample_sizes=(100, 1000), replicates=1, seed=1))
+
+
+@pytest.mark.parametrize("runner, fields", [
+    (run_recovery, {"penalties": ("bic", "a0.x")}),
+    (run_recovery, {"missingness": ({"mode": "none"}, {"mode": "kper", "k": 8})}),
+    (run_rate_probe, {"missingness": ({"mode": "none"}, {"mode": "bernoulli", "p": 2.0})}),
+])
+def test_bad_spec_raises_before_sampling(monkeypatch, runner, fields):
+    import nalearn.experiments
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before every spec was parsed")
+
+    monkeypatch.setattr(nalearn.experiments, "forward_sample", no_sampling)
+    net = "eight-node" if runner is run_recovery else "two-node"
+    cfg = ExperimentConfig(net=net, sample_sizes=(50, 100), replicates=2, seed=1, **fields)
+    with pytest.raises(ConfigError):
+        runner(cfg)
 
 
 def test_check_two_node_accepts_reference_itself():
