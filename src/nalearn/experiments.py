@@ -49,6 +49,10 @@ class ExperimentConfig:
             raise ConfigError("sample sizes must be >= 1")
         if any(not 0.0 < b <= 1.0 for b in self.betas):
             raise ConfigError("betas must lie in (0, 1]")
+        if self.max_parents < 0:
+            raise ConfigError(f"max_parents must be >= 0, got {self.max_parents}")
+        if self.order is not None and sorted(self.order) != list(range(len(self.order))):
+            raise ConfigError(f"order must be a permutation of 0..N-1, got {list(self.order)}")
 
 
 def config_from_dict(obj: dict) -> ExperimentConfig:
@@ -77,7 +81,13 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as f:
-        return config_from_dict(json.load(f))
+        try:
+            obj = json.load(f)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ConfigError(f"config {path} must be a JSON object, got {type(obj).__name__}")
+    return config_from_dict(obj)
 
 
 def penalty_label(spec) -> str:
@@ -261,6 +271,8 @@ def run_recovery(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     order = config.order if config.order is not None else tuple(
         net.dag.topological_order()
     )
+    if len(order) != net.num_nodes:
+        raise ConfigError(f"order has {len(order)} nodes, the net {net.num_nodes}")
     space = SearchSpace(order, config.max_parents)
     models = [parse_missingness(spec, net.num_nodes) for spec in config.missingness]
     penalties = tuple(parse_penalty(spec, net.num_nodes) for spec in config.penalties)

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .errors import StateSpaceTooLarge, TableMismatch
-from .model import BayesNet, Dag, df_complexity, is_subgraph
+from .errors import NodeCountMismatch, StateSpaceTooLarge, TableMismatch
+from .model import BayesNet, Dag, df_complexity
 from .sampling import Bernoulli, MissingnessModel, subset_observation_probability
 from .scoring import neg_conditional_entropy
 
@@ -62,6 +63,11 @@ class NodeTable:
     theta_ij: np.ndarray  # P(Pa_i = j), canonical j order
     theta_ikj: np.ndarray  # P(X_i = k | Pa_i = j), shape (q_i, q_pa)
 
+    @cached_property
+    def nal(self) -> float:
+        """Observed population negative conditional entropy of the node."""
+        return neg_conditional_entropy(self.theta_ij, self.theta_ikj)
+
 
 @dataclass(frozen=True)
 class InducedTable:
@@ -100,7 +106,32 @@ def _node_table(joint: np.ndarray, node: int, parents: tuple[int, ...], theta_i:
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = pa_child / np.where(zero, 1.0, theta_ij)[:, None]
     cond[zero] = 1.0 / q_i  # unreachable configs padded uniform
-    return NodeTable(node, parents, theta_i, theta_ij, cond.T.copy())
+    theta_ikj = cond.T.copy()
+    theta_ij.flags.writeable = False  # tables are shared through FamilyTables
+    theta_ikj.flags.writeable = False
+    return NodeTable(node, parents, theta_i, theta_ij, theta_ikj)
+
+
+class FamilyTables:
+    """Memoizes the NodeTable per (node, parents, theta_i) for one true net.
+
+    The joint is built once. Pass one instance to every induced_theta_mcar
+    call over the same net so that each family is marginalized, and its
+    entropy evaluated, once however many candidates share it.
+    """
+
+    def __init__(self, net0: BayesNet, cap: int = STATE_SPACE_CAP):
+        self.net0 = net0
+        self.joint = _joint_array(net0, cap)
+        self.joint.flags.writeable = False
+        self._memo: dict[tuple[int, tuple[int, ...], float], NodeTable] = {}
+
+    def node_table(self, node: int, parents: tuple[int, ...], theta_i: float) -> NodeTable:
+        key = (node, parents, theta_i)
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = _node_table(self.joint, node, parents, theta_i)
+        return hit
 
 
 def induced_theta_mcar(
@@ -108,15 +139,23 @@ def induced_theta_mcar(
     net0: BayesNet,
     missing: MissingnessModel | None = None,
     cap: int = STATE_SPACE_CAP,
+    tables: FamilyTables | None = None,
 ) -> InducedTable:
-    """Population tables theta(G | G0) under MCAR missingness."""
-    joint = _joint_array(net0, cap)
+    """Population tables theta(G | G0) under MCAR missingness.
+
+    Without `tables` the joint is built for this call alone; `cap` is only
+    read when the joint is built.
+    """
+    if tables is None:
+        tables = FamilyTables(net0, cap)
+    elif tables.net0 is not net0:
+        raise ValueError("family tables were built for a different net")
     N = net0.num_nodes
-    tables = []
-    for i, parents in enumerate(g.parents):
-        theta_i = _observation_probability(i, parents, missing, N)
-        tables.append(_node_table(joint, i, parents, theta_i))
-    return InducedTable(g, tuple(tables))
+    nodes = tuple(
+        tables.node_table(i, parents, _observation_probability(i, parents, missing, N))
+        for i, parents in enumerate(g.parents)
+    )
+    return InducedTable(g, nodes)
 
 
 def induced_joint(g: Dag, net0: BayesNet, cap: int = STATE_SPACE_CAP) -> np.ndarray:
@@ -135,7 +174,7 @@ def induced_joint(g: Dag, net0: BayesNet, cap: int = STATE_SPACE_CAP) -> np.ndar
 
 def node_population_nal(entry: NodeTable) -> float:
     """Observed population negative conditional entropy of one node."""
-    return neg_conditional_entropy(entry.theta_ij, entry.theta_ikj)
+    return entry.nal
 
 
 def population_nal(g: Dag, table: InducedTable) -> float:
@@ -171,6 +210,12 @@ class IdentifiabilityReport:
     tolerance: float
 
 
+def _edge_mask(g: Dag) -> int:
+    """Edge set of g as a bitmask: bit child * N + parent."""
+    N = g.num_nodes
+    return sum(1 << (i * N + p) for i, ps in enumerate(g.parents) for p in ps)
+
+
 def check_identifiability(
     net0: BayesNet,
     candidates: Sequence[Dag],
@@ -181,26 +226,36 @@ def check_identifiability(
 
     MCAR missingness leaves the population NAL, hence the report, unchanged.
     """
-    true_nal = population_nal_of(net0.dag, net0, cap)
-    values = [population_nal_of(g, net0, cap) for g in candidates]
+    N = net0.num_nodes
+    for g in candidates:
+        if g.num_nodes != N:
+            raise NodeCountMismatch(f"candidate has {g.num_nodes} nodes, the net {N}")
+    tables = FamilyTables(net0, cap)
+
+    def nal_of(g: Dag) -> float:
+        return population_nal(g, induced_theta_mcar(g, net0, tables=tables))
+
+    true_nal = nal_of(net0.dag)
+    values = [nal_of(g) for g in candidates]
     best = max(values) if values else true_nal
     maximizer_flags = [abs(v - best) <= tol for v in values]
-    maximizers = [g for g, f in zip(candidates, maximizer_flags) if f]
-    minimal = []
-    for g in maximizers:
-        if not any(
-            h != g and is_subgraph(h, g) for h in maximizers
-        ):
-            minimal.append(g)
+    masks = [_edge_mask(g) for g in candidates]
+    maximizer_masks = [m for m, f in zip(masks, maximizer_flags) if f]
+    # g is minimal unless another maximizer's edges are a proper subset of g's
+    minimal = [
+        g for g, m, f in zip(candidates, masks, maximizer_flags)
+        if f and not any(h != m and h & ~m == 0 for h in maximizer_masks)
+    ]
     reports = []
     minimal_set = set(minimal)
-    for g, v, f in zip(candidates, values, maximizer_flags):
+    true_mask = _edge_mask(net0.dag)
+    for g, v, f, m in zip(candidates, values, maximizer_flags, masks):
         reports.append(
             CandidateReport(
                 dag=g,
                 df=df_complexity(g, net0.variables),
                 nal=v,
-                is_superset_of_true=is_subgraph(net0.dag, g),
+                is_superset_of_true=true_mask & ~m == 0,
                 is_maximizer=f,
                 is_minimal_maximizer=g in minimal_set,
             )
@@ -220,12 +275,6 @@ def beta_of_collection(
     candidates: Sequence[Dag], missing: MissingnessModel | None, num_vars: int
 ) -> float:
     """Minimum positive observation probability over candidates and nodes."""
-    best = 1.0
-    found = False
-    for g in candidates:
-        for i, parents in enumerate(g.parents):
-            p = _observation_probability(i, parents, missing, num_vars)
-            if p > 0:
-                best = min(best, p)
-                found = True
-    return best if found else 1.0
+    families = {(i, parents) for g in candidates for i, parents in enumerate(g.parents)}
+    probs = [_observation_probability(i, ps, missing, num_vars) for i, ps in families]
+    return min((p for p in probs if p > 0), default=1.0)

@@ -185,6 +185,7 @@ _NET = ["--net", "{net}"]
 _MASK = ["mask", "--in", "{data}", *_NET, "--out", "{out}"]
 _TWO_NODE = ["experiment", "--config", "{config}", "--mode", "two-node", "--out", "{out_dir}"]
 _TWO_NODE_CONFIG = {"sample_sizes": [100], "betas": [1.0], "replicates": 2}
+_RECOVERY = ["experiment", "--config", "{config}", "--mode", "recovery", "--out", "{out_dir}"]
 
 
 @pytest.mark.parametrize("argv, config", [
@@ -202,6 +203,10 @@ _TWO_NODE_CONFIG = {"sample_sizes": [100], "betas": [1.0], "replicates": 2}
      {"sample_sizes": [100, 200], "replicates": 1}),
     (["population", "--net", "{net8}", "--candidates", "order"], None),  # 67,092,480 DAGs
     (["population", *_NET, "--candidates", "order", "--max-parents", "-1"], None),
+    (_TWO_NODE, '{"sample_sizes": [100], "replicates": 2'),  # truncated JSON
+    (_TWO_NODE, []),  # not a JSON object
+    *[(_RECOVERY, {**_TWO_NODE_CONFIG, **fields})
+      for fields in [{"max_parents": -1}, {"order": [0, 0]}, {"order": [0, 1, 2]}]],
 ])
 def test_malformed_spec_exit_2(two_node_files, tmp_path, capsys, argv, config):
     _, net_path, _ = two_node_files
@@ -210,7 +215,7 @@ def test_malformed_spec_exit_2(two_node_files, tmp_path, capsys, argv, config):
     data_path = tmp_path / "data.csv"
     data_path.write_text("X1,X2\n0,1\n")
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(config))
+    config_path.write_text(config if isinstance(config, str) else json.dumps(config))
     paths = {"net": net_path, "net8": net8_path, "data": data_path, "config": config_path,
              "out": tmp_path / "out.csv", "out_dir": tmp_path / "out"}
     code, _, err = run(capsys, [arg.format(**paths) for arg in argv])

@@ -153,6 +153,9 @@ def test_run_rate_probe_slopes_and_grid():
     (run_recovery, {"penalties": ("bic", "a0.x")}),
     (run_recovery, {"missingness": ({"mode": "none"}, {"mode": "kper", "k": 8})}),
     (run_rate_probe, {"missingness": ({"mode": "none"}, {"mode": "bernoulli", "p": 2.0})}),
+    (run_recovery, {"max_parents": -1}),
+    (run_recovery, {"order": (0, 0, 1, 2, 3, 4, 5, 6)}),
+    (run_recovery, {"order": (1, 0)}),  # a permutation, but of two nodes
 ])
 def test_bad_spec_raises_before_sampling(monkeypatch, runner, fields):
     import nalearn.experiments

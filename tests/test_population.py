@@ -25,8 +25,9 @@ from nalearn import (
     two_node_chain_dag,
     two_node_net,
 )
-from nalearn.errors import StateSpaceTooLarge, TableMismatch
-from nalearn.population import node_population_nal
+from nalearn.errors import NodeCountMismatch, StateSpaceTooLarge, TableMismatch
+from nalearn.networks import eight_node_net
+from nalearn.population import FamilyTables, node_population_nal
 from nalearn.scoring import node_nal_from_counts
 
 from util import all_dags, random_net
@@ -216,3 +217,127 @@ def test_superset_population_nal_never_below_truth():
             assert v <= l0 + 1e-9
             if is_subgraph(net.dag, g):
                 assert v == pytest.approx(l0, abs=1e-9)
+
+
+def one_toggle_neighbourhood(dag):
+    """dag and every order-compatible DAG one edge toggle away from it."""
+    out = [dag]
+    for i in range(dag.num_nodes):
+        for p in range(i):
+            parents = [set(ps) for ps in dag.parents]
+            parents[i] ^= {p}
+            out.append(Dag(parents))
+    return out
+
+
+def test_identifiability_nal_equals_population_nal_of():
+    rng = np.random.default_rng(61)
+    nets = [(random_net(3, rng), all_dags(3)) for _ in range(5)]
+    net8 = eight_node_net()
+    nets.append((net8, one_toggle_neighbourhood(net8.dag)))
+    for net, candidates in nets:
+        report = check_identifiability(net, candidates)
+        assert report.true_nal == population_nal_of(net.dag, net)
+        for g, cand in zip(candidates, report.candidates):
+            assert cand.dag == g
+            assert cand.nal == population_nal_of(g, net)
+            assert cand.is_superset_of_true == is_subgraph(net.dag, g)
+
+
+def pairwise_minimal_maximizers(report):
+    """The pairwise is_subgraph scan over the maximizers (the reference)."""
+    maximizers = [c.dag for c in report.candidates if c.is_maximizer]
+    return tuple(
+        g for g in maximizers if not any(h != g and is_subgraph(h, g) for h in maximizers)
+    )
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e9])  # 1e9: every candidate is a maximizer
+def test_minimal_maximizers_match_pairwise_scan(tol):
+    rng = np.random.default_rng(67)
+    dags = all_dags(3)
+    for trial in range(5):
+        net = random_net(3, rng)
+        candidates = dags + [dags[i] for i in rng.choice(len(dags), size=6)]  # duplicates
+        candidates = [candidates[i] for i in rng.permutation(len(candidates))]
+        report = check_identifiability(net, candidates, tol=tol)
+        minimal = pairwise_minimal_maximizers(report)
+        assert report.minimal_maximizers == minimal
+        assert [c.is_minimal_maximizer for c in report.candidates] == [
+            c.dag in minimal for c in report.candidates
+        ]
+    report = check_identifiability(two_node_net(), [Dag([[], []])] * 2, tol=tol)
+    assert report.minimal_maximizers == (Dag([[], []]),) * 2
+    assert not report.identifiable
+
+
+def test_identifiability_empty_candidate_list():
+    net = dependent_two_node()
+    report = check_identifiability(net, [])
+    assert report.candidates == ()
+    assert report.minimal_maximizers == ()
+    assert not report.identifiable
+    assert report.true_nal == population_nal_of(net.dag, net)
+
+
+def test_identifiability_rejects_a_candidate_of_another_size():
+    for candidate in (Dag([[]]), Dag([[], [0], [1]])):
+        with pytest.raises(NodeCountMismatch):
+            check_identifiability(dependent_two_node(), [Dag([[], []]), candidate])
+
+
+def test_identifiability_builds_the_joint_once(monkeypatch):
+    import nalearn.population
+
+    calls = []
+    original = nalearn.population._joint_array
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nalearn.population, "_joint_array", counted)
+    check_identifiability(dependent_two_node(), all_dags(2) * 3)
+    assert len(calls) == 1
+    population_nal_of(Dag([[], []]), dependent_two_node())  # no tables: one per call
+    assert len(calls) == 2
+
+
+def test_family_tables_of_another_net_raise():
+    tables = FamilyTables(dependent_two_node())
+    with pytest.raises(ValueError):
+        induced_theta_mcar(Dag([[], []]), two_node_net(), tables=tables)
+
+
+def test_family_tables_share_read_only_node_tables():
+    net = dependent_two_node()
+    tables = FamilyTables(net)
+    chain = induced_theta_mcar(two_node_chain_dag(), net, tables=tables)
+    empty = induced_theta_mcar(Dag([[], []]), net, tables=tables)
+    assert chain.nodes[0] is empty.nodes[0]  # family (0, ()) is marginalized once
+    masked = induced_theta_mcar(two_node_chain_dag(), net, Bernoulli((0.75, 1.0)), tables=tables)
+    assert masked.nodes[1].theta_i == pytest.approx(0.75)
+    assert chain.nodes[1].theta_i == 1.0
+    np.testing.assert_array_equal(masked.nodes[1].theta_ikj, chain.nodes[1].theta_ikj)
+    for entry in chain.nodes + masked.nodes:
+        for array in (entry.theta_ij, entry.theta_ikj):
+            with pytest.raises(ValueError):
+                array[0] = 0.5
+    with pytest.raises(ValueError):
+        tables.joint[0, 0] = 0.5
+
+
+def test_beta_visits_each_family_once(monkeypatch):
+    import nalearn.population
+
+    original = nalearn.population._observation_probability
+    dags = all_dags(3) * 2
+    for missing in (None, KPerRecord(1), Bernoulli((0.5, 0.0, 0.9)), Bernoulli((0.0,) * 3)):
+        # the per-candidate, per-node loop (the reference)
+        probs = [original(i, ps, missing, 3) for g in dags for i, ps in enumerate(g.parents)]
+        expect = min((p for p in probs if p > 0), default=1.0)
+        calls = []
+        monkeypatch.setattr(nalearn.population, "_observation_probability",
+                            lambda *args: calls.append(args) or original(*args))
+        assert beta_of_collection(dags, missing, 3) == expect
+        assert len(calls) == len(set(calls)) == 3 * 4  # 3 nodes x 4 parent sets each
