@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 from itertools import product
@@ -17,7 +16,7 @@ from pathlib import Path
 from . import experiments
 from .data import read_csv, write_csv
 from .errors import ConfigError, NalearnError, StateSpaceTooLarge
-from .model import Dag, load_net, load_structure, save_structure
+from .model import Dag, load_net, load_structure, read_json, save_structure
 from .population import beta_of_collection, check_identifiability
 from .sampling import apply_mcar, forward_sample, parse_missingness
 from .scoring import Penalty, parse_penalty, score_decomposable, score_global
@@ -103,8 +102,7 @@ def cmd_population(args) -> int:
             )
         candidates = [Dag(choice) for choice in product(*candidate_lists)]
     else:
-        with open(args.candidates, "r", encoding="utf-8") as f:
-            candidates = [Dag(p) for p in json.load(f)]
+        candidates = read_json(args.candidates, lambda obj: [Dag(p) for p in obj])
     report = check_identifiability(net, candidates)
     beta = beta_of_collection(candidates, missing, net.num_nodes)
     writer = csv.writer(sys.stdout, lineterminator="\n")

@@ -9,11 +9,9 @@ reproduces each CSV byte for byte.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -21,9 +19,12 @@ import numpy as np
 from .data import Dataset, count_sufficient_stats
 from .equivalence import edge_f_score
 from .errors import ConfigError, InsufficientGrid
-from .model import BayesNet, Dag, df_complexity, load_net
+from .model import BayesNet, Dag, df_complexity, load_net, read_json
 from .networks import eight_node_net, two_node_chain_dag, two_node_net
-from .sampling import Bernoulli, apply_mcar, derive_seed, forward_sample, parse_missingness, splitmix64
+from .sampling import (
+    Bernoulli, MissingnessModel, apply_mcar, derive_seed, forward_sample, parse_missingness,
+    splitmix64,
+)
 from .scoring import NEG_INFINITY, Penalty, lambda_value, node_nal, node_nal_from_counts, parse_penalty
 from .search import Evaluator, SearchSpace, learn_structure
 
@@ -43,6 +44,9 @@ class ExperimentConfig:
     order: tuple[int, ...] | None = None
 
     def validate(self) -> None:
+        for name in ("sample_sizes", "betas", "penalties", "missingness"):
+            if not getattr(self, name):
+                raise InsufficientGrid(f"{name} must not be empty")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
         if any(n < 1 for n in self.sample_sizes):
@@ -56,6 +60,8 @@ class ExperimentConfig:
 
 
 def config_from_dict(obj: dict) -> ExperimentConfig:
+    if not isinstance(obj, dict):
+        raise TypeError(f"a config must be a JSON object, got {type(obj).__name__}")
     cfg = ExperimentConfig()
     known = {
         "net": str,
@@ -80,14 +86,7 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            obj = json.load(f)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ConfigError(f"config {path} must be a JSON object, got {type(obj).__name__}")
-    return config_from_dict(obj)
+    return read_json(path, config_from_dict)
 
 
 def penalty_label(spec) -> str:
@@ -117,16 +116,19 @@ def missingness_label(spec: dict) -> str:
     return f"kper(k={spec['k']})"
 
 
+def _draw_replicate(
+    net: BayesNet, n: int, missing: MissingnessModel | None, rep_seed: int
+) -> Dataset:
+    """n records forward-sampled at rep_seed, then MCAR-masked at a seed derived from it."""
+    data = forward_sample(net, n, rep_seed)
+    if missing is not None:
+        data = apply_mcar(data, missing, derive_seed(rep_seed, 1))
+    return data
+
+
 # ---------------------------------------------------------------------------
 # Two-node benchmark (the consistency/inconsistency table)
 # ---------------------------------------------------------------------------
-
-def _two_node_nal_pair(data: Dataset) -> tuple[float, float]:
-    """Node-2 NAL under no parents vs parent {X1}; node 1 is shared."""
-    empty = node_nal_from_counts(count_sufficient_stats(data, 1, ()))
-    chain = node_nal_from_counts(count_sufficient_stats(data, 1, (0,)))
-    return empty, chain
-
 
 def two_node_wrong_fraction(
     beta: float, n: int, penalties: Sequence[Penalty], replicates: int, seed: int
@@ -139,19 +141,18 @@ def two_node_wrong_fraction(
     ties count as correct (minimal-complexity convention).
     """
     net = two_node_net()
-    mask = Bernoulli((beta, 1.0))
+    mask = Bernoulli((beta, 1.0)) if beta < 1.0 else None
+    lams = [lambda_value(pen, n) for pen in penalties]
     wrong = [0] * len(penalties)
     for r in range(replicates):
-        rep_seed = derive_seed(seed, r)
-        data = forward_sample(net, n, rep_seed)
-        if beta < 1.0:
-            data = apply_mcar(data, mask, derive_seed(rep_seed, 1))
-        nal_empty, nal_chain = _two_node_nal_pair(data)
+        data = _draw_replicate(net, n, mask, derive_seed(seed, r))
+        # node 2's NAL under no parents vs parent {X1}; node 1 is shared
+        nal_empty = node_nal_from_counts(count_sufficient_stats(data, 1, ()))
+        nal_chain = node_nal_from_counts(count_sufficient_stats(data, 1, (0,)))
         if nal_chain == NEG_INFINITY:
             continue  # spurious model unobservable, never selected
         gain = nal_chain - nal_empty
-        for idx, pen in enumerate(penalties):
-            lam = 0.0 if pen.kind == "none" else lambda_value(pen, n)
+        for idx, lam in enumerate(lams):
             if gain > lam:
                 wrong[idx] += 1
     return [w / replicates for w in wrong]
@@ -248,9 +249,7 @@ def check_two_node(rows: Sequence[dict], reference=None) -> list[str]:
 
 def _recovery_replicate(args):
     (net, space, n, missing, penalties, rep_seed) = args
-    data = forward_sample(net, n, rep_seed)
-    if missing is not None:
-        data = apply_mcar(data, missing, derive_seed(rep_seed, 1))
+    data = _draw_replicate(net, n, missing, rep_seed)
     evaluator = Evaluator(data)  # share the count memo across penalties
     out = []
     for penalty in penalties:
@@ -342,10 +341,7 @@ def run_rate_probe(
             cell_seed = derive_seed(config.seed, splitmix64(ri * 4001 + ni))
             diffs = []
             for r in range(config.replicates):
-                rep_seed = derive_seed(cell_seed, r)
-                data = forward_sample(net, n, rep_seed)
-                if missing is not None:
-                    data = apply_mcar(data, missing, derive_seed(rep_seed, 1))
+                data = _draw_replicate(net, n, missing, derive_seed(cell_seed, r))
                 diffs.append(sum(
                     node_nal(data, i, p1) - node_nal(data, i, p0)
                     for i, (p0, p1) in enumerate(zip(g0.parents, g1.parents)) if p0 != p1
@@ -363,18 +359,9 @@ def run_rate_probe(
 # CSV output
 # ---------------------------------------------------------------------------
 
-_CSV_COLUMNS = {
-    "table1.csv": ["beta", "n", "penalty", "wrong_pct", "mc_se"],
-    "recovery.csv": [
-        "n", "missingness", "penalty", "mean_f", "mean_df", "recovery_rate", "true_df",
-    ],
-    "rates.csv": ["regime", "n", "sd", "slope"],
-}
-
-
 def write_rows(rows: Sequence[dict], path) -> None:
-    path = Path(path)
-    columns = _CSV_COLUMNS.get(path.name) or list(rows[0].keys())
+    """CSV with the first row's keys as columns; every runner builds rows in column order."""
+    columns = list(rows[0])
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         writer = csv.DictWriter(f, fieldnames=columns, lineterminator="\n")
         writer.writeheader()

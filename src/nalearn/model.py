@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CycleDetected, MalformedParents, NodeCountMismatch
+from .errors import ConfigError, CycleDetected, MalformedParents, NodeCountMismatch
 
 ROW_SUM_TOL = 1e-12
 
@@ -36,7 +36,7 @@ class Variable:
 
 
 def _canonical_parents(parents: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(sorted(int(p) for p in ps)) for ps in parents)
+    return tuple(tuple(sorted(map(int, ps))) for ps in parents)
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,8 @@ class Dag:
     def topological_order(self) -> list[int]:
         """Lowest-index-first topological order; raises CycleDetected."""
         n = self.num_nodes
+        if all(not ps or ps[-1] < i for i, ps in enumerate(self.parents)):
+            return list(range(n))  # every parent precedes its child already
         children: list[list[int]] = [[] for _ in range(n)]
         indeg = [0] * n
         for i, ps in enumerate(self.parents):
@@ -109,21 +111,12 @@ def df_complexity(dag: Dag, variables: Sequence[Variable]) -> int:
     """Number of free CPT parameters: sum_i q(Pa_i) * (q(X_i) - 1)."""
     if len(variables) != dag.num_nodes:
         raise NodeCountMismatch("variable list length != number of nodes")
-    total = 0
-    for i, ps in enumerate(dag.parents):
-        q_pa = 1
-        for p in ps:
-            q_pa *= variables[p].cardinality
-        total += q_pa * (variables[i].cardinality - 1)
-    return total
+    return sum(node_df(i, ps, variables) for i, ps in enumerate(dag.parents))
 
 
 def node_df(node: int, parents: Sequence[int], variables: Sequence[Variable]) -> int:
     """Per-node parameter count q(Pa_i) * (q(X_i) - 1)."""
-    q_pa = 1
-    for p in parents:
-        q_pa *= variables[p].cardinality
-    return q_pa * (variables[node].cardinality - 1)
+    return parent_config_count(parents, variables) * (variables[node].cardinality - 1)
 
 
 def is_subgraph(g1: Dag, g2: Dag) -> bool:
@@ -204,41 +197,25 @@ class BayesNet:
         return df_complexity(self.dag, self.variables)
 
 
-def net_to_dict(net: BayesNet) -> dict:
-    return {
-        "variables": [
-            {"name": v.name, "cardinality": v.cardinality} for v in net.variables
-        ],
-        "parents": [list(ps) for ps in net.dag.parents],
-        "cpt": [t.tolist() for t in net.cpt.tables],
-    }
+def read_json(path, build):
+    """build(obj) of the JSON document at `path`.
 
-
-def net_from_dict(obj: dict) -> BayesNet:
-    variables = [Variable(d["name"], int(d["cardinality"])) for d in obj["variables"]]
-    dag = Dag(obj["parents"])
-    tables = []
-    for i, rows in enumerate(obj["cpt"]):
-        q_pa = parent_config_count(dag.parents[i], variables)
-        q_i = variables[i].cardinality
-        a = np.asarray(rows, dtype=float)
-        if a.shape != (q_pa, q_i):
-            raise ValueError(
-                f"node {variables[i].name}: cpt shape {a.shape}, expected ({q_pa}, {q_i})"
-            )
-        tables.append(a)
-    return BayesNet(variables, dag, Cpt(tables))
-
-
-def save_net(net: BayesNet, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(net_to_dict(net), f, indent=1)
-        f.write("\n")
-
-
-def load_net(path) -> BayesNet:
+    Invalid JSON, a missing key and a value that `build` rejects with
+    ValueError or TypeError become a ConfigError naming the file.
+    """
     with open(path, "r", encoding="utf-8") as f:
-        return net_from_dict(json.load(f))
+        try:
+            return build(json.load(f))
+        except KeyError as exc:
+            raise ConfigError(f"{path}: missing key {exc.args[0]!r}") from None
+        except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
+            raise ConfigError(f"{path}: {exc}") from None
+
+
+def write_json(obj, path) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f, indent=1)
+        f.write("\n")
 
 
 def structure_to_dict(dag: Dag, variables: Sequence[Variable]) -> dict:
@@ -260,12 +237,28 @@ def structure_from_dict(obj: dict) -> tuple[list[Variable], Dag]:
     return variables, dag
 
 
+def net_to_dict(net: BayesNet) -> dict:
+    obj = structure_to_dict(net.dag, net.variables)
+    obj["cpt"] = [t.tolist() for t in net.cpt.tables]
+    return obj
+
+
+def net_from_dict(obj: dict) -> BayesNet:
+    variables, dag = structure_from_dict(obj)
+    return BayesNet(variables, dag, Cpt(obj["cpt"]))
+
+
+def save_net(net: BayesNet, path) -> None:
+    write_json(net_to_dict(net), path)
+
+
+def load_net(path) -> BayesNet:
+    return read_json(path, net_from_dict)
+
+
 def save_structure(dag: Dag, variables: Sequence[Variable], path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(structure_to_dict(dag, variables), f, indent=1)
-        f.write("\n")
+    write_json(structure_to_dict(dag, variables), path)
 
 
 def load_structure(path) -> tuple[list[Variable], Dag]:
-    with open(path, "r", encoding="utf-8") as f:
-        return structure_from_dict(json.load(f))
+    return read_json(path, structure_from_dict)

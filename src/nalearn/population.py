@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NodeCountMismatch, StateSpaceTooLarge, TableMismatch
-from .model import BayesNet, Dag, df_complexity
+from .model import BayesNet, Cpt, Dag, df_complexity, validate_dag
 from .sampling import Bernoulli, MissingnessModel, subset_observation_probability
 from .scoring import neg_conditional_entropy
 
@@ -99,8 +99,7 @@ def _node_table(joint: np.ndarray, node: int, parents: tuple[int, ...], theta_i:
     child_pos = kept.index(node)
     # move child axis last; remaining axes are the parents in ascending order
     marg = np.moveaxis(marg, child_pos, -1)
-    q_pa = int(np.prod([joint.shape[p] for p in parents])) if parents else 1
-    pa_child = marg.reshape(q_pa, q_i)  # row-major over parents, last fastest
+    pa_child = marg.reshape(-1, q_i)  # row-major over parents, last fastest
     theta_ij = pa_child.sum(axis=1)
     zero = theta_ij <= 0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -161,27 +160,15 @@ def induced_theta_mcar(
 def induced_joint(g: Dag, net0: BayesNet, cap: int = STATE_SPACE_CAP) -> np.ndarray:
     """Flat joint of the distribution induced by reading net0 through g."""
     table = induced_theta_mcar(g, net0, None, cap)
-    shape = tuple(v.cardinality for v in net0.variables)
-    N = len(shape)
-    out = np.ones(shape)
-    for entry in table.nodes:
-        parents = entry.parents
-        q_parents = [shape[p] for p in parents]
-        cond = entry.theta_ikj.T.reshape(*q_parents, shape[entry.node])
-        out = out * _broadcast_factor(cond, list(parents) + [entry.node], N)
-    return out.ravel()
-
-
-def node_population_nal(entry: NodeTable) -> float:
-    """Observed population negative conditional entropy of one node."""
-    return entry.nal
+    cpt = Cpt(entry.theta_ikj.T for entry in table.nodes)
+    return _joint_array(BayesNet(net0.variables, g, cpt), cap).ravel()
 
 
 def population_nal(g: Dag, table: InducedTable) -> float:
     """Population NAL l(G | G0) from precomputed induced tables."""
     if table.dag != g:
         raise TableMismatch("induced table was computed for a different DAG")
-    return math.fsum(node_population_nal(e) for e in table.nodes)
+    return math.fsum(e.nal for e in table.nodes)
 
 
 def population_nal_of(g: Dag, net0: BayesNet, cap: int = STATE_SPACE_CAP) -> float:
@@ -230,6 +217,7 @@ def check_identifiability(
     for g in candidates:
         if g.num_nodes != N:
             raise NodeCountMismatch(f"candidate has {g.num_nodes} nodes, the net {N}")
+        validate_dag(g)
     tables = FamilyTables(net0, cap)
 
     def nal_of(g: Dag) -> float:
@@ -240,14 +228,15 @@ def check_identifiability(
     best = max(values) if values else true_nal
     maximizer_flags = [abs(v - best) <= tol for v in values]
     masks = [_edge_mask(g) for g in candidates]
-    maximizer_masks = [m for m, f in zip(masks, maximizer_flags) if f]
-    # g is minimal unless another maximizer's edges are a proper subset of g's
-    minimal = [
-        g for g, m, f in zip(candidates, masks, maximizer_flags)
-        if f and not any(h != m and h & ~m == 0 for h in maximizer_masks)
-    ]
+    # g is minimal unless another maximizer's edges are a proper subset of g's.
+    # In edge-count order only the minimal masks found so far need comparing:
+    # a maximizer above another one also lies above a minimal one.
+    minimal_masks: set[int] = set()
+    for m in sorted({m for m, f in zip(masks, maximizer_flags) if f}, key=int.bit_count):
+        if not any(h & ~m == 0 for h in minimal_masks):
+            minimal_masks.add(m)
+    minimal = [g for g, m in zip(candidates, masks) if m in minimal_masks]
     reports = []
-    minimal_set = set(minimal)
     true_mask = _edge_mask(net0.dag)
     for g, v, f, m in zip(candidates, values, maximizer_flags, masks):
         reports.append(
@@ -257,7 +246,7 @@ def check_identifiability(
                 nal=v,
                 is_superset_of_true=true_mask & ~m == 0,
                 is_maximizer=f,
-                is_minimal_maximizer=g in minimal_set,
+                is_minimal_maximizer=m in minimal_masks,
             )
         )
     identifiable = len(minimal) == 1 and minimal[0] == net0.dag

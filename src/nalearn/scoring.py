@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset, SufficientCounts, count_sufficient_stats
 from .errors import ConfigError, SchemaMismatch, ZeroSampleSize
-from .model import Dag, node_df
+from .model import Dag, df_complexity, node_df
 
 NEG_INFINITY = float("-inf")
 
@@ -161,18 +161,18 @@ def standard_avg_loglik(data: Dataset, dag: Dag) -> float:
     return math.fsum(parts)
 
 
+def penalized(nal: float, n_i: int | float, df: int, penalty: Penalty) -> float:
+    """Penalized family score NAL_i - lambda(n_i) * df_i; -inf if unobservable."""
+    if nal == NEG_INFINITY:
+        return NEG_INFINITY
+    return nal - lambda_value(penalty, n_i) * df
+
+
 def score_global(data: Dataset, dag: Dag, penalty: Penalty) -> float:
     """Penalized score with a single lambda_n evaluated at the record count."""
     _check_schema(data, dag)
-    value = nal(data, dag)
-    if value == NEG_INFINITY:
-        return NEG_INFINITY
-    if penalty.kind == "none":
-        return value
-    from .model import df_complexity
-
-    return value - lambda_value(penalty, data.num_records) * df_complexity(
-        dag, data.variables
+    return penalized(
+        nal(data, dag), data.num_records, df_complexity(dag, data.variables), penalty
     )
 
 
@@ -183,10 +183,9 @@ def score_node(
     counts = count_sufficient_stats(data, node, parents)
     value = node_nal_from_counts(counts)
     df = node_df(node, counts.parents, data.variables)
-    if value == NEG_INFINITY:
-        return NodeScore(node, counts.parents, value, counts.n_i, df, NEG_INFINITY)
-    lam = 0.0 if penalty.kind == "none" else lambda_value(penalty, counts.n_i)
-    return NodeScore(node, counts.parents, value, counts.n_i, df, value - lam * df)
+    return NodeScore(
+        node, counts.parents, value, counts.n_i, df, penalized(value, counts.n_i, df, penalty)
+    )
 
 
 def score_decomposable(

@@ -24,6 +24,7 @@ from .scoring import (
     Penalty,
     lambda_value,
     node_nal_from_counts,
+    penalized,
 )
 
 
@@ -118,12 +119,7 @@ def best_parent_set(
     best: NodeScore | None = None
     for parents in space.candidate_parent_sets(node):
         value, n_i, df = ev.evaluate(node, parents)
-        if value == NEG_INFINITY:
-            penalized = NEG_INFINITY
-        else:
-            lam = 0.0 if penalty.kind == "none" else lambda_value(penalty, n_i)
-            penalized = value - lam * df
-        cand = NodeScore(node, parents, value, n_i, df, penalized)
+        cand = NodeScore(node, parents, value, n_i, df, penalized(value, n_i, df, penalty))
         if best is None or _better(cand, best):
             best = cand
     assert best is not None
@@ -220,7 +216,7 @@ def select_from_profile(
     profile: Sequence[ProfilePoint], penalty: Penalty, n: int
 ) -> ProfilePoint:
     """Final model choice: maximize best_score - lambda_n * t over the profile."""
-    lam = 0.0 if penalty.kind == "none" else lambda_value(penalty, n)
+    lam = lambda_value(penalty, n)
     best = None
     for point in profile:
         value = point.best_score - lam * point.t

@@ -41,7 +41,6 @@ from nalearn.experiments import (
     run_recovery,
     run_two_node,
 )
-from nalearn.population import node_population_nal
 
 from util import random_dataset, random_net
 from test_search import brute_force_learn, brute_force_profile
@@ -226,7 +225,7 @@ def test_criterion_6_population_properties(capsys):
             for parents in subsets:
                 dag = Dag([list(parents) if i == node else [] for i in range(3)])
                 table = induced_theta_mcar(dag, net)
-                vals[parents] = node_population_nal(table.nodes[node])
+                vals[parents] = table.nodes[node].nal
             for small in subsets:
                 for big in subsets:
                     if set(small) <= set(big) and vals[small] > vals[big] + 1e-9:

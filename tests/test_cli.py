@@ -21,6 +21,7 @@ from nalearn import (
     write_csv,
 )
 from nalearn.cli import main
+from nalearn.model import net_to_dict
 from nalearn.networks import eight_node_net
 
 
@@ -186,6 +187,17 @@ _MASK = ["mask", "--in", "{data}", *_NET, "--out", "{out}"]
 _TWO_NODE = ["experiment", "--config", "{config}", "--mode", "two-node", "--out", "{out_dir}"]
 _TWO_NODE_CONFIG = {"sample_sizes": [100], "betas": [1.0], "replicates": 2}
 _RECOVERY = ["experiment", "--config", "{config}", "--mode", "recovery", "--out", "{out_dir}"]
+_RATES = ["experiment", "--config", "{config}", "--mode", "rates", "--out", "{out_dir}"]
+_CANDIDATES = ["population", *_NET, "--candidates", "{config}"]
+_SAMPLE_FROM = ["sample", "--net", "{config}", "--n", "10", "--seed", "1", "--out", "{out}"]
+_LEARN_FROM = ["learn", "--data", "{data}", "--structure", "{config}", "--penalty", "bic",
+               "--out", "{out}"]
+_NET_DICT = net_to_dict(two_node_net())
+_BAD_SCHEMAS = [
+    '{"variables": [{"name": "X1"',  # truncated JSON
+    {key: value for key, value in _NET_DICT.items() if key != "parents"},
+    {**_NET_DICT, "variables": [{"name": "X1", "cardinality": 1}, _NET_DICT["variables"][1]]},
+]
 
 
 @pytest.mark.parametrize("argv, config", [
@@ -207,6 +219,17 @@ _RECOVERY = ["experiment", "--config", "{config}", "--mode", "recovery", "--out"
     (_TWO_NODE, []),  # not a JSON object
     *[(_RECOVERY, {**_TWO_NODE_CONFIG, **fields})
       for fields in [{"max_parents": -1}, {"order": [0, 0]}, {"order": [0, 1, 2]}]],
+    (_CANDIDATES, "[[[], [0]]"),  # truncated JSON
+    (_CANDIDATES, [[[], [0, 0]]]),  # a parent listed twice
+    (_CANDIDATES, [[[], [5]]]),  # a parent out of range
+    (_CANDIDATES, [[[1], [0]]]),  # a cycle
+    *[(_SAMPLE_FROM, net) for net in _BAD_SCHEMAS],
+    (_SAMPLE_FROM, {**_NET_DICT, "cpt": [[[0.4, 0.5]], _NET_DICT["cpt"][1]]}),  # row sum 0.9
+    *[(_LEARN_FROM, structure) for structure in _BAD_SCHEMAS],
+    *[(_TWO_NODE, {**_TWO_NODE_CONFIG, field: []})
+      for field in ["sample_sizes", "betas", "penalties"]],
+    (_RECOVERY, {**_TWO_NODE_CONFIG, "missingness": []}),
+    (_RATES, {"sample_sizes": [], "replicates": 2}),
 ])
 def test_malformed_spec_exit_2(two_node_files, tmp_path, capsys, argv, config):
     _, net_path, _ = two_node_files

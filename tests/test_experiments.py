@@ -36,6 +36,12 @@ def test_config_validation():
         config_from_dict({"betas": [1.5]})
 
 
+@pytest.mark.parametrize("field", ["sample_sizes", "betas", "penalties", "missingness"])
+def test_config_rejects_empty_grid(field):
+    with pytest.raises(InsufficientGrid, match=field):
+        config_from_dict({field: []})
+
+
 def test_config_round_trip_fields():
     cfg = config_from_dict(
         {"net": "eight-node", "sample_sizes": [10, 20], "replicates": 3, "seed": 7}

@@ -1,6 +1,7 @@
 """Core domain types: DAG validation, complexity, subgraph order, file formats."""
 
 import json
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -14,11 +15,12 @@ from nalearn import (
     df_complexity,
     is_subgraph,
     load_net,
+    load_structure,
     save_net,
     two_node_net,
     validate_dag,
 )
-from nalearn.errors import CycleDetected, MalformedParents, NodeCountMismatch
+from nalearn.errors import ConfigError, CycleDetected, MalformedParents, NodeCountMismatch
 from nalearn.model import is_compatible_with_order, node_df, parent_config_count
 
 from util import all_dags, random_net
@@ -106,6 +108,13 @@ def test_topological_order_lowest_index_first():
     assert dag2.topological_order() == [1, 2, 0]
 
 
+def test_topological_order_is_the_smallest_topological_permutation():
+    for n in (3, 4):
+        for dag in all_dags(n):
+            orders = [o for o in permutations(range(n)) if is_compatible_with_order(dag, o)]
+            assert dag.topological_order() == list(min(orders))
+
+
 def test_order_compatibility():
     chain = Dag([[], [0]])
     assert is_compatible_with_order(chain, [0, 1])
@@ -151,6 +160,20 @@ def test_net_loader_names_bad_node(tmp_path):
     with pytest.raises(Exception) as err:
         load_net(path)
     assert "X2" in str(err.value)
+
+
+@pytest.mark.parametrize("loader", [load_net, load_structure])
+def test_loaders_name_the_file_and_the_missing_key(tmp_path, loader):
+    path = tmp_path / "net.json"
+    save_net(two_node_net(), path)
+    obj = json.loads(path.read_text())
+    del obj["parents"]
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ConfigError, match=r"net\.json: missing key 'parents'"):
+        loader(path)
+    path.write_text('{"variables": [')
+    with pytest.raises(ConfigError, match=r"net\.json: "):
+        loader(path)
 
 
 def test_random_net_round_trip(tmp_path):

@@ -25,9 +25,11 @@ from nalearn import (
     two_node_chain_dag,
     two_node_net,
 )
-from nalearn.errors import NodeCountMismatch, StateSpaceTooLarge, TableMismatch
+from nalearn.errors import (
+    CycleDetected, MalformedParents, NodeCountMismatch, StateSpaceTooLarge, TableMismatch,
+)
 from nalearn.networks import eight_node_net
-from nalearn.population import FamilyTables, node_population_nal
+from nalearn.population import FamilyTables
 from nalearn.scoring import node_nal_from_counts
 
 from util import all_dags, random_net
@@ -158,7 +160,7 @@ def test_law_of_large_numbers():
     for node in range(4):
         c = count_sufficient_stats(data, node, net.dag.parents[node])
         table = induced_theta_mcar(net.dag, net)
-        assert abs(node_nal_from_counts(c) - node_population_nal(table.nodes[node])) < 0.01
+        assert abs(node_nal_from_counts(c) - table.nodes[node].nal) < 0.01
 
 
 def test_identifiability_two_node_independent():
@@ -284,6 +286,16 @@ def test_identifiability_rejects_a_candidate_of_another_size():
     for candidate in (Dag([[]]), Dag([[], [0], [1]])):
         with pytest.raises(NodeCountMismatch):
             check_identifiability(dependent_two_node(), [Dag([[], []]), candidate])
+
+
+@pytest.mark.parametrize("parents, error", [
+    ([[], [0, 0]], MalformedParents),
+    ([[], [5]], MalformedParents),
+    ([[1], [0]], CycleDetected),
+])
+def test_identifiability_validates_every_candidate(parents, error):
+    with pytest.raises(error):
+        check_identifiability(dependent_two_node(), [Dag([[], []]), Dag(parents)])
 
 
 def test_identifiability_builds_the_joint_once(monkeypatch):

@@ -175,6 +175,7 @@ def test_lambda_values():
     assert lambda_value(AIC, 100) == 0.01
     assert lambda_value(power_law(0.5, 0.5), 100) == pytest.approx(0.05)
     assert lambda_value(NO_PENALTY, 100) == 0.0
+    assert lambda_value(NO_PENALTY, 0) == 0.0  # no penalty needs no sample size
     with pytest.raises(ZeroSampleSize):
         lambda_value(AIC, 0)
 
