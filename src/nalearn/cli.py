@@ -16,11 +16,11 @@ from pathlib import Path
 from . import experiments
 from .data import read_csv, write_csv
 from .errors import ConfigError, NalearnError, StateSpaceTooLarge
-from .model import Dag, load_net, load_structure, read_json, save_structure
+from .model import Dag, dags_from_json, load_net, load_structure, read_json, save_structure
 from .population import beta_of_collection, check_identifiability
 from .sampling import apply_mcar, forward_sample, parse_missingness
 from .scoring import Penalty, parse_penalty, score_decomposable, score_global
-from .search import Evaluator, SearchSpace, complexity_profile, learn_structure
+from .search import SearchSpace, complexity_profile, learn_structure
 from .equivalence import dags_equivalent, edge_precision_recall, edge_f_score
 
 
@@ -102,7 +102,7 @@ def cmd_population(args) -> int:
             )
         candidates = [Dag(choice) for choice in product(*candidate_lists)]
     else:
-        candidates = read_json(args.candidates, lambda obj: [Dag(p) for p in obj])
+        candidates = read_json(args.candidates, dags_from_json)
     report = check_identifiability(net, candidates)
     beta = beta_of_collection(candidates, missing, net.num_nodes)
     writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -139,11 +139,10 @@ def cmd_learn(args) -> int:
     space = _space_from_args(args, variables)
     penalty = _penalty_from_args(args, len(variables))
     data = read_csv(args.data, variables)
-    evaluator = Evaluator(data)  # the profile reuses the search's counts
-    learned = learn_structure(data, space, penalty, evaluator)
+    learned = learn_structure(data, space, penalty)
     save_structure(learned, variables, args.out)
     if args.profile:
-        points = complexity_profile(data, space, evaluator)
+        points = complexity_profile(data, space)  # reuses the search's family scores
         with open(args.profile, "w", encoding="utf-8", newline="\n") as f:
             writer = csv.writer(f, lineterminator="\n")
             writer.writerow(["t", "score", "edges"])
@@ -167,6 +166,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     config = experiments.load_config(args.config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

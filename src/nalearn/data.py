@@ -82,6 +82,15 @@ class Dataset:
         codes.setflags(write=False)
         return codes
 
+    @cached_property
+    def family_scores(self) -> dict[tuple[int, tuple[int, ...]], tuple[float, int, int]]:
+        """(nal, n_i, df) per (node, parent set), filled in by the search.
+
+        A family's score depends on nothing but the data, so every search
+        over this object shares the memo and counts each family once.
+        """
+        return {}
+
 
 @dataclass(frozen=True)
 class SufficientCounts:

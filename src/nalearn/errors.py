@@ -33,10 +33,6 @@ class StateSpaceTooLarge(NalearnError):
     pass
 
 
-class TableMismatch(NalearnError):
-    pass
-
-
 class AllCandidatesUnobservable(NalearnError):
     pass
 

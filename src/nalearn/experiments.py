@@ -19,14 +19,14 @@ import numpy as np
 from .data import Dataset, count_sufficient_stats
 from .equivalence import edge_f_score
 from .errors import ConfigError, InsufficientGrid
-from .model import BayesNet, Dag, df_complexity, load_net, read_json
-from .networks import eight_node_net, two_node_chain_dag, two_node_net
+from .model import BayesNet, df_complexity, json_int, load_net, read_json
+from .networks import eight_node_net, two_node_net
 from .sampling import (
     Bernoulli, MissingnessModel, apply_mcar, derive_seed, forward_sample, parse_missingness,
     splitmix64,
 )
 from .scoring import NEG_INFINITY, Penalty, lambda_value, node_nal, node_nal_from_counts, parse_penalty
-from .search import Evaluator, SearchSpace, learn_structure
+from .search import SearchSpace, learn_structure
 
 
 @dataclass
@@ -65,14 +65,14 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
     cfg = ExperimentConfig()
     known = {
         "net": str,
-        "sample_sizes": lambda v: tuple(int(x) for x in v),
+        "sample_sizes": lambda v: tuple(json_int(x) for x in v),
         "betas": lambda v: tuple(float(x) for x in v),
         "missingness": lambda v: tuple(dict(d) for d in v),
         "penalties": tuple,
-        "replicates": int,
-        "seed": int,
-        "max_parents": int,
-        "order": lambda v: tuple(int(x) for x in v) if v is not None else None,
+        "replicates": json_int,
+        "seed": json_int,
+        "max_parents": json_int,
+        "order": lambda v: tuple(json_int(x) for x in v) if v is not None else None,
     }
     for key, value in obj.items():
         if key not in known:
@@ -161,6 +161,8 @@ def two_node_wrong_fraction(
 def run_two_node(config: ExperimentConfig) -> list[dict]:
     """Wrong-selection percentages over the (beta, n, penalty) grid."""
     config.validate()
+    if config.net != "two-node":
+        raise ConfigError(f"the two-node table runs on the two-node net only, got {config.net!r}")
     penalties = [parse_penalty(p, 2) for p in config.penalties]
     labels = [penalty_label(p) for p in config.penalties]
     rows = []
@@ -216,19 +218,18 @@ for (b, nn), vals in _REF_ROWS.items():
         TWO_NODE_REFERENCE[(b, nn, col)] = v
 
 
-def check_two_node(rows: Sequence[dict], reference=None) -> list[str]:
-    """Compare measured cells against reference values; return failures.
+def check_two_node(rows: Sequence[dict]) -> list[str]:
+    """Compare measured cells against TWO_NODE_REFERENCE; return failures.
 
     Tolerance per cell is 3 * sqrt(p (1-p) / 1000) with p the reference
     fraction; reference zeros must measure at most 0.5%.
     """
-    reference = TWO_NODE_REFERENCE if reference is None else reference
     failures = []
     for row in rows:
         key = (row["beta"], row["n"], row["penalty"])
-        if key not in reference:
+        if key not in TWO_NODE_REFERENCE:
             continue
-        ref = reference[key]
+        ref = TWO_NODE_REFERENCE[key]
         got = row["wrong_pct"]
         if ref == 0.0:
             if got > 0.5:
@@ -250,10 +251,9 @@ def check_two_node(rows: Sequence[dict], reference=None) -> list[str]:
 def _recovery_replicate(args):
     (net, space, n, missing, penalties, rep_seed) = args
     data = _draw_replicate(net, n, missing, rep_seed)
-    evaluator = Evaluator(data)  # share the count memo across penalties
     out = []
-    for penalty in penalties:
-        learned = learn_structure(data, space, penalty, evaluator)
+    for penalty in penalties:  # the penalties share data's family scores
+        learned = learn_structure(data, space, penalty)
         out.append(
             (
                 edge_f_score(net.dag, learned),
@@ -310,26 +310,20 @@ def run_recovery(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
 # Convergence-rate probe for the nested NAL difference
 # ---------------------------------------------------------------------------
 
-def run_rate_probe(
-    config: ExperimentConfig,
-    g0: Dag | None = None,
-    g1: Dag | None = None,
-) -> list[dict]:
+def run_rate_probe(config: ExperimentConfig) -> list[dict]:
     """Sd of the nested NAL difference per n, with a log-log slope per regime.
 
-    Defaults to the two-node benchmark pair (independence inside the chain)
-    with a complete regime and a Bernoulli regime masking the extra parent.
+    The pair is the two-node benchmark's: the independence model inside the
+    chain, so the difference is node 1's NAL with parent 0 minus without.
     """
     config.validate()
     if len(set(config.sample_sizes)) < 2:
         raise InsufficientGrid("rate probe needs at least two sample sizes")
     if config.replicates < 2:
         raise InsufficientGrid("rate probe needs at least two replicates for an sd")
-    net = resolve_net(config.net)
-    if g0 is None or g1 is None:
-        if config.net != "two-node":
-            raise ConfigError("g0 and g1 required for a custom net")
-        g0, g1 = net.dag, two_node_chain_dag()
+    if config.net != "two-node":
+        raise ConfigError(f"the rate probe runs on the two-node net only, got {config.net!r}")
+    net = two_node_net()
     regimes = [
         (parse_missingness(spec, net.num_nodes), missingness_label(spec))
         for spec in config.missingness
@@ -342,10 +336,7 @@ def run_rate_probe(
             diffs = []
             for r in range(config.replicates):
                 data = _draw_replicate(net, n, missing, derive_seed(cell_seed, r))
-                diffs.append(sum(
-                    node_nal(data, i, p1) - node_nal(data, i, p0)
-                    for i, (p0, p1) in enumerate(zip(g0.parents, g1.parents)) if p0 != p1
-                ))
+                diffs.append(node_nal(data, 1, (0,)) - node_nal(data, 1, ()))
             sds.append(float(np.std(diffs, ddof=1)))
         slope = float(
             np.polyfit(np.log(np.asarray(config.sample_sizes, float)), np.log(sds), 1)[0]

@@ -11,7 +11,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -212,6 +213,23 @@ def read_json(path, build):
             raise ConfigError(f"{path}: {exc}") from None
 
 
+def json_int(value) -> int:
+    """An integer read from JSON: an int or an integral float, never a bool."""
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
+def dags_from_json(candidates) -> list[Dag]:
+    """Dags from JSON lists of parent lists; a parent that is not an integer is a ValueError."""
+    # one type pass in C: a candidate file can list thousands of DAGs
+    if not set(map(type, chain.from_iterable(chain.from_iterable(candidates)))) <= {int}:
+        candidates = [[[json_int(p) for p in ps] for ps in parents] for parents in candidates]
+    return [Dag(parents) for parents in candidates]
+
+
 def write_json(obj, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(obj, f, indent=1)
@@ -229,8 +247,8 @@ def structure_to_dict(dag: Dag, variables: Sequence[Variable]) -> dict:
 
 
 def structure_from_dict(obj: dict) -> tuple[list[Variable], Dag]:
-    variables = [Variable(d["name"], int(d["cardinality"])) for d in obj["variables"]]
-    dag = Dag(obj["parents"])
+    variables = [Variable(d["name"], json_int(d["cardinality"])) for d in obj["variables"]]
+    (dag,) = dags_from_json([obj["parents"]])
     validate_dag(dag)
     if dag.num_nodes != len(variables):
         raise NodeCountMismatch("variables vs parents length")

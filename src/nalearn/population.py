@@ -1,7 +1,7 @@
 """Exact population-level quantities via enumeration of the joint state space.
 
 All computations marginalize the exact joint distribution of the generating
-network, so they are limited to small state spaces (configurable cap). The
+network, so they are limited to at most STATE_SPACE_CAP joint states. The
 missingness enters only through observation probabilities theta_i, which
 under MCAR factor out of the conditional tables.
 """
@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NodeCountMismatch, StateSpaceTooLarge, TableMismatch
+from .errors import NodeCountMismatch, StateSpaceTooLarge
 from .model import BayesNet, Cpt, Dag, df_complexity, validate_dag
 from .sampling import Bernoulli, MissingnessModel, subset_observation_probability
 from .scoring import neg_conditional_entropy
@@ -32,11 +32,11 @@ def _broadcast_factor(table: np.ndarray, axes: list[int], N: int) -> np.ndarray:
     return src[idx]
 
 
-def _joint_array(net: BayesNet, cap: int = STATE_SPACE_CAP) -> np.ndarray:
+def _joint_array(net: BayesNet) -> np.ndarray:
     shape = tuple(v.cardinality for v in net.variables)
-    total = int(np.prod(shape))
-    if total > cap:
-        raise StateSpaceTooLarge(f"{total} joint states exceeds cap {cap}")
+    total = math.prod(int(q) for q in shape)  # Python ints: a numpy product would wrap
+    if total > STATE_SPACE_CAP:
+        raise StateSpaceTooLarge(f"{total} joint states exceeds cap {STATE_SPACE_CAP}")
     joint = np.ones(shape)
     N = net.num_nodes
     for i in range(N):
@@ -48,9 +48,9 @@ def _joint_array(net: BayesNet, cap: int = STATE_SPACE_CAP) -> np.ndarray:
     return joint
 
 
-def joint_distribution(net: BayesNet, cap: int = STATE_SPACE_CAP) -> np.ndarray:
+def joint_distribution(net: BayesNet) -> np.ndarray:
     """Flat joint probability vector, node 0 slowest (C-order ravel)."""
-    return _joint_array(net, cap).ravel()
+    return _joint_array(net).ravel()
 
 
 @dataclass(frozen=True)
@@ -119,9 +119,9 @@ class FamilyTables:
     entropy evaluated, once however many candidates share it.
     """
 
-    def __init__(self, net0: BayesNet, cap: int = STATE_SPACE_CAP):
+    def __init__(self, net0: BayesNet):
         self.net0 = net0
-        self.joint = _joint_array(net0, cap)
+        self.joint = _joint_array(net0)
         self.joint.flags.writeable = False
         self._memo: dict[tuple[int, tuple[int, ...], float], NodeTable] = {}
 
@@ -137,16 +137,14 @@ def induced_theta_mcar(
     g: Dag,
     net0: BayesNet,
     missing: MissingnessModel | None = None,
-    cap: int = STATE_SPACE_CAP,
     tables: FamilyTables | None = None,
 ) -> InducedTable:
     """Population tables theta(G | G0) under MCAR missingness.
 
-    Without `tables` the joint is built for this call alone; `cap` is only
-    read when the joint is built.
+    Without `tables` the joint is built for this call alone.
     """
     if tables is None:
-        tables = FamilyTables(net0, cap)
+        tables = FamilyTables(net0)
     elif tables.net0 is not net0:
         raise ValueError("family tables were built for a different net")
     N = net0.num_nodes
@@ -157,22 +155,20 @@ def induced_theta_mcar(
     return InducedTable(g, nodes)
 
 
-def induced_joint(g: Dag, net0: BayesNet, cap: int = STATE_SPACE_CAP) -> np.ndarray:
+def induced_joint(g: Dag, net0: BayesNet) -> np.ndarray:
     """Flat joint of the distribution induced by reading net0 through g."""
-    table = induced_theta_mcar(g, net0, None, cap)
+    table = induced_theta_mcar(g, net0)
     cpt = Cpt(entry.theta_ikj.T for entry in table.nodes)
-    return _joint_array(BayesNet(net0.variables, g, cpt), cap).ravel()
+    return _joint_array(BayesNet(net0.variables, g, cpt)).ravel()
 
 
-def population_nal(g: Dag, table: InducedTable) -> float:
-    """Population NAL l(G | G0) from precomputed induced tables."""
-    if table.dag != g:
-        raise TableMismatch("induced table was computed for a different DAG")
+def population_nal(table: InducedTable) -> float:
+    """Population NAL l(G | G0) from the induced tables of G."""
     return math.fsum(e.nal for e in table.nodes)
 
 
-def population_nal_of(g: Dag, net0: BayesNet, cap: int = STATE_SPACE_CAP) -> float:
-    return population_nal(g, induced_theta_mcar(g, net0, None, cap))
+def population_nal_of(g: Dag, net0: BayesNet) -> float:
+    return population_nal(induced_theta_mcar(g, net0))
 
 
 @dataclass(frozen=True)
@@ -193,7 +189,7 @@ class IdentifiabilityReport:
     true_nal: float
     candidates: tuple[CandidateReport, ...]
     minimal_maximizers: tuple[Dag, ...]
-    identifiable: bool  # minimal maximizer set == {true dag}
+    identifiable: bool  # the distinct minimal maximizers are exactly {true dag}
     tolerance: float
 
 
@@ -207,7 +203,6 @@ def check_identifiability(
     net0: BayesNet,
     candidates: Sequence[Dag],
     tol: float = 1e-9,
-    cap: int = STATE_SPACE_CAP,
 ) -> IdentifiabilityReport:
     """Evaluate l(G|G0) over candidates and locate the minimal maximizers.
 
@@ -218,10 +213,10 @@ def check_identifiability(
         if g.num_nodes != N:
             raise NodeCountMismatch(f"candidate has {g.num_nodes} nodes, the net {N}")
         validate_dag(g)
-    tables = FamilyTables(net0, cap)
+    tables = FamilyTables(net0)
 
     def nal_of(g: Dag) -> float:
-        return population_nal(g, induced_theta_mcar(g, net0, tables=tables))
+        return population_nal(induced_theta_mcar(g, net0, tables=tables))
 
     true_nal = nal_of(net0.dag)
     values = [nal_of(g) for g in candidates]
@@ -249,13 +244,12 @@ def check_identifiability(
                 is_minimal_maximizer=m in minimal_masks,
             )
         )
-    identifiable = len(minimal) == 1 and minimal[0] == net0.dag
     return IdentifiabilityReport(
         true_dag=net0.dag,
         true_nal=true_nal,
         candidates=tuple(reports),
         minimal_maximizers=tuple(minimal),
-        identifiable=identifiable,
+        identifiable=minimal_masks == {true_mask},  # repeated candidates share a mask
         tolerance=tol,
     )
 

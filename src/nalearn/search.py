@@ -68,29 +68,15 @@ class ProfilePoint:
     dag: Dag
 
 
-class Evaluator:
-    """Memoizes (nal, n_i, df) per (node, parent set) for one dataset.
-
-    Pass one evaluator to every search over the same data (several
-    penalties, learn_structure and complexity_profile) so that each
-    candidate is counted and scored once.
-    """
-
-    def __init__(self, data: Dataset):
-        self.data = data
-        self._memo: dict[tuple[int, tuple[int, ...]], tuple[float, int, int]] = {}
-
-    def evaluate(self, node: int, parents: tuple[int, ...]) -> tuple[float, int, int]:
-        key = (node, parents)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        counts = count_sufficient_stats(self.data, node, parents)
-        value = node_nal_from_counts(counts)
-        df = node_df(node, parents, self.data.variables)
-        result = (value, counts.n_i, df)
-        self._memo[key] = result
-        return result
+def _family(data: Dataset, node: int, parents: tuple[int, ...]) -> tuple[float, int, int]:
+    """(nal, n_i, df) of one family, memoized in data.family_scores."""
+    memo = data.family_scores
+    hit = memo.get((node, parents))
+    if hit is None:
+        counts = count_sufficient_stats(data, node, parents)
+        df = node_df(node, parents, data.variables)
+        hit = memo[node, parents] = (node_nal_from_counts(counts), counts.n_i, df)
+    return hit
 
 
 def _check_space(data: Dataset, space: SearchSpace) -> None:
@@ -98,27 +84,12 @@ def _check_space(data: Dataset, space: SearchSpace) -> None:
         raise SchemaMismatch("search space and data disagree on node count")
 
 
-def _evaluator_for(data: Dataset, evaluator: Evaluator | None) -> Evaluator:
-    if evaluator is None:
-        return Evaluator(data)
-    if evaluator.data is not data:
-        raise ValueError("evaluator was built for a different dataset")
-    return evaluator
-
-
-def best_parent_set(
-    data: Dataset,
-    node: int,
-    space: SearchSpace,
-    penalty: Penalty,
-    evaluator: Evaluator | None = None,
-) -> NodeScore:
+def best_parent_set(data: Dataset, node: int, space: SearchSpace, penalty: Penalty) -> NodeScore:
     """Exhaustive per-node winner under the decomposable score."""
     _check_space(data, space)
-    ev = _evaluator_for(data, evaluator)
     best: NodeScore | None = None
     for parents in space.candidate_parent_sets(node):
-        value, n_i, df = ev.evaluate(node, parents)
+        value, n_i, df = _family(data, node, parents)
         cand = NodeScore(node, parents, value, n_i, df, penalized(value, n_i, df, penalty))
         if best is None or _better(cand, best):
             best = cand
@@ -132,24 +103,14 @@ def _better(a: NodeScore, b: NodeScore) -> bool:
     return (-a.penalized, a.df, a.parents) < (-b.penalized, b.df, b.parents)
 
 
-def learn_structure(
-    data: Dataset,
-    space: SearchSpace,
-    penalty: Penalty,
-    evaluator: Evaluator | None = None,
-) -> Dag:
+def learn_structure(data: Dataset, space: SearchSpace, penalty: Penalty) -> Dag:
     """Argmax of the decomposable score over the order-compatible space."""
     _check_space(data, space)
-    ev = _evaluator_for(data, evaluator)
-    winners = [
-        best_parent_set(data, i, space, penalty, ev).parents
-        for i in range(space.num_nodes)
-    ]
-    return Dag(winners)
+    return Dag(best_parent_set(data, i, space, penalty).parents for i in range(space.num_nodes))
 
 
 def _node_frontier(
-    ev: Evaluator, node: int, space: SearchSpace
+    data: Dataset, node: int, space: SearchSpace
 ) -> list[tuple[int, float, tuple[int, ...]]]:
     """Pareto frontier of (df, best NAL, parents) for one node.
 
@@ -159,7 +120,7 @@ def _node_frontier(
     """
     by_df: dict[int, tuple[float, tuple[int, ...]]] = {}
     for parents in space.candidate_parent_sets(node):
-        value, _, df = ev.evaluate(node, parents)
+        value, _, df = _family(data, node, parents)
         if value == NEG_INFINITY:
             continue
         cur = by_df.get(df)
@@ -177,20 +138,17 @@ def _node_frontier(
     return frontier
 
 
-def complexity_profile(
-    data: Dataset, space: SearchSpace, evaluator: Evaluator | None = None
-) -> list[ProfilePoint]:
+def complexity_profile(data: Dataset, space: SearchSpace) -> list[ProfilePoint]:
     """Best total NAL at each achievable total complexity t.
 
     Points dominated by a cheaper structure with at least the same NAL are
     pruned, so t and best_score are both strictly increasing.
     """
     _check_space(data, space)
-    ev = _evaluator_for(data, evaluator)
     # DP state: total df -> (total nal, per-node parents chosen so far)
     states: dict[int, tuple[float, tuple[tuple[int, ...], ...]]] = {0: (0.0, ())}
     for node in range(space.num_nodes):
-        frontier = _node_frontier(ev, node, space)
+        frontier = _node_frontier(data, node, space)
         merged: dict[int, tuple[float, tuple[tuple[int, ...], ...]]] = {}
         for t, (score, choice) in states.items():
             for df, value, parents in frontier:

@@ -198,6 +198,17 @@ _BAD_SCHEMAS = [
     {key: value for key, value in _NET_DICT.items() if key != "parents"},
     {**_NET_DICT, "variables": [{"name": "X1", "cardinality": 1}, _NET_DICT["variables"][1]]},
 ]
+# JSON numbers that int() would truncate or coerce into a valid file
+_NOT_INTEGERS = [
+    *[{**_NET_DICT, "variables": [{"name": "X1", "cardinality": card}, _NET_DICT["variables"][1]]}
+      for card in [2.9, "2"]],
+    {**_NET_DICT, "parents": [[], [0.5]], "cpt": [_NET_DICT["cpt"][0], [[0.3, 0.7]] * 2]},
+]
+_WIDE_NET = {  # 2**64 joint states, a count that wraps to 0 in int64
+    "variables": [{"name": f"X{i}", "cardinality": 2} for i in range(64)],
+    "parents": [[]] * 64,
+    "cpt": [[[0.5, 0.5]]] * 64,
+}
 
 
 @pytest.mark.parametrize("argv, config", [
@@ -230,6 +241,17 @@ _BAD_SCHEMAS = [
       for field in ["sample_sizes", "betas", "penalties"]],
     (_RECOVERY, {**_TWO_NODE_CONFIG, "missingness": []}),
     (_RATES, {"sample_sizes": [], "replicates": 2}),
+    *[(_CANDIDATES, [[[], [parent]], [[], []]]) for parent in [0.7, False, "0"]],
+    *[(_SAMPLE_FROM, net) for net in _NOT_INTEGERS],
+    *[(_LEARN_FROM, structure) for structure in _NOT_INTEGERS],
+    *[(_TWO_NODE, {**_TWO_NODE_CONFIG, **fields})
+      for fields in [{"sample_sizes": [100.7]}, {"replicates": 2.9}, {"seed": 1.5},
+                     {"seed": True}, {"replicates": "2"}]],
+    (_RECOVERY, {**_TWO_NODE_CONFIG, "order": [0, 1.5]}),
+    (["population", "--net", "{config}", "--candidates", "order", "--max-parents", "0"],
+     _WIDE_NET),
+    (_TWO_NODE, {**_TWO_NODE_CONFIG, "net": "eight-node"}),
+    *[([*_RECOVERY, "--jobs", jobs], _TWO_NODE_CONFIG) for jobs in ["0", "-3"]],
 ])
 def test_malformed_spec_exit_2(two_node_files, tmp_path, capsys, argv, config):
     _, net_path, _ = two_node_files

@@ -21,7 +21,7 @@ from nalearn import (
     validate_dag,
 )
 from nalearn.errors import ConfigError, CycleDetected, MalformedParents, NodeCountMismatch
-from nalearn.model import is_compatible_with_order, node_df, parent_config_count
+from nalearn.model import is_compatible_with_order, json_int, node_df, parent_config_count
 
 from util import all_dags, random_net
 
@@ -174,6 +174,27 @@ def test_loaders_name_the_file_and_the_missing_key(tmp_path, loader):
     path.write_text('{"variables": [')
     with pytest.raises(ConfigError, match=r"net\.json: "):
         loader(path)
+
+
+def test_json_int_accepts_only_integral_numbers():
+    assert [json_int(v) for v in (3, 3.0, -1.0, 0)] == [3, 3, -1, 0]
+    assert all(type(json_int(v)) is int for v in (3, 3.0))
+    for value in (2.9, 0.7, True, False, "2", None, [2], float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            json_int(value)
+
+
+def test_loader_accepts_integral_floats(tmp_path):
+    path = tmp_path / "net.json"
+    save_net(two_node_net(), path)
+    obj = json.loads(path.read_text())
+    obj["variables"][0]["cardinality"] = 2.0
+    obj["parents"] = [[], [0.0]]
+    obj["cpt"][1] = [[0.3, 0.7], [0.3, 0.7]]
+    path.write_text(json.dumps(obj))
+    net = load_net(path)
+    assert net.dag == Dag([[], [0]]) and net.variables[0].cardinality == 2
+    assert type(net.variables[0].cardinality) is int
 
 
 def test_random_net_round_trip(tmp_path):

@@ -20,14 +20,11 @@ from nalearn import (
     induced_theta_mcar,
     is_subgraph,
     joint_distribution,
-    population_nal,
     population_nal_of,
     two_node_chain_dag,
     two_node_net,
 )
-from nalearn.errors import (
-    CycleDetected, MalformedParents, NodeCountMismatch, StateSpaceTooLarge, TableMismatch,
-)
+from nalearn.errors import CycleDetected, MalformedParents, NodeCountMismatch, StateSpaceTooLarge
 from nalearn.networks import eight_node_net
 from nalearn.population import FamilyTables
 from nalearn.scoring import node_nal_from_counts
@@ -64,9 +61,12 @@ def test_joint_deterministic_chain():
 
 
 def test_joint_state_space_cap():
-    net = two_node_net()
-    with pytest.raises(StateSpaceTooLarge):
-        joint_distribution(net, cap=2)
+    # 2**25 states exceed the cap; 2**64 and 3**41 also wrap to 0 and below 0 in int64
+    for q, num in ((2, 25), (2, 64), (3, 41)):
+        variables = [Variable(f"X{i}", q) for i in range(num)]
+        net = BayesNet(variables, Dag([[]] * num), Cpt([np.full((1, q), 1 / q)] * num))
+        with pytest.raises(StateSpaceTooLarge):
+            joint_distribution(net)
 
 
 def test_joint_sums_to_one_random_nets():
@@ -144,13 +144,6 @@ def test_population_nal_deterministic_net_is_zero():
     cpt = Cpt([np.array([[1.0, 0.0]]), np.eye(2)])
     net = BayesNet(variables, Dag([[], [0]]), cpt)
     assert population_nal_of(net.dag, net) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_population_nal_table_mismatch():
-    net = two_node_net()
-    table = induced_theta_mcar(net.dag, net)
-    with pytest.raises(TableMismatch):
-        population_nal(two_node_chain_dag(), table)
 
 
 def test_law_of_large_numbers():
@@ -270,7 +263,20 @@ def test_minimal_maximizers_match_pairwise_scan(tol):
         ]
     report = check_identifiability(two_node_net(), [Dag([[], []])] * 2, tol=tol)
     assert report.minimal_maximizers == (Dag([[], []]),) * 2
-    assert not report.identifiable
+    assert report.identifiable  # the repeated true DAG is one minimal maximizer
+
+
+def test_identifiability_with_the_true_dag_repeated():
+    net = eight_node_net()
+    superset = Dag(ps + (0,) if i == 3 else ps for i, ps in enumerate(net.dag.parents))
+    candidates = [net.dag, superset, net.dag, Dag([[]] * 8)]
+    report = check_identifiability(net, candidates)
+    assert [c.is_maximizer for c in report.candidates] == [True, True, True, False]
+    assert report.minimal_maximizers == (net.dag, net.dag)
+    assert report.identifiable
+    # a repeated DAG that is not the truth still leaves the net unidentified
+    chain = two_node_chain_dag()
+    assert not check_identifiability(two_node_net(), [chain, chain]).identifiable
 
 
 def test_identifiability_empty_candidate_list():

@@ -26,7 +26,6 @@ from nalearn import (
 )
 from nalearn.errors import AllCandidatesUnobservable
 from nalearn.model import is_compatible_with_order, node_df
-from nalearn.search import Evaluator
 from nalearn.scoring import node_nal
 
 from util import random_dataset, random_net
@@ -224,20 +223,26 @@ def test_profile_matches_brute_force():
             assert p.best_score == pytest.approx(score, abs=1e-12)
 
 
-def test_shared_evaluator_matches_fresh_ones():
+def test_shared_family_scores_match_fresh_ones():
+    """Searches over one Dataset share its family scores; a new Dataset starts empty."""
     rng = np.random.default_rng(89)
     for trial in range(10):
         variables = [Variable(f"X{i}", int(rng.integers(2, 4))) for i in range(4)]
         data = random_dataset(variables, 60, rng, 0.2)
         space = SearchSpace(list(rng.permutation(4)), 2)
-        shared = Evaluator(data)
         for penalty in (AIC, BIC, power_law(0.5, 0.3)):
-            assert learn_structure(data, space, penalty, shared) == learn_structure(
-                data, space, penalty
+            assert learn_structure(data, space, penalty) == learn_structure(
+                Dataset(variables, data.values), space, penalty
             )
-        assert complexity_profile(data, space, shared) == complexity_profile(data, space)
-    with pytest.raises(ValueError):
-        learn_structure(Dataset(variables, data.values), space, AIC, shared)
+        assert complexity_profile(data, space) == complexity_profile(
+            Dataset(variables, data.values), space
+        )
+        assert Dataset(variables, data.values).family_scores == {}
+        families = [(i, ps) for i in range(4) for ps in space.candidate_parent_sets(i)]
+        assert sorted(data.family_scores) == sorted(families)
+        for (node, parents), (value, _, df) in data.family_scores.items():
+            assert value == node_nal(data, node, parents)
+            assert df == node_df(node, parents, variables)
 
 
 def test_select_from_profile_matches_global_learning():
