@@ -19,7 +19,7 @@ import numpy as np
 from .data import Dataset, count_sufficient_stats
 from .equivalence import edge_f_score
 from .errors import ConfigError, InsufficientGrid
-from .model import BayesNet, df_complexity, json_int, load_net, read_json
+from .model import BayesNet, df_complexity, json_int, json_number, load_net, read_json
 from .networks import eight_node_net, two_node_net
 from .sampling import (
     Bernoulli, MissingnessModel, apply_mcar, derive_seed, forward_sample, parse_missingness,
@@ -66,7 +66,7 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
     known = {
         "net": str,
         "sample_sizes": lambda v: tuple(json_int(x) for x in v),
-        "betas": lambda v: tuple(float(x) for x in v),
+        "betas": lambda v: tuple(float(json_number(x)) for x in v),
         "missingness": lambda v: tuple(dict(d) for d in v),
         "penalties": tuple,
         "replicates": json_int,

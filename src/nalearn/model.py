@@ -179,8 +179,8 @@ class BayesNet:
                 raise ValueError(
                     f"node {names[i]}: cpt shape {table.shape}, expected ({q_pa}, {q_i})"
                 )
-            if np.any(table < 0) or np.any(table > 1):
-                raise ValueError(f"node {names[i]}: cpt entries outside [0,1]")
+            if not np.all((table >= 0) & (table <= 1)):  # also rejects NaN
+                raise ValueError(f"node {names[i]}: cpt entries must lie in [0,1]")
             bad = np.abs(table.sum(axis=1) - 1.0) > ROW_SUM_TOL
             if np.any(bad):
                 raise ValueError(
@@ -220,6 +220,13 @@ def json_int(value) -> int:
     if type(value) is float and value.is_integer():
         return int(value)
     raise ValueError(f"expected an integer, got {value!r}")
+
+
+def json_number(value):
+    """`value` unless it is a bool, which float() and int() would read as 0 or 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return value
 
 
 def dags_from_json(candidates) -> list[Dag]:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import MISSING, Dataset
 from .errors import ConfigError
-from .model import BayesNet
+from .model import BayesNet, json_number
 
 _MASK64 = (1 << 64) - 1
 
@@ -81,12 +81,12 @@ def parse_missingness(spec, num_vars: int) -> MissingnessModel | None:
     try:
         if mode == "bernoulli":
             p = fields["p"].split(",") if isinstance(fields["p"], str) else fields["p"]
-            probs = [float(x) for x in (p if isinstance(p, (list, tuple)) else [p])]
+            probs = [float(json_number(x)) for x in (p if isinstance(p, (list, tuple)) else [p])]
             if len(probs) not in (1, num_vars):
                 raise ValueError(f"needs 1 or {num_vars} probabilities, got {len(probs)}")
             return Bernoulli(probs * (num_vars // len(probs)))
         if mode == "kper":
-            k = int(fields["k"])
+            k = int(json_number(fields["k"]))
             if k != float(fields["k"]) or not 0 <= k < num_vars:
                 raise ValueError(f"k must be an integer with 0 <= k < {num_vars}")
             return KPerRecord(k)
@@ -98,53 +98,53 @@ def parse_missingness(spec, num_vars: int) -> MissingnessModel | None:
 def forward_sample(net: BayesNet, n: int, seed: int) -> Dataset:
     """Draw n i.i.d. complete records from the network.
 
-    Nodes are visited in the lowest-index-first topological order; each
-    column is drawn from the CPT row selected by the realized parents.
+    The random stream is one ``rng.random((n, N))`` block, record-major: cell
+    (r, i) is the uniform u behind node i of record r. Nodes are drawn in the
+    lowest-index-first topological order, and node i's value is the number of
+    the first q_i - 1 cumulative bounds of its CPT row (selected by the
+    realized parents) that are <= u; leaving out the last bound caps the value
+    at q_i - 1 when a row sums to just under 1. The columns are filled one
+    variable at a time in an (N, n) array, and the Dataset gets its transpose.
     """
     rng = np.random.default_rng(seed)
     N = net.num_nodes
-    vals = np.zeros((n, N), dtype=np.int16)
-    if n == 0:
-        return Dataset(net.variables, vals)
-    order = net.dag.topological_order()
-    u = rng.random((n, N))
-    for i in order:
-        table = net.cpt.tables[i]  # (q_pa, q_i)
-        parents = net.dag.parents[i]
-        if parents:
-            j = np.zeros(n, dtype=np.int64)
-            for p in parents:
-                j = j * net.variables[p].cardinality + vals[:, p]
-            cum = np.cumsum(table, axis=1)
-            rows = cum[j]
-        else:
-            rows = np.broadcast_to(np.cumsum(table[0]), (n, table.shape[1]))
-        # inverse-CDF draw per record
-        vals[:, i] = (u[:, i][:, None] >= rows).sum(axis=1).astype(np.int16)
-        np.minimum(vals[:, i], net.variables[i].cardinality - 1, out=vals[:, i])
-    return Dataset(net.variables, vals)
+    vals = np.zeros((N, n), dtype=np.int16)
+    u = rng.random((n, N)).T
+    for i in net.dag.topological_order():
+        bounds = np.cumsum(net.cpt.tables[i], axis=1)[:, :-1].T  # (q_i - 1, q_pa)
+        j = np.intp(0)  # parent configuration, the last parent varying fastest
+        for p in net.dag.parents[i]:
+            j = j * net.variables[p].cardinality + vals[p]
+        for bound in bounds:
+            vals[i] += u[i] >= bound[j]
+    return Dataset(net.variables, vals.T)
 
 
 def apply_mcar(data: Dataset, model: MissingnessModel, seed: int) -> Dataset:
-    """Mask cells completely at random; already-missing cells stay missing."""
+    """Mask cells completely at random; already-missing cells stay missing.
+
+    Either model draws one ``rng.random((n, N))`` block, record-major like
+    forward_sample's. Bernoulli drops cell (r, i) when its uniform is >=
+    p_i; k-per-record drops the k cells of smallest uniform in each record.
+    """
     rng = np.random.default_rng(seed)
     n, N = data.values.shape
-    vals = data.values.copy()
+    vals = np.array(data.values.T, order="C")  # (N, n): one row per variable
     if isinstance(model, Bernoulli):
         if len(model.observe_probs) != N:
             raise ValueError("one observation probability per variable required")
-        p = np.asarray(model.observe_probs)
-        drop = rng.random((n, N)) >= p[None, :]
-        vals[drop] = MISSING
+        u = rng.random((n, N)).T
+        for i, p in enumerate(model.observe_probs):
+            if p < 1.0:  # every uniform is < 1, so p = 1 drops nothing
+                np.putmask(vals[i], u[i] >= p, MISSING)
     else:
         if not 0 <= model.k < N:
             raise ValueError(f"k must satisfy 0 <= k < {N}")
         if model.k > 0 and n > 0:
-            # uniform k-subset per record via argpartition of random keys
             keys = rng.random((n, N))
             idx = np.argpartition(keys, model.k - 1, axis=1)[:, : model.k]
-            vals[np.arange(n)[:, None], idx] = MISSING
-    return Dataset(data.variables, vals)
+            vals[idx, np.arange(n)[:, None]] = MISSING
+    return Dataset(data.variables, vals.T)
 
 
 def subset_observation_probability(N: int, k: int, s: int) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset, SufficientCounts, count_sufficient_stats
 from .errors import ConfigError, SchemaMismatch, ZeroSampleSize
-from .model import Dag, df_complexity, node_df
+from .model import Dag, df_complexity, json_number, node_df
 
 NEG_INFINITY = float("-inf")
 
@@ -71,7 +71,8 @@ def parse_penalty(spec, num_vars: int) -> Penalty:
     try:
         if kind != "power":
             return Penalty(kind)
-        return power_law(1.0 / num_vars if coef is None else float(coef), float(alpha))
+        coef = 1.0 / num_vars if coef is None else float(json_number(coef))
+        return power_law(coef, float(json_number(alpha)))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"penalty spec {spec!r}: {exc}") from None
 

@@ -2,8 +2,9 @@
 
 The traced benchmark wraps functions at the module bindings its workloads
 list and reports a metric absent when a binding is gone, so a refactor that
-drops one would only show as an empty per-layer metric. This test fails
-instead. It loads perfbench/workloads.py and perfbench/tracing.py from their
+drops one would only show as an empty per-layer metric. These tests fail
+instead: every binding must resolve, and a traced tiny two-node command must
+fill the sampling and counting metrics. They load perfbench/workloads.py and perfbench/tracing.py from their
 files and changes nothing there.
 """
 
@@ -32,3 +33,21 @@ def test_workload_bindings_resolve(workload):
     for binding in workloads.WORKLOADS[workload].bindings:
         owner, attr = tracing._resolve(binding)
         assert owner is not None and hasattr(owner, attr), f"{workload}: {binding} is gone"
+
+
+def test_traced_two_node_command_fills_the_sampling_metrics(tmp_path, capsys):
+    # a kernel called around the nalearn.experiments bindings would leave these at 0
+    import nalearn.cli
+
+    workload = workloads.WORKLOADS["two_node_table"]
+    prepared = workload.prepare(tmp_path, seed=1, size=workloads.TINY)
+    tracer = tracing.Tracer(frozenset(workload.bindings))
+    with tracer.installed():
+        assert nalearn.cli.main(prepared.argv) == 0
+    capsys.readouterr()
+    assert not tracer.absent
+    metrics = tracing.layer_metrics(tracer)
+    for name in ("sampling.forward_sample.calls", "sampling.apply_mcar.calls",
+                 "data.count_sufficient_stats.calls"):
+        assert metrics[name] is not None and metrics[name] > 0, name
+    assert metrics["sampling.records"] == prepared.work

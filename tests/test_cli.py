@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -252,6 +253,13 @@ _WIDE_NET = {  # 2**64 joint states, a count that wraps to 0 in int64
      _WIDE_NET),
     (_TWO_NODE, {**_TWO_NODE_CONFIG, "net": "eight-node"}),
     *[([*_RECOVERY, "--jobs", jobs], _TWO_NODE_CONFIG) for jobs in ["0", "-3"]],
+    (_SAMPLE_FROM, {**_NET_DICT, "cpt": [[[math.nan, math.nan]], _NET_DICT["cpt"][1]]}),
+    # JSON booleans that float() or int() would read as 0 or 1
+    (_TWO_NODE, {**_TWO_NODE_CONFIG, "betas": [True]}),
+    *[(_RECOVERY, {**_TWO_NODE_CONFIG, "missingness": [spec]})
+      for spec in [{"mode": "kper", "k": True}, {"mode": "bernoulli", "p": True},
+                   {"mode": "bernoulli", "p": [True, 0.5]}]],
+    (_RECOVERY, {**_TWO_NODE_CONFIG, "penalties": [{"alpha": 0.5, "coef": True}]}),
 ])
 def test_malformed_spec_exit_2(two_node_files, tmp_path, capsys, argv, config):
     _, net_path, _ = two_node_files
