@@ -31,7 +31,10 @@ ORDER_DAG_CAP = 10_000
 
 
 def _penalty_from_args(args, num_vars: int) -> Penalty:
-    return parse_penalty({"kind": args.penalty, "alpha": args.alpha, "coef": args.coef}, num_vars)
+    spec = {"kind": args.penalty, "alpha": args.alpha, "coef": args.coef}
+    if args.penalty == "power" and args.alpha is None:
+        spec["alpha"] = 0.5
+    return parse_penalty({key: value for key, value in spec.items() if value is not None}, num_vars)
 
 
 def _require_nonnegative(**options) -> None:
@@ -42,8 +45,8 @@ def _require_nonnegative(**options) -> None:
 
 def _add_penalty_args(sub):
     sub.add_argument("--penalty", choices=["aic", "bic", "power", "none"], required=True)
-    sub.add_argument("--alpha", type=float, default=0.5)
-    sub.add_argument("--coef", type=float, default=None)
+    sub.add_argument("--alpha", type=float, default=None, help="power law only (default 0.5)")
+    sub.add_argument("--coef", type=float, default=None, help="power law only (default 1/N)")
 
 
 def cmd_sample(args) -> int:

@@ -12,6 +12,7 @@ import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -22,10 +23,10 @@ from .errors import ConfigError, InsufficientGrid
 from .model import BayesNet, df_complexity, json_int, json_number, load_net, read_json
 from .networks import eight_node_net, two_node_net
 from .sampling import (
-    Bernoulli, MissingnessModel, apply_mcar, derive_seed, forward_sample, parse_missingness,
-    splitmix64,
+    Bernoulli, KPerRecord, MissingnessModel, apply_mcar, derive_seed, forward_sample,
+    parse_missingness, splitmix64,
 )
-from .scoring import NEG_INFINITY, Penalty, lambda_value, node_nal, node_nal_from_counts, parse_penalty
+from .scoring import Penalty, lambda_value, node_nal_from_counts, parse_penalty
 from .search import SearchSpace, learn_structure
 
 
@@ -95,7 +96,8 @@ def penalty_label(spec) -> str:
     if isinstance(spec, Penalty):
         return spec.label()
     if isinstance(spec, dict) and spec.get("kind", "power") == "power":
-        return f"a{spec['alpha']}"
+        coef = spec.get("coef")
+        return f"a{spec['alpha']}" + ("" if coef is None else f"c{coef}")
     return str(spec.get("kind"))
 
 
@@ -116,6 +118,15 @@ def missingness_label(spec: dict) -> str:
     return f"kper(k={spec['k']})"
 
 
+def _distinct_labels(specs, label_of, field: str) -> list[str]:
+    """The CSV label of each parsed spec; a repeated label would merge two rows."""
+    labels = [label_of(spec) for spec in specs]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ConfigError(f"{field} repeat the label {', '.join(map(repr, repeated))}")
+    return labels
+
+
 def _draw_replicate(
     net: BayesNet, n: int, missing: MissingnessModel | None, rep_seed: int
 ) -> Dataset:
@@ -126,36 +137,54 @@ def _draw_replicate(
     return data
 
 
+def _replicate(task):
+    net, n, missing, rep_seed, statistic = task
+    return statistic(_draw_replicate(net, n, missing, rep_seed))
+
+
+def monte_carlo(net: BayesNet, cells, replicates: int, statistic, jobs: int = 1) -> list[list]:
+    """statistic(data) of every replicate of every cell: one list per cell, in replicate order.
+
+    A cell is (n, missing, cell_seed); its replicate r draws at derive_seed(cell_seed, r).
+    With jobs > 1 one process pool serves every cell, so statistic must pickle.
+    """
+    tasks = [(net, n, missing, derive_seed(cell_seed, r), statistic)
+             for n, missing, cell_seed in cells for r in range(replicates)]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_replicate, tasks))
+    else:
+        results = [_replicate(task) for task in tasks]
+    return [results[i:i + replicates] for i in range(0, len(results), replicates)]
+
+
 # ---------------------------------------------------------------------------
 # Two-node benchmark (the consistency/inconsistency table)
 # ---------------------------------------------------------------------------
+
+def spurious_edge_gain(data: Dataset) -> float:
+    """NAL gain of the spurious edge X1 -> X2: node 2's NAL with parent X1 minus without.
+
+    It is -inf when X1 and X2 are never observed together (nan if X2 never is),
+    and then exceeds no lambda_n.
+    """
+    nal_empty = node_nal_from_counts(count_sufficient_stats(data, 1, ()))
+    nal_chain = node_nal_from_counts(count_sufficient_stats(data, 1, (0,)))
+    return nal_chain - nal_empty
+
 
 def two_node_wrong_fraction(
     beta: float, n: int, penalties: Sequence[Penalty], replicates: int, seed: int
 ) -> list[float]:
     """Fraction of replicates where the spurious edge wins, per penalty.
 
-    The decision compares the penalized scores of the independence model and
-    the one-edge model; their structures differ by one parameter, so the
-    spurious model wins exactly when its NAL gain exceeds lambda_n. Exact
-    ties count as correct (minimal-complexity convention).
+    The one-edge and independence models differ by one parameter, so the edge
+    wins exactly when its gain exceeds lambda_n; ties count as correct.
     """
-    net = two_node_net()
     mask = Bernoulli((beta, 1.0)) if beta < 1.0 else None
+    [gains] = monte_carlo(two_node_net(), [(n, mask, seed)], replicates, spurious_edge_gain)
     lams = [lambda_value(pen, n) for pen in penalties]
-    wrong = [0] * len(penalties)
-    for r in range(replicates):
-        data = _draw_replicate(net, n, mask, derive_seed(seed, r))
-        # node 2's NAL under no parents vs parent {X1}; node 1 is shared
-        nal_empty = node_nal_from_counts(count_sufficient_stats(data, 1, ()))
-        nal_chain = node_nal_from_counts(count_sufficient_stats(data, 1, (0,)))
-        if nal_chain == NEG_INFINITY:
-            continue  # spurious model unobservable, never selected
-        gain = nal_chain - nal_empty
-        for idx, lam in enumerate(lams):
-            if gain > lam:
-                wrong[idx] += 1
-    return [w / replicates for w in wrong]
+    return [sum(gain > lam for gain in gains) / replicates for lam in lams]
 
 
 def run_two_node(config: ExperimentConfig) -> list[dict]:
@@ -164,7 +193,7 @@ def run_two_node(config: ExperimentConfig) -> list[dict]:
     if config.net != "two-node":
         raise ConfigError(f"the two-node table runs on the two-node net only, got {config.net!r}")
     penalties = [parse_penalty(p, 2) for p in config.penalties]
-    labels = [penalty_label(p) for p in config.penalties]
+    labels = _distinct_labels(config.penalties, penalty_label, "penalties")
     rows = []
     for bi, beta in enumerate(config.betas):
         for ni, n in enumerate(config.sample_sizes):
@@ -248,19 +277,10 @@ def check_two_node(rows: Sequence[dict]) -> list[str]:
 # Structure recovery (F-score and complexity trends)
 # ---------------------------------------------------------------------------
 
-def _recovery_replicate(args):
-    (net, space, n, missing, penalties, rep_seed) = args
-    data = _draw_replicate(net, n, missing, rep_seed)
-    out = []
-    for penalty in penalties:  # the penalties share data's family scores
-        learned = learn_structure(data, space, penalty)
-        out.append(
-            (
-                edge_f_score(net.dag, learned),
-                df_complexity(learned, net.variables),
-            )
-        )
-    return out
+def _learn_per_penalty(net: BayesNet, space: SearchSpace, penalties, data: Dataset) -> list:
+    """(edge F-score, learned df) per penalty; the penalties share data's family scores."""
+    learned = [learn_structure(data, space, penalty) for penalty in penalties]
+    return [(edge_f_score(net.dag, dag), df_complexity(dag, net.variables)) for dag in learned]
 
 
 def run_recovery(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
@@ -275,34 +295,29 @@ def run_recovery(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     space = SearchSpace(order, config.max_parents)
     models = [parse_missingness(spec, net.num_nodes) for spec in config.missingness]
     penalties = tuple(parse_penalty(spec, net.num_nodes) for spec in config.penalties)
+    cells = [(n, missing, derive_seed(config.seed, splitmix64(mi * 2003 + ni)))
+             for mi, missing in enumerate(models) for ni, n in enumerate(config.sample_sizes)]
+    regimes = _distinct_labels(config.missingness, missingness_label, "missingness specs")
+    labels = _distinct_labels(config.penalties, penalty_label, "penalties")
+    keys = [(regime, n) for regime in regimes for n in config.sample_sizes]
+    statistic = partial(_learn_per_penalty, net, space, penalties)
     true_df = net.df()
     rows = []
-    for mi, (miss_spec, missing) in enumerate(zip(config.missingness, models)):
-        for ni, n in enumerate(config.sample_sizes):
-            cell_seed = derive_seed(config.seed, splitmix64(mi * 2003 + ni))
-            tasks = [
-                (net, space, n, missing, penalties, derive_seed(cell_seed, r))
-                for r in range(config.replicates)
-            ]
-            if jobs > 1:
-                with ProcessPoolExecutor(max_workers=jobs) as pool:
-                    results = list(pool.map(_recovery_replicate, tasks))
-            else:
-                results = [_recovery_replicate(t) for t in tasks]
-            for pi, spec in enumerate(config.penalties):
-                fs = [res[pi][0] for res in results]
-                dfs = [res[pi][1] for res in results]
-                rows.append(
-                    {
-                        "n": n,
-                        "missingness": missingness_label(miss_spec),
-                        "penalty": penalty_label(spec),
-                        "mean_f": float(np.mean(fs)),
-                        "mean_df": float(np.mean(dfs)),
-                        "recovery_rate": float(np.mean([f == 1.0 for f in fs])),
-                        "true_df": true_df,
-                    }
-                )
+    per_cell = monte_carlo(net, cells, config.replicates, statistic, jobs)
+    for (regime, n), results in zip(keys, per_cell):
+        for pi, label in enumerate(labels):
+            fs, dfs = zip(*(res[pi] for res in results))
+            rows.append(
+                {
+                    "n": n,
+                    "missingness": regime,
+                    "penalty": label,
+                    "mean_f": float(np.mean(fs)),
+                    "mean_df": float(np.mean(dfs)),
+                    "recovery_rate": float(np.mean([f == 1.0 for f in fs])),
+                    "true_df": true_df,
+                }
+            )
     return rows
 
 
@@ -311,10 +326,12 @@ def run_recovery(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def run_rate_probe(config: ExperimentConfig) -> list[dict]:
-    """Sd of the nested NAL difference per n, with a log-log slope per regime.
+    """Sd of the spurious-edge gain per n, with a log-log slope per regime.
 
-    The pair is the two-node benchmark's: the independence model inside the
-    chain, so the difference is node 1's NAL with parent 0 minus without.
+    The gain is the two-node table's: the NAL difference between the one-edge
+    model and the independence model nested in it. A regime that never observes
+    X1 and X2 together is refused before sampling, and a cell whose gains are
+    not finite or do not vary raises InsufficientGrid instead of writing nan.
     """
     config.validate()
     if len(set(config.sample_sizes)) < 2:
@@ -324,20 +341,25 @@ def run_rate_probe(config: ExperimentConfig) -> list[dict]:
     if config.net != "two-node":
         raise ConfigError(f"the rate probe runs on the two-node net only, got {config.net!r}")
     net = two_node_net()
-    regimes = [
-        (parse_missingness(spec, net.num_nodes), missingness_label(spec))
-        for spec in config.missingness
-    ]
+    models = [parse_missingness(spec, net.num_nodes) for spec in config.missingness]
+    regimes = _distinct_labels(config.missingness, missingness_label, "missingness specs")
+    for missing, label in zip(models, regimes):
+        if (isinstance(missing, KPerRecord) and missing.k > 0
+                or isinstance(missing, Bernoulli) and 0.0 in missing.observe_probs):
+            raise ConfigError(f"rate probe: {label} never observes X1 and X2 together")
     rows = []
-    for ri, (missing, label) in enumerate(regimes):
-        sds = []
-        for ni, n in enumerate(config.sample_sizes):
-            cell_seed = derive_seed(config.seed, splitmix64(ri * 4001 + ni))
-            diffs = []
-            for r in range(config.replicates):
-                data = _draw_replicate(net, n, missing, derive_seed(cell_seed, r))
-                diffs.append(node_nal(data, 1, (0,)) - node_nal(data, 1, ()))
-            sds.append(float(np.std(diffs, ddof=1)))
+    for ri, (missing, label) in enumerate(zip(models, regimes)):
+        cells = [(n, missing, derive_seed(config.seed, splitmix64(ri * 4001 + ni)))
+                 for ni, n in enumerate(config.sample_sizes)]
+        gains = monte_carlo(net, cells, config.replicates, spurious_edge_gain)
+        for n, cell in zip(config.sample_sizes, gains):
+            if not all(map(math.isfinite, cell)):
+                raise InsufficientGrid(f"rate probe: under {label} at n = {n} some replicate "
+                                       "never observes X1 and X2 together")
+            if min(cell) == max(cell):
+                raise InsufficientGrid(f"rate probe: under {label} at n = {n} the gain does "
+                                       "not vary, so its sd is 0")
+        sds = [float(np.std(cell, ddof=1)) for cell in gains]
         slope = float(
             np.polyfit(np.log(np.asarray(config.sample_sizes, float)), np.log(sds), 1)[0]
         )

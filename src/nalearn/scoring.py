@@ -56,7 +56,8 @@ def power_law(coefficient: float, alpha: float) -> Penalty:
 def parse_penalty(spec, num_vars: int) -> Penalty:
     """Penalty from "aic" | "bic" | "none" | "a<alpha>", a dict {kind, alpha,
     coef} whose kind defaults to "power", or a Penalty. The power-law
-    coefficient defaults to 1/num_vars. Raises ConfigError quoting `spec`.
+    coefficient defaults to 1/num_vars; a null alpha or coef counts as absent,
+    and only a power law takes either. Raises ConfigError quoting `spec`.
     """
     if isinstance(spec, Penalty):
         return spec
@@ -68,6 +69,8 @@ def parse_penalty(spec, num_vars: int) -> Penalty:
     kind, alpha, coef = fields.get("kind", "power"), fields.get("alpha"), fields.get("coef")
     if kind == "power" and alpha is None:
         raise ConfigError(f"penalty spec {spec!r}: a power law needs alpha")
+    if kind != "power" and (alpha is not None or coef is not None):
+        raise ConfigError(f"penalty spec {spec!r}: {kind!r} takes no alpha or coef")
     try:
         if kind != "power":
             return Penalty(kind)

@@ -98,6 +98,18 @@ def test_score_subcommand(two_node_files, tmp_path, capsys):
     assert rows[-1][0] == "total"
 
 
+def test_power_penalty_alpha_defaults_to_half(two_node_files, tmp_path, capsys):
+    _, net_path, structure_path = two_node_files
+    data_path = tmp_path / "data.csv"
+    run(capsys, ["sample", "--net", str(net_path), "--n", "200", "--seed", "1",
+                 "--out", str(data_path)])
+    score = ["score", "--net-structure", str(structure_path), "--data", str(data_path),
+             "--penalty", "power"]
+    default, half, other = (run(capsys, [*score, *extra]) for extra in
+                            [[], ["--alpha", "0.5"], ["--alpha", "0.3"]])
+    assert default[0] == 0 and default == half and default != other
+
+
 def test_population_subcommand(two_node_files, capsys):
     _, net_path, _ = two_node_files
     code, out, _ = run(capsys, [
@@ -171,6 +183,8 @@ def test_learn_profile_counts_each_candidate_once(tmp_path, capsys, monkeypatch)
     ["--penalty", "power", "--alpha", "0.3", "--coef", "0"],
     ["--penalty", "bic", "--order", "X2,X9"],
     ["--penalty", "bic", "--order", "X1,X1"],
+    ["--penalty", "bic", "--alpha", "0.3"],
+    ["--penalty", "none", "--coef", "1"],
 ])
 def test_learn_bad_arguments_exit_2(two_node_files, tmp_path, capsys, extra):
     _, _, structure_path = two_node_files
@@ -260,6 +274,23 @@ _WIDE_NET = {  # 2**64 joint states, a count that wraps to 0 in int64
       for spec in [{"mode": "kper", "k": True}, {"mode": "bernoulli", "p": True},
                    {"mode": "bernoulli", "p": [True, 0.5]}]],
     (_RECOVERY, {**_TWO_NODE_CONFIG, "penalties": [{"alpha": 0.5, "coef": True}]}),
+    # rate probes that would write nan: X1 and X2 never observed together in a
+    # regime or in some replicate, or a gain that does not vary
+    *[(_RATES, {"sample_sizes": [100, 200], "replicates": 5, "missingness": [spec]})
+      for spec in [{"mode": "kper", "k": 1}, {"mode": "bernoulli", "p": [0.0, 1.0]},
+                   {"mode": "bernoulli", "p": [1.0, 0.0]}]],
+    (_RATES, {"sample_sizes": [2, 100], "replicates": 20,
+              "missingness": [{"mode": "bernoulli", "p": [0.3, 1.0]}]}),
+    (_RATES, {"sample_sizes": [1, 2], "replicates": 5}),
+    # alpha or coef on a penalty other than a power law
+    *[(_TWO_NODE, {**_TWO_NODE_CONFIG, "penalties": [spec]})
+      for spec in [{"kind": "bic", "alpha": "junk", "coef": True}, {"kind": "aic", "coef": -3}]],
+    *[([*_LEARN_FROM, *extra], _NET_DICT) for extra in [["--alpha", "0.3"], ["--coef", "2"]]],
+    # specs that repeat a CSV label
+    (_TWO_NODE, {**_TWO_NODE_CONFIG, "penalties": ["a0.3", {"alpha": 0.3}]}),
+    (_RECOVERY, {**_TWO_NODE_CONFIG, "missingness": [{"mode": "none"}, {"mode": "none"}]}),
+    (_RATES, {"sample_sizes": [100, 200], "replicates": 5,
+              "missingness": [{"mode": "none"}, {"mode": "kper", "k": 0}, {"mode": "none"}]}),
 ])
 def test_malformed_spec_exit_2(two_node_files, tmp_path, capsys, argv, config):
     _, net_path, _ = two_node_files

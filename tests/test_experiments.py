@@ -1,25 +1,31 @@
 """Monte Carlo harness: config handling, determinism and small-scale runs."""
 
-import io
+import hashlib
+import json
+import math
 
+import numpy as np
 import pytest
 
-from nalearn import AIC, BIC, Penalty, power_law
+from nalearn import AIC, BIC, Dataset, Penalty, power_law, two_node_net
+from nalearn.cli import main
 from nalearn.errors import ConfigError, InsufficientGrid
 from nalearn.experiments import (
     ExperimentConfig,
     check_two_node,
     config_from_dict,
+    monte_carlo,
     penalty_label,
     resolve_net,
     run_rate_probe,
     run_recovery,
     run_two_node,
+    spurious_edge_gain,
     two_node_wrong_fraction,
     write_rows,
 )
 from nalearn.sampling import Bernoulli, KPerRecord, parse_missingness
-from nalearn.scoring import parse_penalty
+from nalearn.scoring import NO_PENALTY, lambda_value, parse_penalty
 
 
 def test_config_rejects_unknown_field():
@@ -59,10 +65,14 @@ def test_parse_penalty_variants():
     q = parse_penalty({"kind": "power", "alpha": 0.4, "coef": 0.25}, 2)
     assert q == power_law(0.25, 0.4)
     assert parse_penalty({"alpha": 0.4, "coef": None}, 4) == power_law(0.25, 0.4)
-    assert parse_penalty({"kind": "bic", "alpha": 0.5}, 2) == BIC
+    with pytest.raises(ConfigError, match="takes no alpha or coef"):
+        parse_penalty({"kind": "bic", "alpha": 0.5}, 2)
+    assert parse_penalty({"kind": "bic", "alpha": None, "coef": None}, 2) == BIC
     assert parse_penalty(AIC, 2) is AIC
     for bad in ["mdl", "a0.x", "a1.5", "power", {"kind": "power"},
-                {"alpha": 0.3, "coeff": 1.0}, {"alpha": 0.3, "coef": 0}, 0.3]:
+                {"alpha": 0.3, "coeff": 1.0}, {"alpha": 0.3, "coef": 0}, 0.3,
+                {"kind": "bic", "alpha": "junk", "coef": True}, {"kind": "aic", "coef": -3},
+                {"kind": "none", "alpha": 0.5}]:
         with pytest.raises(ConfigError, match="penalty spec"):
             parse_penalty(bad, 2)
 
@@ -70,6 +80,19 @@ def test_parse_penalty_variants():
 def test_penalty_labels():
     assert penalty_label("a0.3") == "a0.3"
     assert penalty_label("bic") == "bic"
+    assert penalty_label({"kind": "bic"}) == "bic"
+    assert penalty_label({"alpha": 0.3}) == "a0.3"
+    assert penalty_label({"alpha": 0.3, "coef": None}) == "a0.3"
+    assert penalty_label({"alpha": 0.3, "coef": 0.01}) == "a0.3c0.01"
+    assert penalty_label({"kind": "power", "alpha": 0.3, "coef": 10}) == "a0.3c10"
+
+
+def test_power_laws_with_distinct_coefs_get_distinct_rows():
+    cfg = ExperimentConfig(sample_sizes=(100,), betas=(1.0,), replicates=20, seed=5,
+                           penalties=({"alpha": 0.3, "coef": 0.01}, {"alpha": 0.3, "coef": 10}))
+    rows = run_two_node(cfg)
+    assert [r["penalty"] for r in rows] == ["a0.3c0.01", "a0.3c10"]
+    assert rows[0]["wrong_pct"] > rows[1]["wrong_pct"]
 
 
 def test_resolve_net_and_parse_missingness():
@@ -89,6 +112,22 @@ def test_resolve_net_and_parse_missingness():
                 {"mode": "bernoulli", "k": 1}, "none:3", ["none"]]:
         with pytest.raises(ConfigError, match="missingness spec"):
             parse_missingness(bad, 2)
+
+
+def test_unobservable_spurious_edge_is_never_selected():
+    # X1 is never observed, so the one-edge model has no available cases
+    data = Dataset(two_node_net().variables, np.array([[-1, 0], [-1, 1], [-1, 1]]))
+    gain = spurious_edge_gain(data)
+    assert gain == -math.inf
+    assert not gain > lambda_value(NO_PENALTY, 3)
+
+
+def test_monte_carlo_runs_each_replicate_at_its_own_seed():
+    cells = [(20, None, 3), (30, Bernoulli((0.5, 1.0)), 4)]
+    per_cell = monte_carlo(two_node_net(), cells, 3, spurious_edge_gain)
+    assert [len(gains) for gains in per_cell] == [3, 3]
+    # a cell's replicates do not depend on the other cells or on the replicate count
+    assert monte_carlo(two_node_net(), cells[1:], 2, spurious_edge_gain) == [per_cell[1][:2]]
 
 
 def test_two_node_wrong_fraction_extremes():
@@ -139,6 +178,28 @@ def test_run_recovery_parallel_matches_serial():
     assert run_recovery(cfg, jobs=1) == run_recovery(cfg, jobs=2)
 
 
+def test_recovery_opens_one_pool_per_run(monkeypatch):
+    import nalearn.experiments
+
+    opened = []
+    real = nalearn.experiments.ProcessPoolExecutor
+
+    def counting(*args, **kwargs):
+        opened.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nalearn.experiments, "ProcessPoolExecutor", counting)
+    cfg = ExperimentConfig(
+        sample_sizes=(50, 100),
+        penalties=("bic",),
+        missingness=({"mode": "none"}, {"mode": "bernoulli", "p": 0.9}),
+        replicates=2,
+        seed=3,
+    )
+    rows = run_recovery(cfg, jobs=2)
+    assert len(rows) == 4 and opened == [{"max_workers": 2}]
+
+
 def test_run_rate_probe_slopes_and_grid():
     cfg = ExperimentConfig(
         sample_sizes=(100, 1000),
@@ -155,6 +216,19 @@ def test_run_rate_probe_slopes_and_grid():
         run_rate_probe(ExperimentConfig(sample_sizes=(100, 1000), replicates=1, seed=1))
 
 
+@pytest.mark.parametrize("fields, message", [
+    # X1 unobserved in both records of some replicate: the gain is -inf
+    ({"sample_sizes": (2, 100), "missingness": ({"mode": "bernoulli", "p": [0.3, 1.0]},)},
+     r"bernoulli\(p=\[0.3, 1.0\]\) at n = 2 some replicate never observes"),
+    # one record: both NALs are 0 in every replicate
+    ({"sample_sizes": (1, 2), "missingness": ({"mode": "none"},)},
+     "complete at n = 1 the gain does not vary"),
+])
+def test_rate_probe_refuses_a_cell_without_a_finite_sd(fields, message):
+    with pytest.raises(InsufficientGrid, match=message):
+        run_rate_probe(ExperimentConfig(replicates=20, seed=1, **fields))
+
+
 @pytest.mark.parametrize("runner, fields", [
     (run_recovery, {"penalties": ("bic", "a0.x")}),
     (run_recovery, {"missingness": ({"mode": "none"}, {"mode": "kper", "k": 8})}),
@@ -162,6 +236,15 @@ def test_run_rate_probe_slopes_and_grid():
     (run_recovery, {"max_parents": -1}),
     (run_recovery, {"order": (0, 0, 1, 2, 3, 4, 5, 6)}),
     (run_recovery, {"order": (1, 0)}),  # a permutation, but of two nodes
+    # regimes that never observe X1 and X2 together
+    (run_rate_probe, {"missingness": ({"mode": "none"}, {"mode": "kper", "k": 1})}),
+    (run_rate_probe, {"missingness": ({"mode": "bernoulli", "p": [1.0, 0.0]},)}),
+    (run_rate_probe, {"missingness": ({"mode": "bernoulli", "p": 0},)}),
+    # specs that repeat a CSV label
+    (run_two_node, {"penalties": ("bic", {"kind": "bic"})}),
+    (run_recovery, {"penalties": ("a0.3", {"alpha": 0.3, "coef": None})}),
+    (run_recovery, {"missingness": ({"mode": "none"}, {"mode": "none"})}),
+    (run_rate_probe, {"missingness": ({"mode": "kper", "k": 0}, {"mode": "kper", "k": 0})}),
 ])
 def test_bad_spec_raises_before_sampling(monkeypatch, runner, fields):
     import nalearn.experiments
@@ -204,3 +287,40 @@ def test_write_rows_format(tmp_path):
     assert len(lines) == 3
     write_rows(rows, tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_text() == text
+
+
+_PENALTIES = ["a0.2", "a0.3", "a0.4", "a0.5", "a0.6", "a0.7", "a0.8", "bic", "aic"]
+_RECOVERY8 = {"net": "eight-node", "sample_sizes": [200, 500],
+              "missingness": [{"mode": "none"}, {"mode": "kper", "k": 1}],
+              "penalties": ["bic", "a0.3"], "replicates": 3, "seed": 7}
+_RECOVERY2 = {"net": "two-node", "sample_sizes": [100, 400],
+              "missingness": [{"mode": "none"}, {"mode": "bernoulli", "p": 0.9}],
+              "penalties": ["aic", "bic"], "replicates": 5, "seed": 9}
+_TABLE_DIGEST = "ec160256ddf49a8c7db9085752575d010be8a0ef8097a742dec8d2183397b74a"
+_RATES_DIGEST = "6eb25d1242ffb70ff30fe5da5c34cc5fb583447af1e1a3efb0a2179b456ff896"
+_RECOVERY8_DIGEST = "96b88d2efb608e6b28742ec3dcb6fdddd4165ee507a932d00aad0e84423c2053"
+_RECOVERY2_DIGEST = "66f9329aafa187731442a4fa6d80b460f772a347cc00ed590412f1e6d16d8ecb"
+
+
+# Taken before the runners shared one replicate driver; a change to the random
+# stream, the seed schedule or the statistics changes them.
+@pytest.mark.parametrize("mode, jobs, config, digest", [
+    ("two-node", 1, {"sample_sizes": [100, 1000], "betas": [1.0, 0.9, 0.75],
+                     "penalties": _PENALTIES, "replicates": 30, "seed": 3}, _TABLE_DIGEST),
+    ("rates", 1, {"sample_sizes": [50, 200, 800], "replicates": 20, "seed": 5,
+                  "missingness": [{"mode": "none"}, {"mode": "bernoulli", "p": [0.75, 1.0]}]},
+     _RATES_DIGEST),
+    ("recovery", 1, _RECOVERY8, _RECOVERY8_DIGEST),
+    ("recovery", 2, _RECOVERY8, _RECOVERY8_DIGEST),
+    ("recovery", 1, _RECOVERY2, _RECOVERY2_DIGEST),
+    ("recovery", 2, _RECOVERY2, _RECOVERY2_DIGEST),
+], ids=["table", "rates", "recovery8-jobs1", "recovery8-jobs2", "recovery2-jobs1",
+        "recovery2-jobs2"])
+def test_harness_outputs_are_pinned(tmp_path, mode, jobs, config, digest):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    argv = ["experiment", "--config", str(config_path), "--mode", mode, "--out", str(tmp_path),
+            "--jobs", str(jobs)]
+    assert main(argv) == 0
+    name = {"two-node": "table1.csv", "rates": "rates.csv", "recovery": "recovery.csv"}[mode]
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
