@@ -83,11 +83,17 @@ class Dataset:
         return codes
 
     @cached_property
-    def family_scores(self) -> dict[tuple[int, tuple[int, ...]], tuple[float, int, int]]:
-        """(nal, n_i, df) per (node, parent set), filled in by the search.
+    def family_scores(
+        self,
+    ) -> dict[tuple[int, tuple[int, ...], int], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per-node score tables, filled in by the search.
 
+        The key is (node, sorted predecessors, max_parents) and the value is
+        three arrays, NAL (float64), n_i and df (int64), with one entry per
+        candidate parent set in ``SearchSpace.candidate_parent_sets`` order.
         A family's score depends on nothing but the data, so every search
-        over this object shares the memo and counts each family once.
+        over this object and the same space shares the tables and counts each
+        family once.
         """
         return {}
 

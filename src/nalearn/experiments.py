@@ -13,6 +13,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -118,12 +119,16 @@ def missingness_label(spec: dict) -> str:
     return f"kper(k={spec['k']})"
 
 
-def _distinct_labels(specs, label_of, field: str) -> list[str]:
-    """The CSV label of each parsed spec; a repeated label would merge two rows."""
+def _distinct_labels(specs, models, label_of, field: str) -> list[str]:
+    """The CSV label of each spec; models are the specs parsed. A repeated label
+    would merge two rows, and one model under two labels would run twice."""
     labels = [label_of(spec) for spec in specs]
     repeated = sorted({label for label in labels if labels.count(label) > 1})
     if repeated:
         raise ConfigError(f"{field} repeat the label {', '.join(map(repr, repeated))}")
+    for (a, model_a), (b, model_b) in combinations(zip(labels, models), 2):
+        if model_a == model_b:
+            raise ConfigError(f"{field} {a!r} and {b!r} give the same model")
     return labels
 
 
@@ -193,7 +198,7 @@ def run_two_node(config: ExperimentConfig) -> list[dict]:
     if config.net != "two-node":
         raise ConfigError(f"the two-node table runs on the two-node net only, got {config.net!r}")
     penalties = [parse_penalty(p, 2) for p in config.penalties]
-    labels = _distinct_labels(config.penalties, penalty_label, "penalties")
+    labels = _distinct_labels(config.penalties, penalties, penalty_label, "penalties")
     rows = []
     for bi, beta in enumerate(config.betas):
         for ni, n in enumerate(config.sample_sizes):
@@ -216,8 +221,9 @@ def run_two_node(config: ExperimentConfig) -> list[dict]:
 
 
 # Reference wrong-selection percentages for the two-node benchmark at
-# R = 1000 (rows: beta, columns: penalty label), used by check mode.
-TWO_NODE_REFERENCE: dict[tuple[float, int, str], float] = {}
+# R = 1000 (rows: beta, columns: penalty label), used by check mode and keyed
+# by (beta, n, the label's Penalty on two variables).
+TWO_NODE_REFERENCE: dict[tuple[float, int, Penalty], float] = {}
 
 _REF_COLUMNS = ["a0.2", "a0.3", "a0.4", "a0.5", "a0.6", "a0.7", "a0.8", "bic", "aic"]
 _REF_ROWS = {
@@ -244,21 +250,27 @@ _REF_ROWS = {
 }
 for (b, nn), vals in _REF_ROWS.items():
     for col, v in zip(_REF_COLUMNS, vals):
-        TWO_NODE_REFERENCE[(b, nn, col)] = v
+        TWO_NODE_REFERENCE[(b, nn, parse_penalty(col, 2))] = v
 
 
 def check_two_node(rows: Sequence[dict]) -> list[str]:
     """Compare measured cells against TWO_NODE_REFERENCE; return failures.
 
     Tolerance per cell is 3 * sqrt(p (1-p) / 1000) with p the reference
-    fraction; reference zeros must measure at most 0.5%.
+    fraction; reference zeros must measure at most 0.5%. A row matches the
+    reference by the Penalty its label parses to on two variables, so the
+    labels a0.8 and a0.8c0.5 meet the same cells.
     """
     failures = []
     for row in rows:
         key = (row["beta"], row["n"], row["penalty"])
-        if key not in TWO_NODE_REFERENCE:
+        try:
+            penalty = parse_penalty(row["penalty"], 2)
+        except ConfigError:  # the label of a Penalty object, which no config writes
             continue
-        ref = TWO_NODE_REFERENCE[key]
+        ref = TWO_NODE_REFERENCE.get((row["beta"], row["n"], penalty))
+        if ref is None:
+            continue
         got = row["wrong_pct"]
         if ref == 0.0:
             if got > 0.5:
@@ -297,8 +309,9 @@ def run_recovery(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     penalties = tuple(parse_penalty(spec, net.num_nodes) for spec in config.penalties)
     cells = [(n, missing, derive_seed(config.seed, splitmix64(mi * 2003 + ni)))
              for mi, missing in enumerate(models) for ni, n in enumerate(config.sample_sizes)]
-    regimes = _distinct_labels(config.missingness, missingness_label, "missingness specs")
-    labels = _distinct_labels(config.penalties, penalty_label, "penalties")
+    regimes = _distinct_labels(config.missingness, models, missingness_label,
+                               "missingness specs")
+    labels = _distinct_labels(config.penalties, penalties, penalty_label, "penalties")
     keys = [(regime, n) for regime in regimes for n in config.sample_sizes]
     statistic = partial(_learn_per_penalty, net, space, penalties)
     true_df = net.df()
@@ -342,7 +355,8 @@ def run_rate_probe(config: ExperimentConfig) -> list[dict]:
         raise ConfigError(f"the rate probe runs on the two-node net only, got {config.net!r}")
     net = two_node_net()
     models = [parse_missingness(spec, net.num_nodes) for spec in config.missingness]
-    regimes = _distinct_labels(config.missingness, missingness_label, "missingness specs")
+    regimes = _distinct_labels(config.missingness, models, missingness_label,
+                               "missingness specs")
     for missing, label in zip(models, regimes):
         if (isinstance(missing, KPerRecord) and missing.k > 0
                 or isinstance(missing, Bernoulli) and 0.0 in missing.observe_probs):

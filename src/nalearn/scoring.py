@@ -54,16 +54,20 @@ def power_law(coefficient: float, alpha: float) -> Penalty:
 
 
 def parse_penalty(spec, num_vars: int) -> Penalty:
-    """Penalty from "aic" | "bic" | "none" | "a<alpha>", a dict {kind, alpha,
-    coef} whose kind defaults to "power", or a Penalty. The power-law
-    coefficient defaults to 1/num_vars; a null alpha or coef counts as absent,
-    and only a power law takes either. Raises ConfigError quoting `spec`.
+    """Penalty from "aic" | "bic" | "none" | "a<alpha>" | "a<alpha>c<coef>", a
+    dict {kind, alpha, coef} whose kind defaults to "power", or a Penalty. The
+    power-law coefficient defaults to 1/num_vars; a null alpha or coef counts
+    as absent, and only a power law takes either. Every CSV label of a spec
+    parses back to the spec's Penalty. Raises ConfigError quoting `spec`.
     """
     if isinstance(spec, Penalty):
         return spec
     if spec in ("aic", "bic", "none"):
         return Penalty(spec)
-    fields = {"alpha": spec[1:]} if isinstance(spec, str) and spec.startswith("a") else spec
+    fields = spec
+    if isinstance(spec, str) and spec.startswith("a"):
+        alpha, c, coef = spec[1:].partition("c")
+        fields = {"alpha": alpha, "coef": coef if c else None}
     if not isinstance(fields, dict) or not set(fields) <= {"kind", "alpha", "coef"}:
         raise ConfigError(f"unknown penalty spec {spec!r}")
     kind, alpha, coef = fields.get("kind", "power"), fields.get("alpha"), fields.get("coef")

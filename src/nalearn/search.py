@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
+import numpy as np
+
 from .data import Dataset, count_sufficient_stats
 from .errors import AllCandidatesUnobservable, SchemaMismatch
 from .model import Dag, node_df
@@ -24,7 +26,6 @@ from .scoring import (
     Penalty,
     lambda_value,
     node_nal_from_counts,
-    penalized,
 )
 
 
@@ -68,15 +69,28 @@ class ProfilePoint:
     dag: Dag
 
 
-def _family(data: Dataset, node: int, parents: tuple[int, ...]) -> tuple[float, int, int]:
-    """(nal, n_i, df) of one family, memoized in data.family_scores."""
-    memo = data.family_scores
-    hit = memo.get((node, parents))
-    if hit is None:
-        counts = count_sufficient_stats(data, node, parents)
-        df = node_df(node, parents, data.variables)
-        hit = memo[node, parents] = (node_nal_from_counts(counts), counts.n_i, df)
-    return hit
+def _node_table(
+    data: Dataset, node: int, space: SearchSpace, candidates: list[tuple[int, ...]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(nal, n_i, df) arrays over the node's candidates, memoized in data.family_scores.
+
+    candidates is space.candidate_parent_sets(node), whose order the arrays follow.
+    """
+    key = (node, tuple(sorted(space.predecessors(node))), space.max_parents)
+    table = data.family_scores.get(key)
+    if table is None:
+        nal, n_i, df = [], [], []
+        for parents in candidates:
+            counts = count_sufficient_stats(data, node, parents)
+            nal.append(node_nal_from_counts(counts))
+            n_i.append(counts.n_i)
+            df.append(node_df(node, parents, data.variables))
+        table = data.family_scores[key] = (
+            np.array(nal, dtype=np.float64),
+            np.array(n_i, dtype=np.int64),
+            np.array(df, dtype=np.int64),
+        )
+    return table
 
 
 def _check_space(data: Dataset, space: SearchSpace) -> None:
@@ -87,20 +101,19 @@ def _check_space(data: Dataset, space: SearchSpace) -> None:
 def best_parent_set(data: Dataset, node: int, space: SearchSpace, penalty: Penalty) -> NodeScore:
     """Exhaustive per-node winner under the decomposable score."""
     _check_space(data, space)
-    best: NodeScore | None = None
-    for parents in space.candidate_parent_sets(node):
-        value, n_i, df = _family(data, node, parents)
-        cand = NodeScore(node, parents, value, n_i, df, penalized(value, n_i, df, penalty))
-        if best is None or _better(cand, best):
-            best = cand
-    assert best is not None
-    if best.penalized == NEG_INFINITY:
+    candidates = space.candidate_parent_sets(node)
+    nal, n_i, df = _node_table(data, node, space, candidates)
+    # lambda once per distinct n_i > 0; an unobservable family (n_i = 0) keeps -inf
+    sizes, which = np.unique(n_i, return_inverse=True)
+    lam = np.array([lambda_value(penalty, int(m)) if m > 0 else 0.0 for m in sizes])
+    score = nal - lam[which] * df
+    top = score.max()
+    if top == NEG_INFINITY:
         raise AllCandidatesUnobservable(f"node {node}: every candidate has n_i = 0")
-    return best
-
-
-def _better(a: NodeScore, b: NodeScore) -> bool:
-    return (-a.penalized, a.df, a.parents) < (-b.penalized, b.df, b.parents)
+    tied = np.flatnonzero(score == top)
+    tied = tied[df[tied] == df[tied].min()]
+    k = min(tied, key=lambda k: candidates[k])
+    return NodeScore(node, candidates[k], float(nal[k]), int(n_i[k]), int(df[k]), float(top))
 
 
 def learn_structure(data: Dataset, space: SearchSpace, penalty: Penalty) -> Dag:
@@ -118,23 +131,20 @@ def _node_frontier(
     a larger parent set that fails to improve the NAL is dominated and drops
     out (the minimal-complexity convention).
     """
-    by_df: dict[int, tuple[float, tuple[int, ...]]] = {}
-    for parents in space.candidate_parent_sets(node):
-        value, _, df = _family(data, node, parents)
-        if value == NEG_INFINITY:
-            continue
-        cur = by_df.get(df)
-        if cur is None or value > cur[0] or (value == cur[0] and parents < cur[1]):
-            by_df[df] = (value, parents)
-    if not by_df:
+    candidates = space.candidate_parent_sets(node)
+    nal, _, df = _node_table(data, node, space, candidates)
+    observed = np.flatnonzero(nal != NEG_INFINITY)
+    if observed.size == 0:
         raise AllCandidatesUnobservable(f"node {node}: every candidate has n_i = 0")
     frontier = []
     best = NEG_INFINITY
-    for df in sorted(by_df):
-        value, parents = by_df[df]
-        if value > best:
-            frontier.append((df, value, parents))
-            best = value
+    for d in np.unique(df[observed]):
+        group = observed[df[observed] == d]
+        top = nal[group].max()
+        if top > best:
+            parents = min(candidates[k] for k in group[nal[group] == top])
+            frontier.append((int(d), float(top), parents))
+            best = top
     return frontier
 
 

@@ -291,6 +291,10 @@ _WIDE_NET = {  # 2**64 joint states, a count that wraps to 0 in int64
     (_RECOVERY, {**_TWO_NODE_CONFIG, "missingness": [{"mode": "none"}, {"mode": "none"}]}),
     (_RATES, {"sample_sizes": [100, 200], "replicates": 5,
               "missingness": [{"mode": "none"}, {"mode": "kper", "k": 0}, {"mode": "none"}]}),
+    # specs that give one model under two labels
+    (_RECOVERY, {**_TWO_NODE_CONFIG, "missingness": [{"mode": "bernoulli", "p": 0.5},
+                                                     {"mode": "bernoulli", "p": [0.5, 0.5]}]}),
+    (_TWO_NODE, {**_TWO_NODE_CONFIG, "penalties": ["a0.5", "a0.50"]}),
 ])
 def test_malformed_spec_exit_2(two_node_files, tmp_path, capsys, argv, config):
     _, net_path, _ = two_node_files

@@ -64,12 +64,13 @@ def test_parse_penalty_variants():
     assert p.kind == "power" and p.alpha == 0.3 and p.coefficient == 0.5
     q = parse_penalty({"kind": "power", "alpha": 0.4, "coef": 0.25}, 2)
     assert q == power_law(0.25, 0.4)
+    assert parse_penalty("a0.4c0.25", 2) == q
     assert parse_penalty({"alpha": 0.4, "coef": None}, 4) == power_law(0.25, 0.4)
     with pytest.raises(ConfigError, match="takes no alpha or coef"):
         parse_penalty({"kind": "bic", "alpha": 0.5}, 2)
     assert parse_penalty({"kind": "bic", "alpha": None, "coef": None}, 2) == BIC
     assert parse_penalty(AIC, 2) is AIC
-    for bad in ["mdl", "a0.x", "a1.5", "power", {"kind": "power"},
+    for bad in ["mdl", "a0.x", "a1.5", "power", "a0.3c", "a0.3cx", "ac0.3", {"kind": "power"},
                 {"alpha": 0.3, "coeff": 1.0}, {"alpha": 0.3, "coef": 0}, 0.3,
                 {"kind": "bic", "alpha": "junk", "coef": True}, {"kind": "aic", "coef": -3},
                 {"kind": "none", "alpha": 0.5}]:
@@ -85,6 +86,8 @@ def test_penalty_labels():
     assert penalty_label({"alpha": 0.3, "coef": None}) == "a0.3"
     assert penalty_label({"alpha": 0.3, "coef": 0.01}) == "a0.3c0.01"
     assert penalty_label({"kind": "power", "alpha": 0.3, "coef": 10}) == "a0.3c10"
+    for spec in ["a0.3", "bic", {"kind": "aic"}, {"alpha": 0.3, "coef": 1e-05}, "a0.3c10"]:
+        assert parse_penalty(penalty_label(spec), 2) == parse_penalty(spec, 2)
 
 
 def test_power_laws_with_distinct_coefs_get_distinct_rows():
@@ -245,6 +248,14 @@ def test_rate_probe_refuses_a_cell_without_a_finite_sd(fields, message):
     (run_recovery, {"penalties": ("a0.3", {"alpha": 0.3, "coef": None})}),
     (run_recovery, {"missingness": ({"mode": "none"}, {"mode": "none"})}),
     (run_rate_probe, {"missingness": ({"mode": "kper", "k": 0}, {"mode": "kper", "k": 0})}),
+    # specs that give one model under two labels
+    (run_two_node, {"penalties": ("a0.5", "a0.50")}),
+    (run_two_node, {"penalties": ("a0.8", {"alpha": 0.8, "coef": 0.5})}),
+    (run_recovery, {"penalties": ("bic", "a0.3c0.125", {"alpha": 0.3})}),
+    (run_recovery, {"missingness": ({"mode": "bernoulli", "p": 0.5},
+                                    {"mode": "bernoulli", "p": [0.5] * 8})}),
+    (run_rate_probe, {"missingness": ({"mode": "bernoulli", "p": [0.5, 0.5]},
+                                      {"mode": "bernoulli", "p": 0.5})}),
 ])
 def test_bad_spec_raises_before_sampling(monkeypatch, runner, fields):
     import nalearn.experiments
@@ -272,6 +283,17 @@ def test_check_two_node_accepts_reference_itself():
 def test_check_two_node_flags_outliers():
     rows = [{"beta": 1.0, "n": 100, "penalty": "aic", "wrong_pct": 90.0, "mc_se": 1.0}]
     assert check_two_node(rows) != []
+
+
+def test_check_two_node_matches_rows_by_penalty():
+    # the reference's a0.8 at N = 2 has coefficient 1/2, however the label writes it
+    for label in ["a0.8", "a0.80", "a0.8c0.5"]:
+        row = {"beta": 1.0, "n": 100, "penalty": label, "wrong_pct": 90.0, "mc_se": 1.0}
+        assert len(check_two_node([row])) == 1, label
+        assert check_two_node([{**row, "wrong_pct": 10.6}]) == [], label
+    # another coefficient is another penalty, which the reference does not hold
+    assert check_two_node([{"beta": 1.0, "n": 100, "penalty": "a0.8c0.25",
+                            "wrong_pct": 90.0, "mc_se": 1.0}]) == []
 
 
 def test_write_rows_format(tmp_path):

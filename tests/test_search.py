@@ -1,6 +1,8 @@
 """Parent-set search, structure learning and complexity profiles vs brute force."""
 
+import gc
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -17,6 +19,7 @@ from nalearn import (
     Variable,
     best_parent_set,
     complexity_profile,
+    count_sufficient_stats,
     forward_sample,
     lambda_value,
     learn_structure,
@@ -26,7 +29,7 @@ from nalearn import (
 )
 from nalearn.errors import AllCandidatesUnobservable
 from nalearn.model import is_compatible_with_order, node_df
-from nalearn.scoring import node_nal
+from nalearn.scoring import node_nal, score_node
 
 from util import random_dataset, random_net
 
@@ -43,8 +46,6 @@ def brute_force_learn(data, space, penalty):
             if value == NEG_INFINITY:
                 dead = True
                 break
-            from nalearn import count_sufficient_stats
-
             n_i = count_sufficient_stats(data, node, parents).n_i
             df = node_df(node, parents, data.variables)
             lam = 0.0 if penalty.kind == "none" else lambda_value(penalty, n_i)
@@ -224,7 +225,7 @@ def test_profile_matches_brute_force():
 
 
 def test_shared_family_scores_match_fresh_ones():
-    """Searches over one Dataset share its family scores; a new Dataset starts empty."""
+    """Searches over one Dataset share one table per node; a new Dataset starts empty."""
     rng = np.random.default_rng(89)
     for trial in range(10):
         variables = [Variable(f"X{i}", int(rng.integers(2, 4))) for i in range(4)]
@@ -234,15 +235,132 @@ def test_shared_family_scores_match_fresh_ones():
             assert learn_structure(data, space, penalty) == learn_structure(
                 Dataset(variables, data.values), space, penalty
             )
+        tables = dict(data.family_scores)
         assert complexity_profile(data, space) == complexity_profile(
             Dataset(variables, data.values), space
         )
         assert Dataset(variables, data.values).family_scores == {}
-        families = [(i, ps) for i in range(4) for ps in space.candidate_parent_sets(i)]
-        assert sorted(data.family_scores) == sorted(families)
-        for (node, parents), (value, _, df) in data.family_scores.items():
-            assert value == node_nal(data, node, parents)
-            assert df == node_df(node, parents, variables)
+        keys = [(i, tuple(sorted(space.predecessors(i))), 2) for i in range(4)]
+        assert sorted(data.family_scores) == sorted(keys)
+        for key in keys:  # the profile read the tables the learning filled
+            assert data.family_scores[key] is tables[key]
+        for (node, _, _), (nal, n_i, df) in data.family_scores.items():
+            candidates = space.candidate_parent_sets(node)
+            assert len(nal) == len(n_i) == len(df) == len(candidates)
+            for parents, value, size, d in zip(candidates, nal, n_i, df):
+                assert value == node_nal(data, node, parents)
+                assert size == count_sufficient_stats(data, node, parents).n_i
+                assert d == node_df(node, parents, variables)
+
+
+def test_spaces_with_other_bounds_match_fresh_datasets():
+    rng = np.random.default_rng(97)
+    for trial in range(5):
+        variables = [Variable(f"X{i}", int(rng.integers(2, 4))) for i in range(5)]
+        data = random_dataset(variables, 80, rng, 0.2)
+        order = list(rng.permutation(5))
+        for max_parents in (1, 3, 1):
+            space = SearchSpace(order, max_parents)
+            fresh = Dataset(variables, data.values)
+            for penalty in (AIC, BIC, power_law(0.5, 0.3), NO_PENALTY):
+                assert learn_structure(data, space, penalty) == learn_structure(
+                    fresh, space, penalty
+                )
+            assert complexity_profile(data, space) == complexity_profile(fresh, space)
+        assert len(data.family_scores) == 2 * 5
+
+
+def brute_force_best(data, node, space, penalty):
+    """Minimum of (-penalized, df, parents) over the node's candidates, scored one by one."""
+    scores = [score_node(data, node, ps, penalty) for ps in space.candidate_parent_sets(node)]
+    return min(scores, key=lambda s: (-s.penalized, s.df, s.parents))
+
+
+def _tied_dataset(rng, n, missing_frac):
+    """X1 = 2 X0 + X2 codes the pair (X0, X2), so the families {1} and {0, 2} of X3
+    tie in NAL and df; X4 copies X0 cell for cell, missing cells included."""
+    variables = [Variable("X0", 2), Variable("X1", 4), Variable("X2", 2), Variable("X3", 2),
+                 Variable("X4", 2)]
+    x0, x2 = rng.integers(0, 2, n), rng.integers(0, 2, n)
+    x3 = np.where(rng.random(n) < 0.9, x0 ^ x2, 1 - (x0 ^ x2))
+    values = np.stack([x0, 2 * x0 + x2, x2, x3, x0], axis=1)
+    if missing_frac:
+        values[rng.random(values.shape) < missing_frac] = -1
+        values[:, 4] = values[:, 0]
+    return Dataset(variables, values)
+
+
+@pytest.mark.parametrize("missing_frac", [0.0, 0.1])
+def test_ties_break_like_brute_force(missing_frac):
+    rng = np.random.default_rng(101)
+    for trial in range(5):
+        data = _tied_dataset(rng, 400, missing_frac)
+        space = SearchSpace([0, 1, 2, 4, 3], 3)
+        for penalty in (AIC, BIC, power_law(0.2, 0.3), NO_PENALTY):
+            for node in range(5):
+                assert best_parent_set(data, node, space, penalty) == brute_force_best(
+                    data, node, space, penalty
+                )
+        want = brute_force_profile(data, space)
+        assert [(p.t, p.dag) for p in complexity_profile(data, space)] == [
+            (t, dag) for t, _, dag in want
+        ]
+    if not missing_frac:
+        # (1,) comes first in candidate order; (0, 2) is lexicographically smaller
+        assert best_parent_set(data, 3, space, NO_PENALTY).parents == (0, 2)
+        # the copy X4 of X0 ties with it; the smaller tuple wins
+        assert best_parent_set(data, 4, space, NO_PENALTY).parents == (0,)
+
+
+def test_unobservable_candidates_keep_minus_infinity():
+    # X1 and X2 are never observed together, so every family holding both has n_i = 0
+    rng = np.random.default_rng(103)
+    variables = [Variable(f"X{i}", 2) for i in range(4)]
+    values = rng.integers(0, 2, size=(60, 4))
+    values[:30, 1] = -1
+    values[30:, 2] = -1
+    data = Dataset(variables, values)
+    space = SearchSpace([0, 1, 2, 3], 3)
+    for penalty in (AIC, BIC, power_law(0.5, 0.3), NO_PENALTY):
+        for node in range(4):
+            assert best_parent_set(data, node, space, penalty) == brute_force_best(
+                data, node, space, penalty
+            )
+        learn_structure(data, space, penalty)
+    complexity_profile(data, space)
+    nal, n_i, _ = data.family_scores[3, (0, 1, 2), 3]
+    assert 0 in n_i and np.all((nal == NEG_INFINITY) == (n_i == 0))
+
+
+def test_unobservable_node_raises_from_learn_and_profile():
+    rng = np.random.default_rng(107)
+    variables = [Variable(f"X{i}", 2) for i in range(3)]
+    values = rng.integers(0, 2, size=(40, 3))
+    values[:, 1] = -1
+    data = Dataset(variables, values)
+    space = SearchSpace([0, 1, 2], 2)
+    for penalty in (AIC, BIC, power_law(0.5, 0.3), NO_PENALTY):
+        with pytest.raises(AllCandidatesUnobservable, match="node 1"):
+            learn_structure(data, space, penalty)
+    with pytest.raises(AllCandidatesUnobservable, match="node 1"):
+        complexity_profile(data, space)
+
+
+def test_family_scores_keep_a_few_bytes_per_family():
+    rng = np.random.default_rng(109)
+    variables = [Variable(f"X{i}", int(rng.integers(2, 4))) for i in range(20)]
+    data = random_dataset(variables, 200, rng, 0.1)
+    space = SearchSpace(list(rng.permutation(20)), 3)
+    families = sum(len(space.candidate_parent_sets(i)) for i in range(20))
+    data.codes  # built before tracing: the codes are not part of the memo
+    tracemalloc.start()
+    try:
+        learn_structure(data, space, BIC)
+        gc.collect()  # also empties the free lists that keep freed tuples and floats
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 64 * families, f"{held / families:.0f} B per family"
 
 
 def test_select_from_profile_matches_global_learning():
