@@ -46,7 +46,7 @@ for penalty in (AIC, BIC, power_law(0.5, 0.3)):
     s0 = score_global(masked, empty, penalty)
     s1 = score_global(masked, chain, penalty)
     verdict = "chain (wrong)" if s1 > s0 else "empty (right)"
-    print(f"{penalty.label():>22}: empty {s0:+.5f}  chain {s1:+.5f}  -> {verdict}")
+    print(f"{penalty.label(net.num_nodes):>22}: empty {s0:+.5f}  chain {s1:+.5f}  -> {verdict}")
 
 # the decomposable variant penalizes each node at its own sample size n_i
 total, breakdown = score_decomposable(masked, chain, BIC)

@@ -41,7 +41,7 @@ for penalty in (power_law(1 / 8, 0.3), BIC):
     learned = learn_structure(masked, space, penalty)
     f = edge_f_score(net.dag, learned)
     df = df_complexity(learned, list(net.variables))
-    print(f"{penalty.label():>22}: F-score {f:.3f}  learned df {df}")
+    print(f"{penalty.label(net.num_nodes):>22}: F-score {f:.3f}  learned df {df}")
 
 # the complexity profile: best total NAL at each achievable complexity
 profile = complexity_profile(masked, space)

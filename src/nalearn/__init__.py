@@ -28,6 +28,7 @@ from .population import (
     induced_joint,
     induced_theta_mcar,
     joint_distribution,
+    observation_probability,
     population_nal,
     population_nal_of,
 )

@@ -13,7 +13,6 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -23,6 +22,7 @@ from .equivalence import edge_f_score
 from .errors import ConfigError, InsufficientGrid
 from .model import BayesNet, df_complexity, json_int, json_number, load_net, read_json
 from .networks import eight_node_net, two_node_net
+from .population import observation_probability
 from .sampling import (
     Bernoulli, KPerRecord, MissingnessModel, apply_mcar, derive_seed, forward_sample,
     parse_missingness, splitmix64,
@@ -55,6 +55,10 @@ class ExperimentConfig:
             raise ConfigError("sample sizes must be >= 1")
         if any(not 0.0 < b <= 1.0 for b in self.betas):
             raise ConfigError("betas must lie in (0, 1]")
+        for name in ("sample_sizes", "betas"):  # a repeat would write rows that share a key
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} must not repeat a value, got {list(values)}")
         if self.max_parents < 0:
             raise ConfigError(f"max_parents must be >= 0, got {self.max_parents}")
         if self.order is not None and sorted(self.order) != list(range(len(self.order))):
@@ -91,17 +95,6 @@ def load_config(path) -> ExperimentConfig:
     return read_json(path, config_from_dict)
 
 
-def penalty_label(spec) -> str:
-    if isinstance(spec, str):
-        return spec
-    if isinstance(spec, Penalty):
-        return spec.label()
-    if isinstance(spec, dict) and spec.get("kind", "power") == "power":
-        coef = spec.get("coef")
-        return f"a{spec['alpha']}" + ("" if coef is None else f"c{coef}")
-    return str(spec.get("kind"))
-
-
 def resolve_net(spec: str) -> BayesNet:
     if spec == "two-node":
         return two_node_net()
@@ -110,25 +103,22 @@ def resolve_net(spec: str) -> BayesNet:
     return load_net(spec)
 
 
-def missingness_label(spec: dict) -> str:
-    mode = spec.get("mode", "none")
-    if mode == "none":
+def missingness_label(model: MissingnessModel | None) -> str:
+    """CSV label of a parsed regime; p is one probability when all are equal."""
+    if model is None:
         return "complete"
-    if mode == "bernoulli":
-        return f"bernoulli(p={spec['p']})"
-    return f"kper(k={spec['k']})"
+    if isinstance(model, KPerRecord):
+        return f"kper(k={model.k})"
+    ps = model.observe_probs
+    return f"bernoulli(p={ps[0] if len(set(ps)) == 1 else list(ps)!r})"
 
 
-def _distinct_labels(specs, models, label_of, field: str) -> list[str]:
-    """The CSV label of each spec; models are the specs parsed. A repeated label
-    would merge two rows, and one model under two labels would run twice."""
-    labels = [label_of(spec) for spec in specs]
+def _distinct_labels(labels: list[str], field: str) -> list[str]:
+    """Labels written from parsed models, so a repeated one is one model given
+    twice, however it was spelled: it would merge rows and run the model twice."""
     repeated = sorted({label for label in labels if labels.count(label) > 1})
     if repeated:
         raise ConfigError(f"{field} repeat the label {', '.join(map(repr, repeated))}")
-    for (a, model_a), (b, model_b) in combinations(zip(labels, models), 2):
-        if model_a == model_b:
-            raise ConfigError(f"{field} {a!r} and {b!r} give the same model")
     return labels
 
 
@@ -198,7 +188,7 @@ def run_two_node(config: ExperimentConfig) -> list[dict]:
     if config.net != "two-node":
         raise ConfigError(f"the two-node table runs on the two-node net only, got {config.net!r}")
     penalties = [parse_penalty(p, 2) for p in config.penalties]
-    labels = _distinct_labels(config.penalties, penalties, penalty_label, "penalties")
+    labels = _distinct_labels([p.label(2) for p in penalties], "penalties")
     rows = []
     for bi, beta in enumerate(config.betas):
         for ni, n in enumerate(config.sample_sizes):
@@ -259,16 +249,13 @@ def check_two_node(rows: Sequence[dict]) -> list[str]:
     Tolerance per cell is 3 * sqrt(p (1-p) / 1000) with p the reference
     fraction; reference zeros must measure at most 0.5%. A row matches the
     reference by the Penalty its label parses to on two variables, so the
-    labels a0.8 and a0.8c0.5 meet the same cells.
+    labels a0.8 and a0.8c0.5 meet the same cells; a label that does not parse
+    raises ConfigError.
     """
     failures = []
     for row in rows:
         key = (row["beta"], row["n"], row["penalty"])
-        try:
-            penalty = parse_penalty(row["penalty"], 2)
-        except ConfigError:  # the label of a Penalty object, which no config writes
-            continue
-        ref = TWO_NODE_REFERENCE.get((row["beta"], row["n"], penalty))
+        ref = TWO_NODE_REFERENCE.get((row["beta"], row["n"], parse_penalty(row["penalty"], 2)))
         if ref is None:
             continue
         got = row["wrong_pct"]
@@ -309,9 +296,8 @@ def run_recovery(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     penalties = tuple(parse_penalty(spec, net.num_nodes) for spec in config.penalties)
     cells = [(n, missing, derive_seed(config.seed, splitmix64(mi * 2003 + ni)))
              for mi, missing in enumerate(models) for ni, n in enumerate(config.sample_sizes)]
-    regimes = _distinct_labels(config.missingness, models, missingness_label,
-                               "missingness specs")
-    labels = _distinct_labels(config.penalties, penalties, penalty_label, "penalties")
+    regimes = _distinct_labels([missingness_label(m) for m in models], "missingness specs")
+    labels = _distinct_labels([p.label(net.num_nodes) for p in penalties], "penalties")
     keys = [(regime, n) for regime in regimes for n in config.sample_sizes]
     statistic = partial(_learn_per_penalty, net, space, penalties)
     true_df = net.df()
@@ -347,7 +333,7 @@ def run_rate_probe(config: ExperimentConfig) -> list[dict]:
     not finite or do not vary raises InsufficientGrid instead of writing nan.
     """
     config.validate()
-    if len(set(config.sample_sizes)) < 2:
+    if len(config.sample_sizes) < 2:
         raise InsufficientGrid("rate probe needs at least two sample sizes")
     if config.replicates < 2:
         raise InsufficientGrid("rate probe needs at least two replicates for an sd")
@@ -355,11 +341,9 @@ def run_rate_probe(config: ExperimentConfig) -> list[dict]:
         raise ConfigError(f"the rate probe runs on the two-node net only, got {config.net!r}")
     net = two_node_net()
     models = [parse_missingness(spec, net.num_nodes) for spec in config.missingness]
-    regimes = _distinct_labels(config.missingness, models, missingness_label,
-                               "missingness specs")
+    regimes = _distinct_labels([missingness_label(m) for m in models], "missingness specs")
     for missing, label in zip(models, regimes):
-        if (isinstance(missing, KPerRecord) and missing.k > 0
-                or isinstance(missing, Bernoulli) and 0.0 in missing.observe_probs):
+        if observation_probability(1, (0,), missing, net.num_nodes) == 0:
             raise ConfigError(f"rate probe: {label} never observes X1 and X2 together")
     rows = []
     for ri, (missing, label) in enumerate(zip(models, regimes)):

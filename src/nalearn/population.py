@@ -1,9 +1,9 @@
 """Exact population-level quantities via enumeration of the joint state space.
 
 All computations marginalize the exact joint distribution of the generating
-network, so they are limited to at most STATE_SPACE_CAP joint states. The
-missingness enters only through observation probabilities theta_i, which
-under MCAR factor out of the conditional tables.
+network, so they are limited to at most STATE_SPACE_CAP joint states. Under
+MCAR the chance theta_i that a family is observed (observation_probability)
+factors out of its conditional tables, so missingness enters only through beta.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ class NodeTable:
 
     node: int
     parents: tuple[int, ...]
-    theta_i: float  # P(node and parents all observed)
     theta_ij: np.ndarray  # P(Pa_i = j), canonical j order
     theta_ikj: np.ndarray  # P(X_i = k | Pa_i = j), shape (q_i, q_pa)
 
@@ -77,9 +76,10 @@ class InducedTable:
     nodes: tuple[NodeTable, ...]
 
 
-def _observation_probability(
+def observation_probability(
     node: int, parents: Sequence[int], missing: MissingnessModel | None, N: int
 ) -> float:
+    """theta_i: the chance that node and its parents are all observed in a record."""
     if missing is None:
         return 1.0
     if isinstance(missing, Bernoulli):
@@ -90,7 +90,7 @@ def _observation_probability(
     return subset_observation_probability(N, missing.k, len(parents) + 1)
 
 
-def _node_table(joint: np.ndarray, node: int, parents: tuple[int, ...], theta_i: float) -> NodeTable:
+def _node_table(joint: np.ndarray, node: int, parents: tuple[int, ...]) -> NodeTable:
     N = joint.ndim
     q_i = joint.shape[node]
     other = tuple(ax for ax in range(N) if ax != node and ax not in parents)
@@ -108,11 +108,11 @@ def _node_table(joint: np.ndarray, node: int, parents: tuple[int, ...], theta_i:
     theta_ikj = cond.T.copy()
     theta_ij.flags.writeable = False  # tables are shared through FamilyTables
     theta_ikj.flags.writeable = False
-    return NodeTable(node, parents, theta_i, theta_ij, theta_ikj)
+    return NodeTable(node, parents, theta_ij, theta_ikj)
 
 
 class FamilyTables:
-    """Memoizes the NodeTable per (node, parents, theta_i) for one true net.
+    """Memoizes the NodeTable per (node, parents) for one true net.
 
     The joint is built once. Pass one instance to every induced_theta_mcar
     call over the same net so that each family is marginalized, and its
@@ -123,23 +123,20 @@ class FamilyTables:
         self.net0 = net0
         self.joint = _joint_array(net0)
         self.joint.flags.writeable = False
-        self._memo: dict[tuple[int, tuple[int, ...], float], NodeTable] = {}
+        self._memo: dict[tuple[int, tuple[int, ...]], NodeTable] = {}
 
-    def node_table(self, node: int, parents: tuple[int, ...], theta_i: float) -> NodeTable:
-        key = (node, parents, theta_i)
+    def node_table(self, node: int, parents: tuple[int, ...]) -> NodeTable:
+        key = (node, parents)
         hit = self._memo.get(key)
         if hit is None:
-            hit = self._memo[key] = _node_table(self.joint, node, parents, theta_i)
+            hit = self._memo[key] = _node_table(self.joint, node, parents)
         return hit
 
 
 def induced_theta_mcar(
-    g: Dag,
-    net0: BayesNet,
-    missing: MissingnessModel | None = None,
-    tables: FamilyTables | None = None,
+    g: Dag, net0: BayesNet, *, tables: FamilyTables | None = None
 ) -> InducedTable:
-    """Population tables theta(G | G0) under MCAR missingness.
+    """Population tables theta(G | G0), the same under every MCAR missingness.
 
     Without `tables` the joint is built for this call alone.
     """
@@ -147,12 +144,7 @@ def induced_theta_mcar(
         tables = FamilyTables(net0)
     elif tables.net0 is not net0:
         raise ValueError("family tables were built for a different net")
-    N = net0.num_nodes
-    nodes = tuple(
-        tables.node_table(i, parents, _observation_probability(i, parents, missing, N))
-        for i, parents in enumerate(g.parents)
-    )
-    return InducedTable(g, nodes)
+    return InducedTable(g, tuple(tables.node_table(i, ps) for i, ps in enumerate(g.parents)))
 
 
 def induced_joint(g: Dag, net0: BayesNet) -> np.ndarray:
@@ -259,5 +251,5 @@ def beta_of_collection(
 ) -> float:
     """Minimum positive observation probability over candidates and nodes."""
     families = {(i, parents) for g in candidates for i, parents in enumerate(g.parents)}
-    probs = [_observation_probability(i, ps, missing, num_vars) for i, ps in families]
+    probs = [observation_probability(i, ps, missing, num_vars) for i, ps in families]
     return min((p for p in probs if p > 0), default=1.0)

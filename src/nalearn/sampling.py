@@ -41,7 +41,7 @@ class Bernoulli:
     observe_probs: tuple[float, ...]
 
     def __init__(self, observe_probs: Sequence[float]):
-        ps = tuple(float(p) for p in observe_probs)
+        ps = tuple(float(p) + 0.0 for p in observe_probs)  # -0.0 reads 0.0: equal models, one label
         if any(not 0.0 <= p <= 1.0 for p in ps):
             raise ValueError("observation probabilities must lie in [0,1]")
         object.__setattr__(self, "observe_probs", ps)

@@ -38,10 +38,19 @@ class Penalty:
             if not self.coefficient > 0:  # also rejects NaN
                 raise ValueError("power-law coefficient must be positive")
 
-    def label(self) -> str:
-        if self.kind == "power":
-            return f"power(c={self.coefficient:g},a={self.alpha:g})"
-        return self.kind
+    def label(self, num_vars: int) -> str:
+        """The spec parse_penalty reads back to this penalty on num_vars variables:
+        the kind, or a<alpha> followed by c<coef> unless coef is the default 1/num_vars."""
+        if self.kind != "power":
+            return self.kind
+        coef = "" if self.coefficient == 1.0 / num_vars else f"c{_shortest(self.coefficient)}"
+        return f"a{_shortest(self.alpha)}{coef}"
+
+
+def _shortest(x: float) -> str:
+    """The shortest text float() reads back to x, without repr's trailing ".0"."""
+    text = repr(float(x))  # float(): a numpy scalar's repr names its type
+    return text[:-2] if text.endswith(".0") else text
 
 
 AIC = Penalty("aic")
@@ -57,8 +66,8 @@ def parse_penalty(spec, num_vars: int) -> Penalty:
     """Penalty from "aic" | "bic" | "none" | "a<alpha>" | "a<alpha>c<coef>", a
     dict {kind, alpha, coef} whose kind defaults to "power", or a Penalty. The
     power-law coefficient defaults to 1/num_vars; a null alpha or coef counts
-    as absent, and only a power law takes either. Every CSV label of a spec
-    parses back to the spec's Penalty. Raises ConfigError quoting `spec`.
+    as absent, and only a power law takes either. Penalty.label writes this
+    grammar. Raises ConfigError quoting `spec`.
     """
     if isinstance(spec, Penalty):
         return spec

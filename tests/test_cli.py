@@ -295,6 +295,10 @@ _WIDE_NET = {  # 2**64 joint states, a count that wraps to 0 in int64
     (_RECOVERY, {**_TWO_NODE_CONFIG, "missingness": [{"mode": "bernoulli", "p": 0.5},
                                                      {"mode": "bernoulli", "p": [0.5, 0.5]}]}),
     (_TWO_NODE, {**_TWO_NODE_CONFIG, "penalties": ["a0.5", "a0.50"]}),
+    # a repeated n or beta: every copy would run and write rows that share a key
+    (_TWO_NODE, {"sample_sizes": [100, 100], "betas": [0.9, 0.9], "penalties": ["bic"]}),
+    (_TWO_NODE, {**_TWO_NODE_CONFIG, "betas": [0.9, 0.9]}),
+    (_RATES, {"sample_sizes": [100, 200, 100], "replicates": 5}),
 ])
 def test_malformed_spec_exit_2(two_node_files, tmp_path, capsys, argv, config):
     _, net_path, _ = two_node_files

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nalearn import AIC, BIC, Dataset, Penalty, power_law, two_node_net
 from nalearn.cli import main
@@ -14,8 +16,8 @@ from nalearn.experiments import (
     ExperimentConfig,
     check_two_node,
     config_from_dict,
+    missingness_label,
     monte_carlo,
-    penalty_label,
     resolve_net,
     run_rate_probe,
     run_recovery,
@@ -36,6 +38,8 @@ def test_config_rejects_unknown_field():
 def test_config_validation():
     with pytest.raises(ConfigError):
         config_from_dict({"replicates": 0})
+    with pytest.raises(ConfigError, match="must not repeat"):
+        config_from_dict({"sample_sizes": [100, 100], "betas": [0.9, 0.9], "penalties": ["bic"]})
     with pytest.raises(ConfigError):
         config_from_dict({"sample_sizes": [0]})
     with pytest.raises(ConfigError):
@@ -79,15 +83,43 @@ def test_parse_penalty_variants():
 
 
 def test_penalty_labels():
-    assert penalty_label("a0.3") == "a0.3"
-    assert penalty_label("bic") == "bic"
-    assert penalty_label({"kind": "bic"}) == "bic"
-    assert penalty_label({"alpha": 0.3}) == "a0.3"
-    assert penalty_label({"alpha": 0.3, "coef": None}) == "a0.3"
-    assert penalty_label({"alpha": 0.3, "coef": 0.01}) == "a0.3c0.01"
-    assert penalty_label({"kind": "power", "alpha": 0.3, "coef": 10}) == "a0.3c10"
-    for spec in ["a0.3", "bic", {"kind": "aic"}, {"alpha": 0.3, "coef": 1e-05}, "a0.3c10"]:
-        assert parse_penalty(penalty_label(spec), 2) == parse_penalty(spec, 2)
+    # a label is written from the parsed penalty, so every spelling of one penalty shares it
+    for spec, label in [("a0.3", "a0.3"), ("bic", "bic"), ({"kind": "bic"}, "bic"),
+                        ({"alpha": 0.3}, "a0.3"), ({"alpha": 0.3, "coef": None}, "a0.3"),
+                        ("a0.50", "a0.5"), ("a0.3c0.5", "a0.3"), (power_law(0.5, 0.3), "a0.3"),
+                        ({"alpha": 0.3, "coef": 0.01}, "a0.3c0.01"), ("a0.3c1e-05", "a0.3c1e-05"),
+                        ({"kind": "power", "alpha": 0.3, "coef": 10}, "a0.3c10"),
+                        (power_law(1 / 3, 0.3), "a0.3c0.3333333333333333")]:
+        assert parse_penalty(spec, 2).label(2) == label, spec
+        assert parse_penalty(label, 2) == parse_penalty(spec, 2), spec
+    assert power_law(0.125, 0.3).label(8) == "a0.3"
+    assert power_law(0.5, 0.3).label(8) == "a0.3c0.5"
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       coef=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+       num_vars=st.integers(2, 40))
+def test_penalty_label_parses_back(alpha, coef, num_vars):
+    for penalty in (power_law(coef, alpha), power_law(1.0 / num_vars, alpha)):
+        assert parse_penalty(penalty.label(num_vars), num_vars) == penalty
+
+
+def test_missingness_labels():
+    for spec, label in [("none", "complete"), ({"mode": "kper", "k": 1.0}, "kper(k=1)"),
+                        ("kper:0", "kper(k=0)"), ("bernoulli:0.9", "bernoulli(p=0.9)"),
+                        ({"mode": "bernoulli", "p": [0.9, 0.9]}, "bernoulli(p=0.9)"),
+                        ({"mode": "bernoulli", "p": 1}, "bernoulli(p=1.0)"),
+                        ({"mode": "bernoulli", "p": [1, 0.5]}, "bernoulli(p=[1.0, 0.5])"),
+                        ({"mode": "bernoulli", "p": [-0.0, 0]}, "bernoulli(p=0.0)")]:
+        assert missingness_label(parse_missingness(spec, 2)) == label, spec
+    assert missingness_label(parse_missingness({"mode": "kper", "k": 2.0}, 8)) == "kper(k=2)"
+
+
+def test_string_missingness_spec_in_a_python_config():
+    cfg = ExperimentConfig(sample_sizes=(50, 100), replicates=5, seed=1,
+                           missingness=("bernoulli:0.9",))
+    assert {row["regime"] for row in run_rate_probe(cfg)} == {"bernoulli(p=0.9)"}
 
 
 def test_power_laws_with_distinct_coefs_get_distinct_rows():
@@ -215,6 +247,8 @@ def test_run_rate_probe_slopes_and_grid():
     assert rows[0]["slope"] < -0.5  # complete data decays faster than root-n
     with pytest.raises(InsufficientGrid):
         run_rate_probe(ExperimentConfig(sample_sizes=(100,), replicates=10, seed=1))
+    with pytest.raises(ConfigError):  # one n twice is no slope either
+        run_rate_probe(ExperimentConfig(sample_sizes=(100, 100), replicates=10, seed=1))
     with pytest.raises(InsufficientGrid):  # one replicate has no sd
         run_rate_probe(ExperimentConfig(sample_sizes=(100, 1000), replicates=1, seed=1))
 
@@ -256,6 +290,12 @@ def test_rate_probe_refuses_a_cell_without_a_finite_sd(fields, message):
                                     {"mode": "bernoulli", "p": [0.5] * 8})}),
     (run_rate_probe, {"missingness": ({"mode": "bernoulli", "p": [0.5, 0.5]},
                                       {"mode": "bernoulli", "p": 0.5})}),
+    (run_rate_probe, {"missingness": ("bernoulli:0.9", {"mode": "bernoulli", "p": 0.9})}),
+    (run_two_node, {"penalties": (power_law(0.5, 0.8), "a0.8")}),
+    # a repeated n or beta would write rows that share a key
+    (run_two_node, {"sample_sizes": (100, 100)}),
+    (run_two_node, {"betas": (0.9, 0.9)}),
+    (run_recovery, {"sample_sizes": (50, 50)}),
 ])
 def test_bad_spec_raises_before_sampling(monkeypatch, runner, fields):
     import nalearn.experiments
@@ -265,7 +305,8 @@ def test_bad_spec_raises_before_sampling(monkeypatch, runner, fields):
 
     monkeypatch.setattr(nalearn.experiments, "forward_sample", no_sampling)
     net = "eight-node" if runner is run_recovery else "two-node"
-    cfg = ExperimentConfig(net=net, sample_sizes=(50, 100), replicates=2, seed=1, **fields)
+    cfg = ExperimentConfig(**{"net": net, "sample_sizes": (50, 100), "replicates": 2, "seed": 1,
+                              **fields})
     with pytest.raises(ConfigError):
         runner(cfg)
 
@@ -294,6 +335,17 @@ def test_check_two_node_matches_rows_by_penalty():
     # another coefficient is another penalty, which the reference does not hold
     assert check_two_node([{"beta": 1.0, "n": 100, "penalty": "a0.8c0.25",
                             "wrong_pct": 90.0, "mc_se": 1.0}]) == []
+    with pytest.raises(ConfigError):  # every label a runner writes parses
+        check_two_node([{"beta": 1.0, "n": 100, "penalty": "power(c=0.5,a=0.8)",
+                         "wrong_pct": 90.0, "mc_se": 1.0}])
+
+
+def test_penalty_object_is_labelled_and_checked_like_its_spec():
+    cfg = ExperimentConfig(sample_sizes=(100,), betas=(1.0,), replicates=5, seed=1,
+                           penalties=(power_law(0.5, 0.8),))
+    [row] = run_two_node(cfg)
+    assert row["penalty"] == "a0.8"
+    assert len(check_two_node([{**row, "wrong_pct": 90.0}])) == 1
 
 
 def test_write_rows_format(tmp_path):

@@ -1,4 +1,5 @@
-"""Every package module uses every name it imports (``__init__`` re-exports)."""
+"""Every package module uses every name it imports (``__init__`` re-exports),
+and none imports an underscore name from another package module."""
 
 import ast
 from pathlib import Path
@@ -25,3 +26,17 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(set(imported_names(tree)) - used)
     assert not unused, f"{path.name} imports {unused} and never uses them"
+
+
+def private_imports(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "nalearn"
+                                                 or node.module.startswith("nalearn.")):
+            yield from (alias.name for alias in node.names if alias.name.startswith("_"))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    private = sorted(private_imports(tree))
+    assert not private, f"{path.name} imports the private names {private}"

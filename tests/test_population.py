@@ -26,7 +26,7 @@ from nalearn import (
 )
 from nalearn.errors import CycleDetected, MalformedParents, NodeCountMismatch, StateSpaceTooLarge
 from nalearn.networks import eight_node_net
-from nalearn.population import FamilyTables
+from nalearn.population import FamilyTables, observation_probability
 from nalearn.scoring import node_nal_from_counts
 
 from util import all_dags, random_net
@@ -107,7 +107,7 @@ def test_induced_theta_true_dag_matches_cpt():
     net = dependent_two_node()
     table = induced_theta_mcar(net.dag, net)
     np.testing.assert_allclose(table.nodes[1].theta_ikj, net.cpt.tables[1].T, atol=1e-12)
-    assert table.nodes[0].theta_i == 1.0
+    assert observation_probability(0, (), None, 2) == 1.0  # complete data observes every family
 
 
 def test_induced_theta_independent_net_chain_candidate():
@@ -119,10 +119,13 @@ def test_induced_theta_independent_net_chain_candidate():
 
 
 def test_induced_theta_bernoulli_observation_probability():
-    net = two_node_net()
-    table = induced_theta_mcar(two_node_chain_dag(), net, Bernoulli((0.75, 1.0)))
-    assert table.nodes[1].theta_i == pytest.approx(0.75)
-    assert table.nodes[0].theta_i == pytest.approx(0.75)
+    missing = Bernoulli((0.75, 1.0))
+    assert observation_probability(1, (0,), missing, 2) == pytest.approx(0.75)
+    assert observation_probability(0, (), missing, 2) == pytest.approx(0.75)
+    assert observation_probability(1, (), missing, 2) == 1.0
+    assert beta_of_collection([two_node_chain_dag()], missing, 2) == pytest.approx(0.75)
+    with pytest.raises(TypeError):  # the tables take no missingness: MCAR leaves them unchanged
+        induced_theta_mcar(two_node_chain_dag(), two_node_net(), missing)
 
 
 def test_population_nal_independent_net():
@@ -333,11 +336,10 @@ def test_family_tables_share_read_only_node_tables():
     chain = induced_theta_mcar(two_node_chain_dag(), net, tables=tables)
     empty = induced_theta_mcar(Dag([[], []]), net, tables=tables)
     assert chain.nodes[0] is empty.nodes[0]  # family (0, ()) is marginalized once
-    masked = induced_theta_mcar(two_node_chain_dag(), net, Bernoulli((0.75, 1.0)), tables=tables)
-    assert masked.nodes[1].theta_i == pytest.approx(0.75)
-    assert chain.nodes[1].theta_i == 1.0
-    np.testing.assert_array_equal(masked.nodes[1].theta_ikj, chain.nodes[1].theta_ikj)
-    for entry in chain.nodes + masked.nodes:
+    again = induced_theta_mcar(two_node_chain_dag(), net, tables=tables)
+    assert again.nodes[1] is chain.nodes[1]  # under any masking, whose theta_i is beta's alone
+    assert beta_of_collection([two_node_chain_dag()], Bernoulli((0.75, 1.0)), 2) == 0.75
+    for entry in chain.nodes + empty.nodes:
         for array in (entry.theta_ij, entry.theta_ikj):
             with pytest.raises(ValueError):
                 array[0] = 0.5
@@ -348,14 +350,14 @@ def test_family_tables_share_read_only_node_tables():
 def test_beta_visits_each_family_once(monkeypatch):
     import nalearn.population
 
-    original = nalearn.population._observation_probability
+    original = nalearn.population.observation_probability
     dags = all_dags(3) * 2
     for missing in (None, KPerRecord(1), Bernoulli((0.5, 0.0, 0.9)), Bernoulli((0.0,) * 3)):
         # the per-candidate, per-node loop (the reference)
         probs = [original(i, ps, missing, 3) for g in dags for i, ps in enumerate(g.parents)]
         expect = min((p for p in probs if p > 0), default=1.0)
         calls = []
-        monkeypatch.setattr(nalearn.population, "_observation_probability",
+        monkeypatch.setattr(nalearn.population, "observation_probability",
                             lambda *args: calls.append(args) or original(*args))
         assert beta_of_collection(dags, missing, 3) == expect
         assert len(calls) == len(set(calls)) == 3 * 4  # 3 nodes x 4 parent sets each
