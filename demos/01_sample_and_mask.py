@@ -3,8 +3,8 @@ Forward sampling and MCAR masking
 =================================
 
 Draws complete records from a small discrete Bayesian network, deletes
-cells completely at random, and shows how the available-case counts and
-plug-in estimators react to the missing data.
+cells completely at random, and shows how the available-case counts
+react to the missing data.
 """
 
 import numpy as np
@@ -14,7 +14,6 @@ from nalearn import (
     KPerRecord,
     apply_mcar,
     count_sufficient_stats,
-    estimate_theta,
     forward_sample,
     two_node_net,
 )
@@ -37,11 +36,11 @@ counts = count_sufficient_stats(masked, node=1, parents=[0])
 print("n =", counts.n, " n_i =", counts.n_i)
 print("n_ikj =\n", counts.n_ikj)
 
-# the plug-in estimators; the conditional columns stay close to the true
-# marginal (0.3, 0.7) because the two variables are independent
-theta = estimate_theta(counts)
-print("theta_i  =", theta.theta_i)
-print("theta_ikj =\n", theta.theta_ikj)
+# the plug-in ratios n_i / n and n_ikj / n_ij; the conditional columns stay
+# close to the true marginal (0.3, 0.7) because the two variables are
+# independent
+print("theta_i  =", counts.n_i / counts.n)
+print("theta_ikj =\n", counts.n_ikj / counts.n_ij)
 
 # the k-per-record scheme instead deletes exactly k cells in every record
 kper = apply_mcar(data, KPerRecord(1), seed=9)

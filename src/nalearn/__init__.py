@@ -6,7 +6,7 @@ identifiability analysis, exhaustive order-compatible search, and a Monte
 Carlo harness for consistency experiments.
 """
 
-from .data import MISSING, Dataset, SufficientCounts, ThetaEstimate, count_sufficient_stats, estimate_theta, read_csv, write_csv
+from .data import MISSING, Dataset, SufficientCounts, count_sufficient_stats, read_csv, write_csv
 from .equivalence import dags_equivalent, edge_f_score, edge_precision_recall, skeleton, v_structures
 from .model import (
     BayesNet,
@@ -14,10 +14,8 @@ from .model import (
     Dag,
     Variable,
     df_complexity,
-    is_subgraph,
     load_net,
     load_structure,
-    save_net,
     save_structure,
     validate_dag,
 )
@@ -25,7 +23,6 @@ from .population import (
     InducedTable,
     beta_of_collection,
     check_identifiability,
-    induced_joint,
     induced_theta_mcar,
     joint_distribution,
     observation_probability,
@@ -45,7 +42,6 @@ from .scoring import (
     AIC,
     BIC,
     NEG_INFINITY,
-    NO_PENALTY,
     NodeScore,
     Penalty,
     lambda_value,
@@ -54,10 +50,8 @@ from .scoring import (
     power_law,
     score_decomposable,
     score_global,
-    standard_avg_loglik,
 )
 from .search import ProfilePoint, SearchSpace, best_parent_set, complexity_profile, learn_structure, select_from_profile
-from .em import NodeParams, QStarInput, q_star, q_star_at_maximizer, q_star_maximizer
 from .networks import benchmark_structure_37, eight_node_net, two_node_chain_dag, two_node_net
 
 __version__ = "0.1.0"

@@ -176,7 +176,7 @@ def cmd_experiment(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     mode = args.mode
     if mode == "two-node":
-        rows = experiments.run_two_node(config)
+        rows = experiments.run_two_node(config, jobs=args.jobs)
         experiments.write_rows(rows, out_dir / "table1.csv")
         if args.check:
             failures = experiments.check_two_node(rows)
@@ -188,7 +188,7 @@ def cmd_experiment(args) -> int:
         rows = experiments.run_recovery(config, jobs=args.jobs)
         experiments.write_rows(rows, out_dir / "recovery.csv")
     else:
-        rows = experiments.run_rate_probe(config)
+        rows = experiments.run_rate_probe(config, jobs=args.jobs)
         experiments.write_rows(rows, out_dir / "rates.csv")
     return 0
 

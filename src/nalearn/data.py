@@ -1,4 +1,4 @@
-"""Datasets with missing cells, sufficient counts and plug-in estimators.
+"""Datasets with missing cells, sufficient counts and CSV input and output.
 
 A dataset is an (n, N) array of int16 category codes; MISSING (-1) marks an
 unobserved cell. Counts for a (node, parent set) pair use available-case
@@ -19,7 +19,6 @@ constructor checks.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -69,9 +68,6 @@ class Dataset:
     @property
     def num_variables(self) -> int:
         return self.values.shape[1]
-
-    def is_complete(self) -> bool:
-        return bool(np.all(self.values != MISSING))
 
     @cached_property
     def codes(self) -> np.ndarray:
@@ -127,6 +123,8 @@ def count_sufficient_stats(
             raise IndexOutOfRange(f"parent {p}")
         if p == node:
             raise IndexOutOfRange(f"node {node} cannot be its own parent")
+    if len(set(parents)) < len(parents):  # a repeat would add a parent's states twice
+        raise IndexOutOfRange(f"node {node}: parents {list(parents)} repeat a node")
 
     codes = data.codes
     q_i = data.variables[node].cardinality
@@ -146,62 +144,20 @@ def count_sufficient_stats(
     return SufficientCounts(node, parents, data.num_records, n_i, n_ij, n_ikj)
 
 
-@dataclass(frozen=True)
-class ThetaEstimate:
-    """Plug-in ratio estimators for one (node, parent set) pair.
-
-    Undefined ratios (zero denominator) are NaN, deliberately distinct
-    from an estimated zero probability.
-    """
-
-    node: int
-    parents: tuple[int, ...]
-    theta_i: float  # n_i / n, NaN when n == 0
-    theta_ij: np.ndarray  # n_ij / n_i
-    theta_ikj: np.ndarray  # n_ikj / n_ij, shape (q_i, q_pa)
-
-
-def estimate_theta(counts: SufficientCounts) -> ThetaEstimate:
-    """Compute theta-hat ratios from sufficient counts."""
-    theta_i = counts.n_i / counts.n if counts.n > 0 else np.nan
-    with np.errstate(divide="ignore", invalid="ignore"):
-        theta_ij = np.where(
-            counts.n_i > 0, counts.n_ij / max(counts.n_i, 1), np.nan
-        ).astype(float)
-        denom = counts.n_ij.astype(float)
-        theta_ikj = np.where(denom > 0, counts.n_ikj / np.maximum(denom, 1.0), np.nan)
-    return ThetaEstimate(counts.node, counts.parents, theta_i, theta_ij, theta_ikj)
-
-
-def write_csv(data: Dataset, path_or_buf) -> None:
+def write_csv(data: Dataset, path) -> None:
     """Write a dataset as CSV: header of variable names, "NA" for missing."""
-    close = False
-    if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-        f = open(path_or_buf, "w", encoding="utf-8", newline="\n")
-        close = True
-    else:
-        f = path_or_buf
-    try:
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(v.name for v in data.variables) + "\n")
         for row in data.values:
             f.write(
                 ",".join(MISSING_TOKEN if c == MISSING else str(int(c)) for c in row)
                 + "\n"
             )
-    finally:
-        if close:
-            f.close()
 
 
-def read_csv(path_or_buf, variables: Sequence[Variable]) -> Dataset:
+def read_csv(path, variables: Sequence[Variable]) -> Dataset:
     """Read a CSV written by write_csv; header must match the schema names."""
-    close = False
-    if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-        f = open(path_or_buf, "r", encoding="utf-8")
-        close = True
-    else:
-        f = path_or_buf
-    try:
+    with open(path, "r", encoding="utf-8") as f:
         header = f.readline().rstrip("\r\n").split(",")
         names = [v.name for v in variables]
         if header != names:
@@ -222,15 +178,6 @@ def read_csv(path_or_buf, variables: Sequence[Variable]) -> Dataset:
                 raise SchemaMismatch(
                     f"CSV line {lineno}: cells must be integers or {MISSING_TOKEN}"
                 ) from None
-    finally:
-        if close:
-            f.close()
     # the Dataset range check rejects cells too large for a category code
     values = rows if rows else np.empty((0, len(variables)))
     return Dataset(variables, values)
-
-
-def dataset_to_csv_string(data: Dataset) -> str:
-    buf = io.StringIO()
-    write_csv(data, buf)
-    return buf.getvalue()

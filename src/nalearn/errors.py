@@ -37,14 +37,6 @@ class AllCandidatesUnobservable(NalearnError):
     pass
 
 
-class UnobservableNode(NalearnError):
-    pass
-
-
-class NonNormalizedParameters(NalearnError):
-    pass
-
-
 class ZeroSampleSize(NalearnError):
     pass
 

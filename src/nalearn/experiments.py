@@ -169,7 +169,7 @@ def spurious_edge_gain(data: Dataset) -> float:
 
 
 def two_node_wrong_fraction(
-    beta: float, n: int, penalties: Sequence[Penalty], replicates: int, seed: int
+    beta: float, n: int, penalties: Sequence[Penalty], replicates: int, seed: int, jobs: int = 1
 ) -> list[float]:
     """Fraction of replicates where the spurious edge wins, per penalty.
 
@@ -177,13 +177,14 @@ def two_node_wrong_fraction(
     wins exactly when its gain exceeds lambda_n; ties count as correct.
     """
     mask = Bernoulli((beta, 1.0)) if beta < 1.0 else None
-    [gains] = monte_carlo(two_node_net(), [(n, mask, seed)], replicates, spurious_edge_gain)
+    [gains] = monte_carlo(two_node_net(), [(n, mask, seed)], replicates, spurious_edge_gain, jobs)
     lams = [lambda_value(pen, n) for pen in penalties]
     return [sum(gain > lam for gain in gains) / replicates for lam in lams]
 
 
-def run_two_node(config: ExperimentConfig) -> list[dict]:
-    """Wrong-selection percentages over the (beta, n, penalty) grid."""
+def run_two_node(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
+    """Wrong-selection percentages over the (beta, n, penalty) grid; jobs > 1
+    runs each cell's replicates in a process pool of its own."""
     config.validate()
     if config.net != "two-node":
         raise ConfigError(f"the two-node table runs on the two-node net only, got {config.net!r}")
@@ -194,7 +195,7 @@ def run_two_node(config: ExperimentConfig) -> list[dict]:
         for ni, n in enumerate(config.sample_sizes):
             cell_seed = derive_seed(config.seed, splitmix64(bi * 1009 + ni))
             fractions = two_node_wrong_fraction(
-                beta, n, penalties, config.replicates, cell_seed
+                beta, n, penalties, config.replicates, cell_seed, jobs
             )
             for label, frac in zip(labels, fractions):
                 se = math.sqrt(max(frac * (1 - frac), 0.0) / config.replicates)
@@ -324,13 +325,14 @@ def run_recovery(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
 # Convergence-rate probe for the nested NAL difference
 # ---------------------------------------------------------------------------
 
-def run_rate_probe(config: ExperimentConfig) -> list[dict]:
+def run_rate_probe(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     """Sd of the spurious-edge gain per n, with a log-log slope per regime.
 
     The gain is the two-node table's: the NAL difference between the one-edge
     model and the independence model nested in it. A regime that never observes
     X1 and X2 together is refused before sampling, and a cell whose gains are
     not finite or do not vary raises InsufficientGrid instead of writing nan.
+    jobs > 1 runs each regime's replicates in a process pool of its own.
     """
     config.validate()
     if len(config.sample_sizes) < 2:
@@ -349,7 +351,7 @@ def run_rate_probe(config: ExperimentConfig) -> list[dict]:
     for ri, (missing, label) in enumerate(zip(models, regimes)):
         cells = [(n, missing, derive_seed(config.seed, splitmix64(ri * 4001 + ni)))
                  for ni, n in enumerate(config.sample_sizes)]
-        gains = monte_carlo(net, cells, config.replicates, spurious_edge_gain)
+        gains = monte_carlo(net, cells, config.replicates, spurious_edge_gain, jobs)
         for n, cell in zip(config.sample_sizes, gains):
             if not all(map(math.isfinite, cell)):
                 raise InsufficientGrid(f"rate probe: under {label} at n = {n} some replicate "

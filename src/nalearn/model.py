@@ -102,12 +102,6 @@ def validate_dag(dag: Dag) -> None:
     dag.topological_order()
 
 
-def is_compatible_with_order(dag: Dag, order: Sequence[int]) -> bool:
-    """True iff every parent precedes its child in the given node order."""
-    rank = {node: r for r, node in enumerate(order)}
-    return all(rank[p] < rank[i] for i, ps in enumerate(dag.parents) for p in ps)
-
-
 def df_complexity(dag: Dag, variables: Sequence[Variable]) -> int:
     """Number of free CPT parameters: sum_i q(Pa_i) * (q(X_i) - 1)."""
     if len(variables) != dag.num_nodes:
@@ -118,13 +112,6 @@ def df_complexity(dag: Dag, variables: Sequence[Variable]) -> int:
 def node_df(node: int, parents: Sequence[int], variables: Sequence[Variable]) -> int:
     """Per-node parameter count q(Pa_i) * (q(X_i) - 1)."""
     return parent_config_count(parents, variables) * (variables[node].cardinality - 1)
-
-
-def is_subgraph(g1: Dag, g2: Dag) -> bool:
-    """True iff every directed edge of g1 is also in g2."""
-    if g1.num_nodes != g2.num_nodes:
-        raise NodeCountMismatch(f"{g1.num_nodes} != {g2.num_nodes}")
-    return all(set(p1) <= set(p2) for p1, p2 in zip(g1.parents, g2.parents))
 
 
 def parent_config_count(parents: Sequence[int], variables: Sequence[Variable]) -> int:
@@ -262,19 +249,9 @@ def structure_from_dict(obj: dict) -> tuple[list[Variable], Dag]:
     return variables, dag
 
 
-def net_to_dict(net: BayesNet) -> dict:
-    obj = structure_to_dict(net.dag, net.variables)
-    obj["cpt"] = [t.tolist() for t in net.cpt.tables]
-    return obj
-
-
 def net_from_dict(obj: dict) -> BayesNet:
     variables, dag = structure_from_dict(obj)
     return BayesNet(variables, dag, Cpt(obj["cpt"]))
-
-
-def save_net(net: BayesNet, path) -> None:
-    write_json(net_to_dict(net), path)
 
 
 def load_net(path) -> BayesNet:

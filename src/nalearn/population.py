@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NodeCountMismatch, StateSpaceTooLarge
-from .model import BayesNet, Cpt, Dag, df_complexity, validate_dag
+from .model import BayesNet, Dag, df_complexity, validate_dag
 from .sampling import Bernoulli, MissingnessModel, subset_observation_probability
 from .scoring import neg_conditional_entropy
 
@@ -145,13 +145,6 @@ def induced_theta_mcar(
     elif tables.net0 is not net0:
         raise ValueError("family tables were built for a different net")
     return InducedTable(g, tuple(tables.node_table(i, ps) for i, ps in enumerate(g.parents)))
-
-
-def induced_joint(g: Dag, net0: BayesNet) -> np.ndarray:
-    """Flat joint of the distribution induced by reading net0 through g."""
-    table = induced_theta_mcar(g, net0)
-    cpt = Cpt(entry.theta_ikj.T for entry in table.nodes)
-    return _joint_array(BayesNet(net0.variables, g, cpt)).ravel()
 
 
 def population_nal(table: InducedTable) -> float:

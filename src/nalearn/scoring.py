@@ -35,8 +35,8 @@ class Penalty:
         if self.kind == "power":
             if not 0.0 < self.alpha < 1.0:
                 raise ValueError("power-law alpha must lie in (0,1)")
-            if not self.coefficient > 0:  # also rejects NaN
-                raise ValueError("power-law coefficient must be positive")
+            if not (self.coefficient > 0 and math.isfinite(self.coefficient)):  # and NaN
+                raise ValueError("power-law coefficient must be positive and finite")
 
     def label(self, num_vars: int) -> str:
         """The spec parse_penalty reads back to this penalty on num_vars variables:
@@ -55,7 +55,6 @@ def _shortest(x: float) -> str:
 
 AIC = Penalty("aic")
 BIC = Penalty("bic")
-NO_PENALTY = Penalty("none")
 
 
 def power_law(coefficient: float, alpha: float) -> Penalty:
@@ -155,26 +154,6 @@ def nal(data: Dataset, dag: Dag) -> float:
     parts = [node_nal(data, i, ps) for i, ps in enumerate(dag.parents)]
     if any(p == NEG_INFINITY for p in parts):
         return NEG_INFINITY
-    return math.fsum(parts)
-
-
-def standard_avg_loglik(data: Dataset, dag: Dag) -> float:
-    """Sample average log-likelihood: (1/n) sum_i sum_jk n_ikj ln theta_ikj."""
-    _check_schema(data, dag)
-    n = data.num_records
-    if n == 0:
-        return NEG_INFINITY
-    parts = []
-    for i, ps in enumerate(dag.parents):
-        counts = count_sufficient_stats(data, i, ps)
-        n_ij = counts.n_ij.astype(float)
-        n_ikj = counts.n_ikj.astype(float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            theta = n_ikj / np.where(n_ij > 0, n_ij, 1.0)[None, :]
-            terms = np.where(
-                n_ikj > 0, n_ikj * np.log(np.where(theta > 0, theta, 1.0)), 0.0
-            )
-        parts.append(float(terms.sum()) / n)
     return math.fsum(parts)
 
 

@@ -12,10 +12,10 @@ import pytest
 
 from nalearn import (
     BIC,
-    NO_PENALTY,
     Bernoulli,
     Dag,
     KPerRecord,
+    Penalty,
     SearchSpace,
     benchmark_structure_37,
     apply_mcar,
@@ -24,15 +24,11 @@ from nalearn import (
     count_sufficient_stats,
     df_complexity,
     forward_sample,
-    induced_joint,
     induced_theta_mcar,
-    is_subgraph,
     joint_distribution,
     learn_structure,
     nal,
     population_nal_of,
-    q_star_at_maximizer,
-    standard_avg_loglik,
 )
 from nalearn.experiments import (
     ExperimentConfig,
@@ -42,6 +38,7 @@ from nalearn.experiments import (
     run_two_node,
 )
 
+from oracles import induced_joint, is_subgraph, q_star_at_maximizer, standard_avg_loglik
 from util import random_dataset, random_net
 from test_search import brute_force_learn, brute_force_profile
 
@@ -299,7 +296,7 @@ def test_criterion_8_unpenalized_overfit(capsys):
         data = generic_dataset(num, rng)
         order = list(rng.permutation(num))
         space = SearchSpace(order, max_parents=num - 1)
-        learned = learn_structure(data, space, NO_PENALTY)
+        learned = learn_structure(data, space, Penalty("none"))
         maximal = [None] * num
         for rank, node in enumerate(order):
             maximal[node] = sorted(order[:rank])

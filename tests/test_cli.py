@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from nalearn import (
+    MISSING,
     Dag,
     KPerRecord,
     SearchSpace,
@@ -16,14 +17,14 @@ from nalearn import (
     forward_sample,
     load_structure,
     read_csv,
-    save_net,
     save_structure,
     two_node_net,
     write_csv,
 )
 from nalearn.cli import main
-from nalearn.model import net_to_dict
 from nalearn.networks import eight_node_net
+
+from util import net_to_dict, save_net
 
 
 @pytest.fixture
@@ -51,7 +52,7 @@ def test_sample_and_mask(two_node_files, tmp_path, capsys):
     ])
     assert code == 0
     data = read_csv(data_path, list(net.variables))
-    assert data.num_records == 500 and data.is_complete()
+    assert data.num_records == 500 and (data.values != MISSING).all()
 
     masked_path = tmp_path / "masked.csv"
     code, _, _ = run(capsys, [
@@ -185,6 +186,7 @@ def test_learn_profile_counts_each_candidate_once(tmp_path, capsys, monkeypatch)
     ["--penalty", "bic", "--order", "X1,X1"],
     ["--penalty", "bic", "--alpha", "0.3"],
     ["--penalty", "none", "--coef", "1"],
+    ["--penalty", "power", "--alpha", "0.3", "--coef", "inf"],
 ])
 def test_learn_bad_arguments_exit_2(two_node_files, tmp_path, capsys, extra):
     _, _, structure_path = two_node_files

@@ -1,6 +1,4 @@
-"""Datasets, sufficient counts, plug-in estimators and the CSV format."""
-
-import io
+"""Datasets, sufficient counts and the CSV format."""
 
 import numpy as np
 import pytest
@@ -14,13 +12,11 @@ from nalearn import (
     Variable,
     apply_mcar,
     count_sufficient_stats,
-    estimate_theta,
     forward_sample,
     read_csv,
     two_node_net,
     write_csv,
 )
-from nalearn.data import dataset_to_csv_string
 from nalearn.errors import IndexOutOfRange, SchemaMismatch
 from nalearn.population import induced_theta_mcar
 from nalearn.scoring import NEG_INFINITY, node_nal_from_counts
@@ -74,26 +70,13 @@ def test_counts_index_errors():
         count_sufficient_stats(FOUR, 5, [])
     with pytest.raises(IndexOutOfRange):
         count_sufficient_stats(FOUR, 1, [1])
-
-
-def test_estimate_theta_hand_case():
-    t = estimate_theta(count_sufficient_stats(FOUR, 1, [0]))
-    assert t.theta_i == 1.0
-    np.testing.assert_allclose(t.theta_ij, [0.5, 0.5])
-    np.testing.assert_allclose(t.theta_ikj, [[0.5, 0.0], [0.5, 1.0]])
-
-
-def test_estimate_theta_undefined_column_is_nan():
-    data = Dataset(BIN2, [(0, 0), (0, 1)])
-    t = estimate_theta(count_sufficient_stats(data, 1, [0]))
-    # parent config X1=1 never observed: that column is undefined, not zero
-    assert np.isnan(t.theta_ikj[:, 1]).all()
-    assert not np.isnan(t.theta_ikj[:, 0]).any()
+    with pytest.raises(IndexOutOfRange):  # a repeat would count X1's states twice
+        count_sufficient_stats(FOUR, 1, [0, 0])
 
 
 def test_theta_i_is_one_on_complete_data():
-    t = estimate_theta(count_sufficient_stats(FOUR, 0, []))
-    assert t.theta_i == 1.0
+    c = count_sufficient_stats(FOUR, 0, [])
+    assert c.n_i / c.n == 1.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -168,39 +151,48 @@ def test_theta_unbiasedness_monte_carlo():
     for r in range(reps):
         data = forward_sample(net, 40, seed=9000 + r)
         masked = apply_mcar(data, Bernoulli((0.75, 0.9)), seed=70000 + r)
-        t = estimate_theta(count_sufficient_stats(masked, 1, []))
-        vals[r] = t.theta_ikj[:, 0]
+        c = count_sufficient_stats(masked, 1, [])
+        vals[r] = c.n_ikj[:, 0] / c.n_ij[0] if c.n_ij[0] else np.nan  # n_ikj / n_ij
     defined = ~np.isnan(vals[:, 0])
     mean = vals[defined].mean(axis=0)
     se = vals[defined].std(axis=0, ddof=1) / np.sqrt(defined.sum())
     assert np.all(np.abs(mean - target) <= 3 * se + 1e-12)
 
 
-def test_csv_round_trip():
+def csv_file(tmp_path, text: str):
+    """A file holding exactly `text`, line endings included."""
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     data = random_dataset(BIN2, 30, rng, 0.25)
-    text = dataset_to_csv_string(data)
-    back = read_csv(io.StringIO(text), BIN2)
+    path, again = tmp_path / "data.csv", tmp_path / "again.csv"
+    write_csv(data, path)
+    back = read_csv(path, BIN2)
     np.testing.assert_array_equal(back.values, data.values)
-    assert dataset_to_csv_string(back) == text
+    write_csv(back, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
-def test_csv_format_details():
+def test_csv_format_details(tmp_path):
     data = Dataset(BIN2, [(0, MISSING), (1, 0)])
-    text = dataset_to_csv_string(data)
-    assert text == "X1,X2\n0,NA\n1,0\n"
+    path = tmp_path / "data.csv"
+    write_csv(data, path)
+    assert path.read_bytes() == b"X1,X2\n0,NA\n1,0\n"
 
 
-def test_csv_accepts_crlf():
-    text = "X1,X2\r\n0,NA\r\n1,0\r\n"
-    back = read_csv(io.StringIO(text), BIN2)
+def test_csv_accepts_crlf(tmp_path):
+    back = read_csv(csv_file(tmp_path, "X1,X2\r\n0,NA\r\n1,0\r\n"), BIN2)
     assert back.values[0, 1] == MISSING
     assert back.num_records == 2
 
 
-def test_csv_header_mismatch():
+def test_csv_header_mismatch(tmp_path):
     with pytest.raises(SchemaMismatch):
-        read_csv(io.StringIO("A,B\n0,0\n"), BIN2)
+        read_csv(csv_file(tmp_path, "A,B\n0,0\n"), BIN2)
 
 
 def test_dataset_rejects_out_of_range_cells():
@@ -214,12 +206,12 @@ def test_dataset_rejects_out_of_range_cells():
 @pytest.mark.parametrize(
     "body", ["0,1\n1\n", "0,1\n0,1,1\n", "0,x\n", "0,1.5\n", "0,40000\n"]
 )
-def test_csv_malformed_rows_are_schema_errors(body):
+def test_csv_malformed_rows_are_schema_errors(tmp_path, body):
     with pytest.raises(SchemaMismatch, match="line|outside"):
-        read_csv(io.StringIO("X1,X2\n" + body), BIN2)
+        read_csv(csv_file(tmp_path, "X1,X2\n" + body), BIN2)
 
 
 def test_empty_dataset():
     data = Dataset(BIN2, np.empty((0, 2)))
     assert data.num_records == 0
-    assert data.is_complete()
+    assert (data.values != MISSING).all()

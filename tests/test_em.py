@@ -1,4 +1,5 @@
-"""The expected-fill-in objective and its plug-in maximizer."""
+"""The expected-fill-in objective and its plug-in maximizer (the reference
+implementation in oracles.py)."""
 
 import numpy as np
 import pytest
@@ -7,19 +8,22 @@ from nalearn import (
     Bernoulli,
     Dag,
     Dataset,
-    QStarInput,
     Variable,
     apply_mcar,
     count_sufficient_stats,
     forward_sample,
     nal,
+)
+
+from oracles import (
+    NodeParams,
+    NonNormalizedParameters,
+    QStarInput,
+    UnobservableNode,
     q_star,
     q_star_at_maximizer,
     q_star_maximizer,
 )
-from nalearn.em import NodeParams
-from nalearn.errors import NonNormalizedParameters, UnobservableNode
-
 from util import random_net
 
 BIN2 = [Variable("X1", 2), Variable("X2", 2)]

@@ -27,7 +27,7 @@ from nalearn.experiments import (
     write_rows,
 )
 from nalearn.sampling import Bernoulli, KPerRecord, parse_missingness
-from nalearn.scoring import NO_PENALTY, lambda_value, parse_penalty
+from nalearn.scoring import lambda_value, parse_penalty
 
 
 def test_config_rejects_unknown_field():
@@ -154,7 +154,7 @@ def test_unobservable_spurious_edge_is_never_selected():
     data = Dataset(two_node_net().variables, np.array([[-1, 0], [-1, 1], [-1, 1]]))
     gain = spurious_edge_gain(data)
     assert gain == -math.inf
-    assert not gain > lambda_value(NO_PENALTY, 3)
+    assert not gain > lambda_value(Penalty("none"), 3)
 
 
 def test_monte_carlo_runs_each_replicate_at_its_own_seed():
@@ -213,7 +213,9 @@ def test_run_recovery_parallel_matches_serial():
     assert run_recovery(cfg, jobs=1) == run_recovery(cfg, jobs=2)
 
 
-def test_recovery_opens_one_pool_per_run(monkeypatch):
+@pytest.fixture
+def opened_pools(monkeypatch):
+    """The keyword arguments of every process pool the harness opens."""
     import nalearn.experiments
 
     opened = []
@@ -224,6 +226,10 @@ def test_recovery_opens_one_pool_per_run(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(nalearn.experiments, "ProcessPoolExecutor", counting)
+    return opened
+
+
+def test_recovery_opens_one_pool_per_run(opened_pools):
     cfg = ExperimentConfig(
         sample_sizes=(50, 100),
         penalties=("bic",),
@@ -232,7 +238,21 @@ def test_recovery_opens_one_pool_per_run(monkeypatch):
         seed=3,
     )
     rows = run_recovery(cfg, jobs=2)
-    assert len(rows) == 4 and opened == [{"max_workers": 2}]
+    assert len(rows) == 4 and opened_pools == [{"max_workers": 2}]
+
+
+@pytest.mark.parametrize("mode, pools", [("two-node", 4), ("rates", 2)])
+def test_table_and_probe_take_jobs(opened_pools, tmp_path, mode, pools):
+    # the table opens one pool per (beta, n) cell, the probe one per regime
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "sample_sizes": [50, 100], "betas": [1.0, 0.9], "penalties": ["bic"], "replicates": 3,
+        "seed": 3, "missingness": [{"mode": "none"}, {"mode": "bernoulli", "p": [0.9, 1.0]}],
+    }))
+    argv = ["experiment", "--config", str(config_path), "--mode", mode, "--out", str(tmp_path),
+            "--jobs", "2"]
+    assert main(argv) == 0
+    assert opened_pools == [{"max_workers": 2}] * pools
 
 
 def test_run_rate_probe_slopes_and_grid():
@@ -296,6 +316,9 @@ def test_rate_probe_refuses_a_cell_without_a_finite_sd(fields, message):
     (run_two_node, {"sample_sizes": (100, 100)}),
     (run_two_node, {"betas": (0.9, 0.9)}),
     (run_recovery, {"sample_sizes": (50, 50)}),
+    # an infinite power-law coefficient would give lambda_n = inf
+    (run_two_node, {"penalties": ("a0.5cinf",)}),
+    (run_two_node, {"penalties": ({"alpha": 0.5, "coef": float("inf")},)}),
 ])
 def test_bad_spec_raises_before_sampling(monkeypatch, runner, fields):
     import nalearn.experiments
@@ -376,20 +399,26 @@ _RECOVERY8_DIGEST = "96b88d2efb608e6b28742ec3dcb6fdddd4165ee507a932d00aad0e84423
 _RECOVERY2_DIGEST = "66f9329aafa187731442a4fa6d80b460f772a347cc00ed590412f1e6d16d8ecb"
 
 
+_TABLE = {"sample_sizes": [100, 1000], "betas": [1.0, 0.9, 0.75], "penalties": _PENALTIES,
+          "replicates": 30, "seed": 3}
+_RATES = {"sample_sizes": [50, 200, 800], "replicates": 20, "seed": 5,
+          "missingness": [{"mode": "none"}, {"mode": "bernoulli", "p": [0.75, 1.0]}]}
+
+
 # Taken before the runners shared one replicate driver; a change to the random
-# stream, the seed schedule or the statistics changes them.
+# stream, the seed schedule or the statistics changes them. Every replicate has
+# its own seed, so --jobs leaves the CSV as it is.
 @pytest.mark.parametrize("mode, jobs, config, digest", [
-    ("two-node", 1, {"sample_sizes": [100, 1000], "betas": [1.0, 0.9, 0.75],
-                     "penalties": _PENALTIES, "replicates": 30, "seed": 3}, _TABLE_DIGEST),
-    ("rates", 1, {"sample_sizes": [50, 200, 800], "replicates": 20, "seed": 5,
-                  "missingness": [{"mode": "none"}, {"mode": "bernoulli", "p": [0.75, 1.0]}]},
-     _RATES_DIGEST),
+    ("two-node", 1, _TABLE, _TABLE_DIGEST),
+    ("rates", 1, _RATES, _RATES_DIGEST),
     ("recovery", 1, _RECOVERY8, _RECOVERY8_DIGEST),
     ("recovery", 2, _RECOVERY8, _RECOVERY8_DIGEST),
     ("recovery", 1, _RECOVERY2, _RECOVERY2_DIGEST),
     ("recovery", 2, _RECOVERY2, _RECOVERY2_DIGEST),
+    ("two-node", 2, _TABLE, _TABLE_DIGEST),
+    ("rates", 2, _RATES, _RATES_DIGEST),
 ], ids=["table", "rates", "recovery8-jobs1", "recovery8-jobs2", "recovery2-jobs1",
-        "recovery2-jobs2"])
+        "recovery2-jobs2", "table-jobs2", "rates-jobs2"])
 def test_harness_outputs_are_pinned(tmp_path, mode, jobs, config, digest):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))

@@ -13,17 +13,16 @@ from nalearn import (
     Variable,
     benchmark_structure_37,
     df_complexity,
-    is_subgraph,
     load_net,
     load_structure,
-    save_net,
     two_node_net,
     validate_dag,
 )
 from nalearn.errors import ConfigError, CycleDetected, MalformedParents, NodeCountMismatch
-from nalearn.model import is_compatible_with_order, json_int, node_df, parent_config_count
+from nalearn.model import json_int, node_df, parent_config_count
 
-from util import all_dags, random_net
+from oracles import is_compatible_with_order, is_subgraph
+from util import all_dags, random_net, save_net
 
 BIN2 = [Variable("X1", 2), Variable("X2", 2)]
 

@@ -16,9 +16,7 @@ from nalearn import (
     check_identifiability,
     count_sufficient_stats,
     forward_sample,
-    induced_joint,
     induced_theta_mcar,
-    is_subgraph,
     joint_distribution,
     population_nal_of,
     two_node_chain_dag,
@@ -29,6 +27,7 @@ from nalearn.networks import eight_node_net
 from nalearn.population import FamilyTables, observation_probability
 from nalearn.scoring import node_nal_from_counts
 
+from oracles import induced_joint, is_subgraph
 from util import all_dags, random_net
 
 

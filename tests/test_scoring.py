@@ -1,4 +1,5 @@
-"""NAL, standard average log-likelihood, penalties and penalized scores."""
+"""NAL, its match with the standard average log-likelihood, penalties and
+penalized scores."""
 
 import math
 from fractions import Fraction
@@ -11,9 +12,9 @@ from nalearn import (
     BIC,
     MISSING,
     NEG_INFINITY,
-    NO_PENALTY,
     Dag,
     Dataset,
+    Penalty,
     Variable,
     count_sufficient_stats,
     df_complexity,
@@ -24,12 +25,12 @@ from nalearn import (
     power_law,
     score_decomposable,
     score_global,
-    standard_avg_loglik,
 )
 from nalearn.errors import ZeroSampleSize
 from nalearn.data import SufficientCounts
 from nalearn.scoring import node_nal_from_counts
 
+from oracles import standard_avg_loglik
 from util import random_dataset, random_net
 
 BIN2 = [Variable("X1", 2), Variable("X2", 2)]
@@ -174,8 +175,8 @@ def test_lambda_values():
     assert lambda_value(BIC, math.e**2) == pytest.approx(math.e**-2, rel=1e-12)
     assert lambda_value(AIC, 100) == 0.01
     assert lambda_value(power_law(0.5, 0.5), 100) == pytest.approx(0.05)
-    assert lambda_value(NO_PENALTY, 100) == 0.0
-    assert lambda_value(NO_PENALTY, 0) == 0.0  # no penalty needs no sample size
+    assert lambda_value(Penalty("none"), 100) == 0.0
+    assert lambda_value(Penalty("none"), 0) == 0.0  # no penalty needs no sample size
     with pytest.raises(ZeroSampleSize):
         lambda_value(AIC, 0)
 
@@ -188,7 +189,7 @@ def test_penalty_validation():
 
 
 def test_score_global_none_equals_nal():
-    assert score_global(FOUR, Dag([[], [0]]), NO_PENALTY) == nal(FOUR, Dag([[], [0]]))
+    assert score_global(FOUR, Dag([[], [0]]), Penalty("none")) == nal(FOUR, Dag([[], [0]]))
 
 
 def test_score_global_hand_arithmetic():
@@ -211,7 +212,7 @@ def test_score_decomposable_equals_global_on_complete_data():
 
 
 def test_score_decomposable_none_equals_nal():
-    total, _ = score_decomposable(FOUR, Dag([[], [0]]), NO_PENALTY)
+    total, _ = score_decomposable(FOUR, Dag([[], [0]]), Penalty("none"))
     assert total == pytest.approx(nal(FOUR, Dag([[], [0]])), abs=1e-15)
 
 

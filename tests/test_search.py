@@ -12,9 +12,9 @@ from nalearn import (
     AIC,
     BIC,
     NEG_INFINITY,
-    NO_PENALTY,
     Dag,
     Dataset,
+    Penalty,
     SearchSpace,
     Variable,
     best_parent_set,
@@ -28,9 +28,10 @@ from nalearn import (
     two_node_net,
 )
 from nalearn.errors import AllCandidatesUnobservable
-from nalearn.model import is_compatible_with_order, node_df
+from nalearn.model import node_df
 from nalearn.scoring import node_nal, score_node
 
+from oracles import is_compatible_with_order
 from util import random_dataset, random_net
 
 
@@ -108,7 +109,7 @@ def test_no_penalty_selects_maximal_candidate():
     net = random_net(3, rng)
     data = forward_sample(net, 500, seed=3)
     space = SearchSpace([0, 1, 2])
-    winner = best_parent_set(data, 2, space, NO_PENALTY)
+    winner = best_parent_set(data, 2, space, Penalty("none"))
     assert winner.parents == (0, 1)
 
 
@@ -197,7 +198,7 @@ def test_learn_matches_brute_force():
         data = random_dataset(variables, int(rng.integers(5, 80)), rng, 0.25)
         order = list(rng.permutation(num))
         space = SearchSpace(order, int(rng.integers(1, 4)))
-        for penalty in (AIC, BIC, power_law(0.5, 0.3), NO_PENALTY):
+        for penalty in (AIC, BIC, power_law(0.5, 0.3), Penalty("none")):
             try:
                 got = learn_structure(data, space, penalty)
             except AllCandidatesUnobservable:
@@ -262,7 +263,7 @@ def test_spaces_with_other_bounds_match_fresh_datasets():
         for max_parents in (1, 3, 1):
             space = SearchSpace(order, max_parents)
             fresh = Dataset(variables, data.values)
-            for penalty in (AIC, BIC, power_law(0.5, 0.3), NO_PENALTY):
+            for penalty in (AIC, BIC, power_law(0.5, 0.3), Penalty("none")):
                 assert learn_structure(data, space, penalty) == learn_structure(
                     fresh, space, penalty
                 )
@@ -296,7 +297,7 @@ def test_ties_break_like_brute_force(missing_frac):
     for trial in range(5):
         data = _tied_dataset(rng, 400, missing_frac)
         space = SearchSpace([0, 1, 2, 4, 3], 3)
-        for penalty in (AIC, BIC, power_law(0.2, 0.3), NO_PENALTY):
+        for penalty in (AIC, BIC, power_law(0.2, 0.3), Penalty("none")):
             for node in range(5):
                 assert best_parent_set(data, node, space, penalty) == brute_force_best(
                     data, node, space, penalty
@@ -307,9 +308,9 @@ def test_ties_break_like_brute_force(missing_frac):
         ]
     if not missing_frac:
         # (1,) comes first in candidate order; (0, 2) is lexicographically smaller
-        assert best_parent_set(data, 3, space, NO_PENALTY).parents == (0, 2)
+        assert best_parent_set(data, 3, space, Penalty("none")).parents == (0, 2)
         # the copy X4 of X0 ties with it; the smaller tuple wins
-        assert best_parent_set(data, 4, space, NO_PENALTY).parents == (0,)
+        assert best_parent_set(data, 4, space, Penalty("none")).parents == (0,)
 
 
 def test_unobservable_candidates_keep_minus_infinity():
@@ -321,7 +322,7 @@ def test_unobservable_candidates_keep_minus_infinity():
     values[30:, 2] = -1
     data = Dataset(variables, values)
     space = SearchSpace([0, 1, 2, 3], 3)
-    for penalty in (AIC, BIC, power_law(0.5, 0.3), NO_PENALTY):
+    for penalty in (AIC, BIC, power_law(0.5, 0.3), Penalty("none")):
         for node in range(4):
             assert best_parent_set(data, node, space, penalty) == brute_force_best(
                 data, node, space, penalty
@@ -339,7 +340,7 @@ def test_unobservable_node_raises_from_learn_and_profile():
     values[:, 1] = -1
     data = Dataset(variables, values)
     space = SearchSpace([0, 1, 2], 2)
-    for penalty in (AIC, BIC, power_law(0.5, 0.3), NO_PENALTY):
+    for penalty in (AIC, BIC, power_law(0.5, 0.3), Penalty("none")):
         with pytest.raises(AllCandidatesUnobservable, match="node 1"):
             learn_structure(data, space, penalty)
     with pytest.raises(AllCandidatesUnobservable, match="node 1"):

@@ -1,4 +1,5 @@
-"""Shared helpers for the test suite: DAG enumeration and random generators."""
+"""Shared helpers for the test suite: DAG enumeration, random generators and
+a network file writer."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from itertools import product
 import numpy as np
 
 from nalearn import BayesNet, Cpt, Dag, Dataset, Variable
-from nalearn.model import parent_config_count
+from nalearn.model import parent_config_count, structure_to_dict, write_json
 
 
 def all_dags(num_nodes: int) -> list[Dag]:
@@ -63,3 +64,14 @@ def random_dataset(variables, n: int, rng, missing_frac: float = 0.0) -> Dataset
         mask = rng.random(values.shape) < missing_frac
         values[mask] = -1
     return Dataset(variables, values)
+
+
+def net_to_dict(net: BayesNet) -> dict:
+    """The network file format that load_net reads: the structure plus "cpt"."""
+    obj = structure_to_dict(net.dag, net.variables)
+    obj["cpt"] = [t.tolist() for t in net.cpt.tables]
+    return obj
+
+
+def save_net(net: BayesNet, path) -> None:
+    write_json(net_to_dict(net), path)
