@@ -11,10 +11,26 @@ they are and maps MISSING to q (computed as a masked copy, which is
 cheaper than an integer modulo). The mixed-radix code of the node and its
 parents then indexes a cube of shape (q_i + 1, q_p1 + 1, ...), and one
 ``bincount`` over all n records fills it. A record with any missing
-coordinate lands in some last index q, so the slice [:q_i, :q_p1, ...] keeps
-exactly the records where all are observed: it is the available-case n_ikj,
-with no row mask. This relies on every value lying in [-1, q-1], which the
-constructor checks.
+coordinate lands in some last index q, so the cells [:q_i, :q_p1, ...], taken
+with one gather, keep exactly the records where all are observed: they are
+the available-case n_ikj, with no row mask. This relies on every value lying
+in [-1, q-1], which the constructor checks.
+
+``count_families`` counts many parent sets of one node with one ``bincount``
+per chunk of sets. Sets that share a prefix (all but their last parent)
+share one cube: the prefix's cube times one wide last digit, on which each
+last parent has its own q + 1 states. A set's code is the prefix's code
+times the digit's width, plus its last parent's codes shifted to that
+parent's states, so a chunk costs one gather of those shifted codes and one
+add of each group's prefix row over its (sets, n) rows; the chunk's cubes lie
+end to end, and one gather through their observed cells gives every
+family's available-case n_ikj. A chunk holds
+CHUNK_BUDGET // max(n, cells) sets, at least one, where cells is the largest
+cube of one set: at most CHUNK_BUDGET row codes and as many cube cells. A
+chunk of one set (every chunk, once n exceeds CHUNK_BUDGET / 2) gains nothing
+from the shared digit and is counted as ``count_sufficient_stats`` counts a
+family. No family's cube may exceed STATE_SPACE_CAP cells, in either
+function.
 """
 
 from __future__ import annotations
@@ -22,15 +38,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import groupby
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import IndexOutOfRange, SchemaMismatch
+from .errors import IndexOutOfRange, SchemaMismatch, StateSpaceTooLarge
 from .model import Variable
 
 MISSING = -1
 MISSING_TOKEN = "NA"
+STATE_SPACE_CAP = 1 << 24  # cells of the largest table counted or marginalized
+CHUNK_BUDGET = 1 << 16  # row codes, and cube cells, per batched bincount
 
 
 @dataclass(frozen=True)
@@ -77,6 +96,11 @@ class Dataset:
         np.copyto(codes, cards, where=codes == MISSING)  # = values % (q + 1)
         codes.setflags(write=False)
         return codes
+
+    @cached_property
+    def radix(self) -> np.ndarray:
+        """(N,) int64 q + 1 per variable: the size of a code's digit."""
+        return np.array([v.cardinality + 1 for v in self.variables], dtype=np.int64)
 
     @cached_property
     def family_scores(
@@ -126,22 +150,173 @@ def count_sufficient_stats(
     if len(set(parents)) < len(parents):  # a repeat would add a parent's states twice
         raise IndexOutOfRange(f"node {node}: parents {list(parents)} repeat a node")
 
-    codes = data.codes
-    q_i = data.variables[node].cardinality
-    shape = [q_i + 1]
-    code = codes[node]
-    q_pa = 1
-    for p in parents:  # last parent varies fastest
-        q = data.variables[p].cardinality
-        code = code * (q + 1) + codes[p]
-        shape.append(q + 1)
-        q_pa *= q
-
-    cube = np.bincount(code, minlength=math.prod(shape)).reshape(shape)
-    n_ikj = cube[tuple(slice(s - 1) for s in shape)].reshape(q_i, q_pa)
+    n_ikj = _family_counts(data, node, parents)
     n_ij = n_ikj.sum(axis=0)
     n_i = int(n_ij.sum())
     return SufficientCounts(node, parents, data.num_records, n_i, n_ij, n_ikj)
+
+
+def count_families(
+    data: Dataset, node: int, families: Sequence[tuple[int, ...]]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Available-case counts for (node | parents) of every parent set in families.
+
+    Each set is sorted and non-empty; sets of one size are adjacent and in
+    strictly increasing lexicographic order, as
+    ``SearchSpace.candidate_parent_sets`` lists them. Every set is checked,
+    and every family's cube against STATE_SPACE_CAP, before the first count.
+    Yields one (n_ikj, widths) pair per chunk of consecutive sets: n_ikj has
+    shape (q_i, columns) and holds the chunk's families side by side, each
+    over its q_pa = widths[f] columns. A family's columns are its parent
+    configurations with the last parent slowest; the order of the
+    configurations changes no score.
+    """
+    if not 0 <= node < data.num_variables:
+        raise IndexOutOfRange(f"node {node}")
+    levels = []
+    for m, level in groupby(families, key=len):
+        if m == 0:
+            raise IndexOutOfRange(f"node {node}: count_families takes non-empty parent sets")
+        levels.append(np.array(list(level), dtype=np.int64).reshape(-1, m))
+        _check_level(data, node, levels[-1])
+    if not levels:
+        return
+    # every last parent in its own range of one wide digit, last[x] after the
+    # states of last[:x]
+    last = np.unique(np.concatenate([sets[:, -1] for sets in levels]))
+    digit_ends = np.concatenate(([0], np.cumsum(data.radix[last])))
+    cells: dict[tuple[int, ...], np.ndarray] = {}
+    for sets in levels:
+        yield from _count_level(data, node, sets, last, digit_ends, cells)
+
+
+def _check_level(data: Dataset, node: int, sets: np.ndarray) -> None:
+    """Refuse parent sets of one size that are out of range, unsorted, out of
+    lexicographic order, or whose cube exceeds STATE_SPACE_CAP."""
+    if not ((sets >= 0) & (sets < data.num_variables) & (sets != node)).all():
+        raise IndexOutOfRange(f"node {node}: parent sets {sets.tolist()} out of range")
+    if (np.diff(sets, axis=1) <= 0).any():
+        raise IndexOutOfRange(f"node {node}: parent sets {sets.tolist()} are not sorted")
+    step = sets[1:] - sets[:-1]
+    if (step[np.arange(len(step)), (step != 0).argmax(axis=1)] <= 0).any():
+        raise ValueError(f"node {node}: parent sets are not in lexicographic order")
+    # a float product is exact up to 2^53, far above the cap
+    big = np.flatnonzero(data.radix[sets].astype(float).prod(axis=1) * data.radix[node]
+                         > STATE_SPACE_CAP)
+    if big.size:
+        parents = sets[big[0]].tolist()
+        _check_cube_size(node, parents, math.prod(data.radix[[node, *parents]].tolist()))
+
+
+def _count_level(
+    data: Dataset,
+    node: int,
+    sets: np.ndarray,
+    last: np.ndarray,
+    digit_ends: np.ndarray,
+    cells: dict[tuple[int, ...], np.ndarray],
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """count_families over checked sets of one size; cells memoizes
+    ``_observed_cells`` by shape.
+
+    A group is a run of sets with one prefix whose last parents are
+    consecutive in last, so its digit has no unused range. Within a chunk a
+    group's cube is its prefix cube times the span of its sets' digit
+    ranges, from the first set of the group in the chunk.
+    """
+    largest = int((data.radix[node] * data.radix[sets].prod(axis=1)).max())  # one family's cube
+    per_chunk = max(1, CHUNK_BUDGET // max(data.num_records, largest))
+    if per_chunk == 1:
+        for parents in sets.tolist():
+            n_ikj = _family_counts(data, node, parents)
+            yield n_ikj, np.array([n_ikj.shape[1]])
+        return
+    q_i = data.variables[node].cardinality
+    pos = np.searchsorted(last, sets[:, -1])
+    new_group = np.ones(len(sets), dtype=bool)
+    new_group[1:] = (sets[1:, :-1] != sets[:-1, :-1]).any(axis=1) | (pos[1:] != pos[:-1] + 1)
+    group = np.cumsum(new_group) - 1
+    heads = np.flatnonzero(new_group)
+    prefix_radix = data.radix[sets[heads, :-1]]
+    prefix_cells = data.radix[node] * prefix_radix.prod(axis=1)
+    prefix_shapes = [(q_i + 1, *row) for row in prefix_radix.tolist()]
+    for shape in set(prefix_shapes) - cells.keys():
+        cells[shape] = _observed_cells(shape)
+    states = data.radix[sets[:, -1]] - 1
+    widths = (prefix_radix - 1).prod(axis=1)[group] * states
+    wide = data.codes[last] + digit_ends[:-1, None]  # row x: last[x] on its own states
+    for start in range(0, len(sets), per_chunk):
+        stop = min(start + per_chunk, len(sets))
+        g0, g1 = int(group[start]), int(group[stop - 1]) + 1
+        firsts = np.maximum(heads[g0:g1], start)
+        lasts = np.append(firsts[1:], stop) - 1
+        low = digit_ends[pos[firsts]]
+        span = digit_ends[pos[lasts] + 1] - low
+        size = prefix_cells[g0:g1] * span
+        base = np.cumsum(size) - size
+        prefix = data.codes[node][None, :]
+        for t in range(sets.shape[1] - 1):
+            prefix = _extend_codes(data, prefix, sets[firsts, t])
+        prefix = prefix * span[:, None] + (base - low)[:, None]
+        member = group[start:stop] - g0
+        opens, closes = firsts - start, lasts + 1 - start  # each group's sets in the chunk
+        rows = wide[pos[start:stop]]
+        for code, a, b in zip(prefix, opens.tolist(), closes.tolist()):
+            rows[a:b] += code
+        # each set's states on its group's digit, then the group's observed cells
+        s = states[start:stop]
+        bounds = np.concatenate(([0], np.cumsum(s)))
+        digit = np.repeat(digit_ends[pos[start:stop]] - low[member] - bounds[:-1], s)
+        digit += np.arange(bounds[-1])
+        index = np.concatenate([
+            (b + cells[shape][:, None, :] * w + digit[lo:hi, None]).reshape(q_i, -1)
+            for shape, b, w, lo, hi in zip(
+                prefix_shapes[g0:g1], base.tolist(), span.tolist(),
+                bounds[opens].tolist(), bounds[closes].tolist())
+        ], axis=1)
+        yield _available_counts(rows, index, int(size.sum())), widths[start:stop]
+
+
+def _family_counts(data: Dataset, node: int, parents: Sequence[int]) -> np.ndarray:
+    """n_ikj of one family: the node and sorted, checked parents."""
+    # last parent varies fastest
+    shape = tuple(data.variables[i].cardinality + 1 for i in (node, *parents))
+    size = math.prod(shape)
+    _check_cube_size(node, parents, size)
+    code = data.codes[node]
+    for p in parents:
+        code = _extend_codes(data, code, p)
+    return _available_counts(code, _observed_cells(shape), size)
+
+
+def _check_cube_size(node: int, parents: Sequence[int], size: int) -> None:
+    if size > STATE_SPACE_CAP:
+        raise StateSpaceTooLarge(
+            f"node {node} with parents {list(parents)}: a count table of {size} cells "
+            f"exceeds the cap of {STATE_SPACE_CAP}"
+        )
+
+
+def _extend_codes(data: Dataset, code: np.ndarray, parents) -> np.ndarray:
+    """Mixed-radix codes with one more, fastest digit: parents is one node, or
+    one node per row of code."""
+    radix = data.radix[parents]
+    if isinstance(parents, np.ndarray):
+        radix = radix[:, None]
+    return code * radix + data.codes[parents]
+
+
+def _observed_cells(shape: tuple[int, ...]) -> np.ndarray:
+    """(q_i, q_pa) flat indices of the cells of a cube of this shape whose every
+    coordinate is below its sentinel; child states index the rows."""
+    cells = np.arange(math.prod(shape)).reshape(shape)
+    return cells[tuple(slice(q - 1) for q in shape)].reshape(shape[0] - 1, -1)
+
+
+def _available_counts(rows: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
+    """n_ikj gathered through index from one bincount of rows over size cells:
+    the cube (or cubes end to end) the rows' codes index."""
+    return np.bincount(rows.ravel(), minlength=size)[index]
 
 
 def write_csv(data: Dataset, path) -> None:

@@ -49,6 +49,14 @@ class Dag:
     def __init__(self, parents: Iterable[Iterable[int]]):
         object.__setattr__(self, "parents", _canonical_parents(parents))
 
+    @classmethod
+    def from_sorted(cls, parents: tuple[tuple[int, ...], ...]) -> "Dag":
+        """A Dag over parent tuples already canonical (sorted Python ints), kept
+        as they are: DAGs built from the same tuples share them."""
+        dag = object.__new__(cls)
+        object.__setattr__(dag, "parents", parents)
+        return dag
+
     @property
     def num_nodes(self) -> int:
         return len(self.parents)

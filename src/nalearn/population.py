@@ -15,12 +15,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .data import STATE_SPACE_CAP
 from .errors import NodeCountMismatch, StateSpaceTooLarge
 from .model import BayesNet, Dag, df_complexity, validate_dag
 from .sampling import Bernoulli, MissingnessModel, subset_observation_probability
 from .scoring import neg_conditional_entropy
-
-STATE_SPACE_CAP = 1 << 24
 
 
 def _broadcast_factor(table: np.ndarray, axes: list[int], N: int) -> np.ndarray:
@@ -65,7 +64,7 @@ class NodeTable:
     @cached_property
     def nal(self) -> float:
         """Observed population negative conditional entropy of the node."""
-        return neg_conditional_entropy(self.theta_ij, self.theta_ikj)
+        return neg_conditional_entropy(self.theta_ij, self.theta_ikj)[0]
 
 
 @dataclass(frozen=True)

@@ -125,16 +125,38 @@ def node_nal_from_counts(counts: SufficientCounts) -> float:
     if counts.n_i == 0:
         return NEG_INFINITY
     n_ij = counts.n_ij
-    return neg_conditional_entropy(n_ij / counts.n_i, counts.n_ikj / np.maximum(n_ij, 1))
+    return neg_conditional_entropy(n_ij / counts.n_i, counts.n_ikj / np.maximum(n_ij, 1))[0]
 
 
-def neg_conditional_entropy(weights: np.ndarray, theta: np.ndarray) -> float:
-    """sum_j weights_j sum_k theta_kj ln theta_kj, theta of shape (q_i, q_pa).
+def stacked_nal(n_ikj: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(NAL, n_i) of families whose n_ikj stand side by side, family f over
+    widths[f] columns, as ``data.count_families`` yields them. Each NAL equals
+    ``node_nal_from_counts`` of the family's own counts, bit for bit."""
+    n_ij = n_ikj.sum(axis=0)
+    ends = np.cumsum(widths)
+    n_i = np.add.reduceat(n_ij, ends - widths)
+    weights = n_ij / np.repeat(np.maximum(n_i, 1), widths)
+    nal = np.array(neg_conditional_entropy(weights, n_ikj / np.maximum(n_ij, 1), ends.tolist()))
+    nal[n_i == 0] = NEG_INFINITY
+    return nal, n_i
 
-    0 ln 0 = 0; fsum makes the total independent of the configuration order.
+
+def neg_conditional_entropy(
+    weights: np.ndarray, theta: np.ndarray, ends: Sequence[int] | None = None
+) -> list[float]:
+    """sum_j weights_j sum_k theta_kj ln theta_kj per family, theta of shape (q_i, columns).
+
+    Families stand side by side: family f owns columns ends[f-1]:ends[f] (from
+    0 for the first); None means one family over every column. 0 ln 0 = 0;
+    the sum over k runs down each column in child-state order, and fsum makes
+    each family's total independent of its configuration order, so a
+    family's value does not depend on its neighbours.
     """
     terms = theta * np.log(np.where(theta > 0, theta, 1.0))
-    return math.fsum((weights * terms.sum(axis=0)).tolist())
+    values = (weights * terms.sum(axis=0)).tolist()
+    if ends is None:
+        return [math.fsum(values)]
+    return [math.fsum(values[s:e]) for s, e in zip([0, *ends[:-1]], ends)]
 
 
 def node_nal(data: Dataset, node: int, parents: Sequence[int]) -> float:

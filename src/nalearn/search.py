@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, count_sufficient_stats
+from .data import Dataset, count_families, count_sufficient_stats
 from .errors import AllCandidatesUnobservable, SchemaMismatch
 from .model import Dag, node_df
 from .scoring import (
@@ -26,6 +26,7 @@ from .scoring import (
     Penalty,
     lambda_value,
     node_nal_from_counts,
+    stacked_nal,
 )
 
 
@@ -74,21 +75,25 @@ def _node_table(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(nal, n_i, df) arrays over the node's candidates, memoized in data.family_scores.
 
-    candidates is space.candidate_parent_sets(node), whose order the arrays follow.
+    candidates is space.candidate_parent_sets(node), whose order the arrays
+    follow. The first, the empty set, is scored on its own; every larger set
+    extends a prefix and is scored in chunks by count_families.
     """
     key = (node, tuple(sorted(space.predecessors(node))), space.max_parents)
     table = data.family_scores.get(key)
     if table is None:
-        nal, n_i, df = [], [], []
-        for parents in candidates:
-            counts = count_sufficient_stats(data, node, parents)
-            nal.append(node_nal_from_counts(counts))
-            n_i.append(counts.n_i)
-            df.append(node_df(node, parents, data.variables))
+        root = count_sufficient_stats(data, node, candidates[0])
+        nal = [np.array([node_nal_from_counts(root)])]
+        n_i = [np.array([root.n_i])]
+        df = [np.array([node_df(node, root.parents, data.variables)])]
+        q_i = data.variables[node].cardinality
+        for n_ikj, widths in count_families(data, node, candidates[1:]):
+            chunk_nal, chunk_n_i = stacked_nal(n_ikj, widths)
+            nal.append(chunk_nal)
+            n_i.append(chunk_n_i)
+            df.append(widths * (q_i - 1))
         table = data.family_scores[key] = (
-            np.array(nal, dtype=np.float64),
-            np.array(n_i, dtype=np.int64),
-            np.array(df, dtype=np.int64),
+            np.concatenate(nal), np.concatenate(n_i), np.concatenate(df)
         )
     return table
 
@@ -155,29 +160,40 @@ def complexity_profile(data: Dataset, space: SearchSpace) -> list[ProfilePoint]:
     pruned, so t and best_score are both strictly increasing.
     """
     _check_space(data, space)
-    # DP state: total df -> (total nal, per-node parents chosen so far)
-    states: dict[int, tuple[float, tuple[tuple[int, ...], ...]]] = {0: (0.0, ())}
+    # DP state: total df -> (total nal, parents chosen so far as a cons list
+    # (last node's parents, earlier nodes' list), () when empty); states share
+    # their tails and the frontiers' parent tuples
+    states: dict[int, tuple[float, tuple]] = {0: (0.0, ())}
     for node in range(space.num_nodes):
         frontier = _node_frontier(data, node, space)
-        merged: dict[int, tuple[float, tuple[tuple[int, ...], ...]]] = {}
-        for t, (score, choice) in states.items():
+        merged: dict[int, tuple[float, tuple]] = {}
+        for t, (score, chosen) in states.items():
             for df, value, parents in frontier:
                 key = t + df
-                cand = (score + value, choice + (parents,))
+                total = score + value
                 cur = merged.get(key)
-                if cur is None or cand[0] > cur[0] or (
-                    cand[0] == cur[0] and cand[1] < cur[1]
+                if cur is None or total > cur[0] or (
+                    total == cur[0] and _choices((parents, chosen)) < _choices(cur[1])
                 ):
-                    merged[key] = cand
+                    merged[key] = (total, (parents, chosen))
         states = merged
     points = []
     best = NEG_INFINITY
     for t in sorted(states):
-        score, choice = states[t]
+        score, chosen = states[t]
         if score > best:
-            points.append(ProfilePoint(t, score, Dag(choice)))
+            points.append(ProfilePoint(t, score, Dag.from_sorted(_choices(chosen))))
             best = score
     return points
+
+
+def _choices(chosen: tuple) -> tuple[tuple[int, ...], ...]:
+    """A cons list of parent tuples as one tuple, node 0 first (the tie-break order)."""
+    out = []
+    while chosen:
+        parents, chosen = chosen
+        out.append(parents)
+    return tuple(reversed(out))
 
 
 def select_from_profile(

@@ -1,6 +1,7 @@
 """End-to-end exercises of every CLI subcommand."""
 
 import csv
+import hashlib
 import json
 import math
 
@@ -152,6 +153,7 @@ def test_learn_and_compare(two_node_files, tmp_path, capsys):
 
 
 def test_learn_profile_counts_each_candidate_once(tmp_path, capsys, monkeypatch):
+    """Each node's empty set is counted on its own, every larger set in a batch."""
     import nalearn.search
 
     net = eight_node_net()
@@ -160,13 +162,23 @@ def test_learn_profile_counts_each_candidate_once(tmp_path, capsys, monkeypatch)
     data_path = tmp_path / "data.csv"
     write_csv(apply_mcar(forward_sample(net, 300, seed=5), KPerRecord(2), seed=6), data_path)
     calls = []
-    real = nalearn.search.count_sufficient_stats
+    real_one = nalearn.search.count_sufficient_stats
+    real_batch = nalearn.search.count_families
 
-    def counting(data, node, parents):
+    def counting_one(data, node, parents):
         calls.append((node, tuple(parents)))
-        return real(data, node, parents)
+        return real_one(data, node, parents)
 
-    monkeypatch.setattr(nalearn.search, "count_sufficient_stats", counting)
+    def counting_batch(data, node, families):
+        families = list(families)
+        done = 0
+        for n_ikj, widths in real_batch(data, node, families):
+            calls.extend((node, tuple(ps)) for ps in families[done:done + len(widths)])
+            done += len(widths)
+            yield n_ikj, widths
+
+    monkeypatch.setattr(nalearn.search, "count_sufficient_stats", counting_one)
+    monkeypatch.setattr(nalearn.search, "count_families", counting_batch)
     code, _, _ = run(capsys, [
         "learn", "--data", str(data_path), "--structure", str(structure_path),
         "--penalty", "bic", "--out", str(tmp_path / "learned.json"),
@@ -176,6 +188,49 @@ def test_learn_profile_counts_each_candidate_once(tmp_path, capsys, monkeypatch)
     space = SearchSpace(range(8), 3)
     candidates = [(i, ps) for i in range(8) for ps in space.candidate_parent_sets(i)]
     assert sorted(calls) == sorted(candidates)
+    assert sorted(c for c in calls if not c[1]) == [(i, ()) for i in range(8)]
+
+
+@pytest.mark.parametrize("seed, learned_digest, profile_digest", [
+    (5, "abb6d8437fb22b0317dd659b9f1045b18f1a30b20fb5315997d8bc61445750aa",
+     "0cb1d0dd494523b476534c7280104ce735dcde4f10b4af7d9eab3e69bcda2f89"),
+    (11, "82a240cc10335ffc4d6190951fa23ef10fc1c540d760a4333fba8887147fd3c5",
+     "8053537407c2c0be284a437d7ee8eebeb96e21cafb8dbf6548523511757daea0"),
+])
+def test_learn_profile_outputs_are_pinned(tmp_path, capsys, seed, learned_digest,
+                                          profile_digest):
+    """learned.json and profile.csv of the eight-node net, n = 300 under kper:2,
+    byte for byte as the per-call search wrote them."""
+    net = eight_node_net()
+    structure_path = tmp_path / "structure.json"
+    save_structure(net.dag, list(net.variables), structure_path)
+    data_path = tmp_path / "data.csv"
+    masked = apply_mcar(forward_sample(net, 300, seed=seed), KPerRecord(2), seed=seed + 1)
+    write_csv(masked, data_path)
+    code, _, _ = run(capsys, [
+        "learn", "--data", str(data_path), "--structure", str(structure_path),
+        "--penalty", "bic", "--out", str(tmp_path / "learned.json"),
+        "--profile", str(tmp_path / "profile.csv"),
+    ])
+    assert code == 0
+    digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("learned.json", "profile.csv")]
+    assert digests == [learned_digest, profile_digest]
+
+
+def test_learn_refuses_an_oversized_count_table(tmp_path, capsys):
+    # 301^3 sentinel cells for X3 | X1, X2: above the 2^24 cap
+    variables = [Variable(f"X{i + 1}", 300) for i in range(3)]
+    structure_path = tmp_path / "structure.json"
+    save_structure(Dag([[], [], []]), variables, structure_path)
+    data_path = tmp_path / "data.csv"
+    data_path.write_text("X1,X2,X3\n0,1,2\nNA,299,5\n")
+    code, _, err = run(capsys, [
+        "learn", "--data", str(data_path), "--structure", str(structure_path),
+        "--penalty", "bic", "--out", str(tmp_path / "learned.json"),
+    ])
+    assert code == 2
+    assert "exceeds the cap" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("extra", [

@@ -1,5 +1,7 @@
 """Datasets, sufficient counts and the CSV format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,8 @@ from nalearn import (
     two_node_net,
     write_csv,
 )
-from nalearn.errors import IndexOutOfRange, SchemaMismatch
+from nalearn.data import STATE_SPACE_CAP, count_families
+from nalearn.errors import IndexOutOfRange, SchemaMismatch, StateSpaceTooLarge
 from nalearn.population import induced_theta_mcar
 from nalearn.scoring import NEG_INFINITY, node_nal_from_counts
 
@@ -72,6 +75,36 @@ def test_counts_index_errors():
         count_sufficient_stats(FOUR, 1, [1])
     with pytest.raises(IndexOutOfRange):  # a repeat would count X1's states twice
         count_sufficient_stats(FOUR, 1, [0, 0])
+
+
+def test_count_families_index_errors():
+    data = Dataset([Variable(f"X{i}", 2) for i in range(4)], [(0, 1, 0, 1)] * 3)
+    for node, families in [(4, [(0,)]), (3, [()]), (3, [(0,), (5,)]), (3, [(3,)]),
+                           (3, [(1, 0)]), (3, [(0, 0)])]:
+        with pytest.raises(IndexOutOfRange):
+            list(count_families(data, node, families))
+    for families in [[(1,), (0,)], [(0,), (0,)], [(0, 2), (0, 1)]]:
+        with pytest.raises(ValueError, match="lexicographic"):
+            list(count_families(data, 3, families))
+
+
+def test_oversized_count_table_is_refused_before_it_is_allocated():
+    variables = [Variable(f"X{i}", 300) for i in range(3)]
+    assert 301**3 > STATE_SPACE_CAP >= 301**2
+    data = Dataset(variables, [(0, 1, 2), (MISSING, 299, 5)])
+    data.codes, data.radix  # built before tracing
+    tracemalloc.start()
+    try:
+        assert count_sufficient_stats(data, 2, [0]).n_i == 1  # 301^2 cells: allowed
+        tracemalloc.reset_peak()
+        with pytest.raises(StateSpaceTooLarge, match="exceeds the cap"):
+            count_sufficient_stats(data, 2, [0, 1])
+        with pytest.raises(StateSpaceTooLarge, match="exceeds the cap"):
+            next(count_families(data, 2, [(0,), (1,), (0, 1)]))  # before the first chunk
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the refused table alone would take 218 MB
 
 
 def test_theta_i_is_one_on_complete_data():

@@ -4,9 +4,14 @@ import gc
 import math
 import tracemalloc
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import nalearn.data
 
 from nalearn import (
     AIC,
@@ -29,7 +34,7 @@ from nalearn import (
 )
 from nalearn.errors import AllCandidatesUnobservable
 from nalearn.model import node_df
-from nalearn.scoring import node_nal, score_node
+from nalearn.scoring import node_nal, node_nal_from_counts, score_node
 
 from oracles import is_compatible_with_order
 from util import random_dataset, random_net
@@ -377,3 +382,84 @@ def test_select_from_profile_matches_global_learning():
             point = select_from_profile(profile, penalty, data.num_records)
             direct = learn_structure(data, space, penalty)
             assert point.dag == direct
+
+
+@st.composite
+def batch_cases(draw):
+    """A dataset over 2-6 variables of cardinality 2-6, with MCAR cells, maybe
+    an all-missing column, and a search space over a random order."""
+    num = draw(st.integers(2, 6))
+    cards = draw(st.lists(st.integers(2, 6), min_size=num, max_size=num))
+    n = draw(st.sampled_from([1, 2, 50]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.stack([rng.integers(0, q, size=n) for q in cards], axis=1)
+    values[rng.random(values.shape) < draw(st.sampled_from([0.0, 0.3]))] = -1
+    dead = draw(st.none() | st.integers(0, num - 1))
+    if dead is not None:
+        values[:, dead] = -1
+    variables = [Variable(f"X{i}", q) for i, q in enumerate(cards)]
+    space = SearchSpace(draw(st.permutations(range(num))), draw(st.integers(0, 3)))
+    return Dataset(variables, values), space, draw(st.sampled_from([None, 1, 3]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch_cases())
+def test_batched_family_scores_equal_per_call_scores(case):
+    data, space, chunk = case
+    candidates = {i: space.candidate_parent_sets(i) for i in range(space.num_nodes)}
+    budget = nalearn.data.CHUNK_BUDGET
+    if chunk is not None:  # 1: each set on its own; 3: groups split across chunks
+        cubes = [math.prod(data.radix[[i, *ps]].tolist())
+                 for i, sets in candidates.items() for ps in sets[1:]]
+        budget = chunk * max(data.num_records, min(cubes, default=1))
+    sizes = []
+    real = nalearn.search.count_families
+
+    def recording(*args):
+        for n_ikj, widths in real(*args):
+            sizes.append(len(widths))
+            yield n_ikj, widths
+
+    with mock.patch.object(nalearn.data, "CHUNK_BUDGET", budget), \
+            mock.patch.object(nalearn.search, "count_families", recording):
+        for node in range(space.num_nodes):
+            try:
+                best_parent_set(data, node, space, BIC)
+            except AllCandidatesUnobservable:
+                pass  # the node's table is filled before the search gives up
+    if chunk is not None:
+        assert max(sizes, default=chunk) <= chunk
+    for node, sets in candidates.items():
+        nal, n_i, df = data.family_scores[node, tuple(sorted(space.predecessors(node))),
+                                          space.max_parents]
+        assert len(nal) == len(n_i) == len(df) == len(sets)
+        for k, parents in enumerate(sets):
+            counts = count_sufficient_stats(data, node, parents)
+            assert nal[k] == node_nal_from_counts(counts)  # -inf == -inf when n_i = 0
+            assert n_i[k] == counts.n_i
+            assert df[k] == node_df(node, parents, data.variables)
+
+
+def test_profile_ties_compare_node_0_first():
+    """X1 and X2 copy X0. At t = 4, ((), (), (0,)) and ((), (0,), ()) both total
+    -2 H(X0) exactly; the first node where they differ, node 1, picks the first."""
+    x0 = np.random.default_rng(113).integers(0, 2, 50)
+    data = Dataset([Variable(f"X{i}", 2) for i in range(3)], np.stack([x0, x0, x0], axis=1))
+    space = SearchSpace([0, 1, 2], 1)
+    profile = complexity_profile(data, space)
+    want = brute_force_profile(data, space)
+    assert [(p.t, p.dag) for p in profile] == [(t, d) for t, _, d in want]
+    assert [p.dag for p in profile if p.t == 4] == [Dag([(), (), (0,)])]
+
+
+def test_profile_points_share_their_parent_tuples():
+    rng = np.random.default_rng(127)
+    variables = [Variable(f"X{i}", int(rng.integers(2, 4))) for i in range(6)]
+    data = random_dataset(variables, 300, rng, 0.1)
+    profile = complexity_profile(data, SearchSpace(range(6), 2))
+    assert len(profile) > 2
+    for p in profile:
+        assert p.dag == Dag(p.dag.parents)  # canonical: sorted Python ints
+    for node in range(6):  # one tuple object per distinct parent set
+        tuples = [p.dag.parents[node] for p in profile]
+        assert len({id(ps) for ps in tuples}) == len(set(tuples))
