@@ -226,10 +226,14 @@ def _count_level(
     """
     largest = int((data.radix[node] * data.radix[sets].prod(axis=1)).max())  # one family's cube
     per_chunk = max(1, CHUNK_BUDGET // max(data.num_records, largest))
-    if per_chunk == 1:
-        for parents in sets.tolist():
-            n_ikj = _family_counts(data, node, parents)
-            yield n_ikj, np.array([n_ikj.shape[1]])
+    if per_chunk == 1:  # count each set alone; yield CHUNK_BUDGET cells of counts at a time
+        done, cells_held = [], 0
+        for k, parents in enumerate(sets.tolist()):
+            done.append(_family_counts(data, node, parents))
+            cells_held += done[-1].size
+            if cells_held >= CHUNK_BUDGET or k == len(sets) - 1:
+                yield np.concatenate(done, axis=1), np.array([c.shape[1] for c in done])
+                done, cells_held = [], 0
         return
     q_i = data.variables[node].cardinality
     pos = np.searchsorted(last, sets[:, -1])

@@ -412,23 +412,22 @@ def test_batched_family_scores_equal_per_call_scores(case):
         cubes = [math.prod(data.radix[[i, *ps]].tolist())
                  for i, sets in candidates.items() for ps in sets[1:]]
         budget = chunk * max(data.num_records, min(cubes, default=1))
-    sizes = []
-    real = nalearn.search.count_families
+    sizes = []  # sets per bincount
+    real = nalearn.data._available_counts
 
-    def recording(*args):
-        for n_ikj, widths in real(*args):
-            sizes.append(len(widths))
-            yield n_ikj, widths
+    def recording(rows, index, size):
+        sizes.append(len(rows) if rows.ndim == 2 else 1)
+        return real(rows, index, size)
 
     with mock.patch.object(nalearn.data, "CHUNK_BUDGET", budget), \
-            mock.patch.object(nalearn.search, "count_families", recording):
+            mock.patch.object(nalearn.data, "_available_counts", recording):
         for node in range(space.num_nodes):
             try:
                 best_parent_set(data, node, space, BIC)
             except AllCandidatesUnobservable:
                 pass  # the node's table is filled before the search gives up
     if chunk is not None:
-        assert max(sizes, default=chunk) <= chunk
+        assert max(sizes) <= chunk
     for node, sets in candidates.items():
         nal, n_i, df = data.family_scores[node, tuple(sorted(space.predecessors(node))),
                                           space.max_parents]
