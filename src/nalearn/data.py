@@ -21,15 +21,15 @@ per chunk of sets. Sets that share a prefix (all but their last parent)
 share one cube: the prefix's cube times one wide last digit, on which each
 last parent has its own q + 1 states. A set's code is the prefix's code
 times the digit's width, plus its last parent's codes shifted to that
-parent's states, so a chunk costs one gather of those shifted codes and one
-add of each group's prefix row over its (sets, n) rows; the chunk's cubes lie
-end to end, and one gather through their observed cells gives every
-family's available-case n_ikj. A chunk holds
-CHUNK_BUDGET // max(n, cells) sets, at least one, where cells is the largest
-cube of one set: at most CHUNK_BUDGET row codes and as many cube cells. A
-chunk of one set (every chunk, once n exceeds CHUNK_BUDGET / 2) gains nothing
-from the shared digit and is counted as ``count_sufficient_stats`` counts a
-family. No family's cube may exceed STATE_SPACE_CAP cells, in either
+parent's states. A group's prefix code is built once, in place, and kept
+while the group runs on into the next chunk, so a chunk costs about one
+multiply and one add over its (sets, n) rows; the chunk's cubes lie end to
+end, and one gather through their observed cells gives every family's
+available-case n_ikj. A chunk holds CHUNK_BUDGET // max(n, cells) sets, at
+least one, where cells is the largest cube of one set: at most CHUNK_BUDGET
+row codes and as many cube cells. Chunks are yielded in runs of at least
+RUN_CELLS cells of counts, so the one-set chunks of a large n are scored
+together too, while a run's scoring stays small beside a chunk. No family's cube may exceed STATE_SPACE_CAP cells, in either
 function.
 """
 
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
@@ -50,6 +50,7 @@ MISSING = -1
 MISSING_TOKEN = "NA"
 STATE_SPACE_CAP = 1 << 24  # cells of the largest table counted or marginalized
 CHUNK_BUDGET = 1 << 16  # row codes, and cube cells, per batched bincount
+RUN_CELLS = 1 << 12  # cells of counts that count_families yields together, at least
 
 
 @dataclass(frozen=True)
@@ -165,9 +166,10 @@ def count_families(
     strictly increasing lexicographic order, as
     ``SearchSpace.candidate_parent_sets`` lists them. Every set is checked,
     and every family's cube against STATE_SPACE_CAP, before the first count.
-    Yields one (n_ikj, widths) pair per chunk of consecutive sets: n_ikj has
-    shape (q_i, columns) and holds the chunk's families side by side, each
-    over its q_pa = widths[f] columns. A family's columns are its parent
+    Yields (n_ikj, widths) pairs over runs of consecutive sets, each run's
+    counts at least RUN_CELLS cells (but the last): n_ikj has shape
+    (q_i, columns) and holds the run's families side by side, each over its
+    q_pa = widths[f] columns. A family's columns are its parent
     configurations with the last parent slowest; the order of the
     configurations changes no score.
     """
@@ -185,9 +187,23 @@ def count_families(
     # states of last[:x]
     last = np.unique(np.concatenate([sets[:, -1] for sets in levels]))
     digit_ends = np.concatenate(([0], np.cumsum(data.radix[last])))
-    cells: dict[tuple[int, ...], np.ndarray] = {}
+    wide = data.codes[last] + digit_ends[:-1, None]  # row x: last[x] on its own states
+    run, run_cells = [], 0  # chunks not yet yielded, and their cells of counts
     for sets in levels:
-        yield from _count_level(data, node, sets, last, digit_ends, cells)
+        for chunk in _count_level(data, node, sets, last, digit_ends, wide):
+            run.append(chunk)
+            run_cells += chunk[0].size
+            if run_cells >= RUN_CELLS:
+                yield _joined(run)
+                run, run_cells = [], 0
+    if run:
+        yield _joined(run)
+
+
+def _joined(chunks: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    if len(chunks) == 1:
+        return chunks[0]
+    return np.concatenate([c for c, _ in chunks], axis=1), np.concatenate([w for _, w in chunks])
 
 
 def _check_level(data: Dataset, node: int, sets: np.ndarray) -> None:
@@ -214,27 +230,23 @@ def _count_level(
     sets: np.ndarray,
     last: np.ndarray,
     digit_ends: np.ndarray,
-    cells: dict[tuple[int, ...], np.ndarray],
+    wide: np.ndarray,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """count_families over checked sets of one size; cells memoizes
-    ``_observed_cells`` by shape.
+    """count_families over checked sets of one size.
 
     A group is a run of sets with one prefix whose last parents are
-    consecutive in last, so its digit has no unused range. Within a chunk a
-    group's cube is its prefix cube times the span of its sets' digit
-    ranges, from the first set of the group in the chunk.
+    consecutive in last, so its digit has no unused range and its sets' rows
+    of wide are one slice. Within a chunk a group's cube is its prefix cube
+    times the span of its sets' digit ranges, from the first set of the group
+    in the chunk. The chunk's cubes lie end to end from cell low[0], where the
+    first group's codes already start, so that group needs no shift. With
+    its prefix code kept, a chunk of one set (every chunk, once n exceeds
+    CHUNK_BUDGET / 2) costs one multiply and one add over its n rows beside
+    the bincount, where counting the family alone extends the code once per
+    parent.
     """
     largest = int((data.radix[node] * data.radix[sets].prod(axis=1)).max())  # one family's cube
     per_chunk = max(1, CHUNK_BUDGET // max(data.num_records, largest))
-    if per_chunk == 1:  # count each set alone; yield CHUNK_BUDGET cells of counts at a time
-        done, cells_held = [], 0
-        for k, parents in enumerate(sets.tolist()):
-            done.append(_family_counts(data, node, parents))
-            cells_held += done[-1].size
-            if cells_held >= CHUNK_BUDGET or k == len(sets) - 1:
-                yield np.concatenate(done, axis=1), np.array([c.shape[1] for c in done])
-                done, cells_held = [], 0
-        return
     q_i = data.variables[node].cardinality
     pos = np.searchsorted(last, sets[:, -1])
     new_group = np.ones(len(sets), dtype=bool)
@@ -244,11 +256,11 @@ def _count_level(
     prefix_radix = data.radix[sets[heads, :-1]]
     prefix_cells = data.radix[node] * prefix_radix.prod(axis=1)
     prefix_shapes = [(q_i + 1, *row) for row in prefix_radix.tolist()]
-    for shape in set(prefix_shapes) - cells.keys():
-        cells[shape] = _observed_cells(shape)
     states = data.radix[sets[:, -1]] - 1
     widths = (prefix_radix - 1).prod(axis=1)[group] * states
-    wide = data.codes[last] + digit_ends[:-1, None]  # row x: last[x] on its own states
+    row_buffer = np.empty((min(per_chunk, len(sets)), data.num_records), dtype=np.int64)
+    prefix_code = np.empty(data.num_records, dtype=np.int64)
+    held = -1  # the group whose prefix code prefix_code holds
     for start in range(0, len(sets), per_chunk):
         stop = min(start + per_chunk, len(sets))
         g0, g1 = int(group[start]), int(group[stop - 1]) + 1
@@ -257,28 +269,35 @@ def _count_level(
         low = digit_ends[pos[firsts]]
         span = digit_ends[pos[lasts] + 1] - low
         size = prefix_cells[g0:g1] * span
-        base = np.cumsum(size) - size
-        prefix = data.codes[node][None, :]
-        for t in range(sets.shape[1] - 1):
-            prefix = _extend_codes(data, prefix, sets[firsts, t])
-        prefix = prefix * span[:, None] + (base - low)[:, None]
+        base = np.cumsum(size) - size + low[0]
         member = group[start:stop] - g0
         opens, closes = firsts - start, lasts + 1 - start  # each group's sets in the chunk
-        rows = wide[pos[start:stop]]
-        for code, a, b in zip(prefix, opens.tolist(), closes.tolist()):
-            rows[a:b] += code
+        rows = row_buffer[: stop - start]
+        # a group's code: its prefix's code, kept while the group runs on into
+        # the next chunk, times the span, plus its sets' rows of wide
+        for g, a, b, x, w, shift in zip(
+            range(g0, g1), opens.tolist(), closes.tolist(), pos[firsts].tolist(),
+            span.tolist(), (base - low).tolist(),
+        ):
+            if g != held:
+                code, held = _mixed_radix(data, node, sets[heads[g], :-1].tolist(), prefix_code), g
+            np.multiply(code, w, out=rows[a])
+            if shift:
+                rows[a] += shift
+            np.add(wide[x + 1:x + b - a], rows[a], out=rows[a + 1:b])
+            rows[a] += wide[x]
         # each set's states on its group's digit, then the group's observed cells
         s = states[start:stop]
         bounds = np.concatenate(([0], np.cumsum(s)))
         digit = np.repeat(digit_ends[pos[start:stop]] - low[member] - bounds[:-1], s)
         digit += np.arange(bounds[-1])
         index = np.concatenate([
-            (b + cells[shape][:, None, :] * w + digit[lo:hi, None]).reshape(q_i, -1)
+            (b + _observed_cells(shape)[:, None, :] * w + digit[lo:hi, None]).reshape(q_i, -1)
             for shape, b, w, lo, hi in zip(
                 prefix_shapes[g0:g1], base.tolist(), span.tolist(),
                 bounds[opens].tolist(), bounds[closes].tolist())
         ], axis=1)
-        yield _available_counts(rows, index, int(size.sum())), widths[start:stop]
+        yield _available_counts(rows, index, int(base[-1] + size[-1])), widths[start:stop]
 
 
 def _family_counts(data: Dataset, node: int, parents: Sequence[int]) -> np.ndarray:
@@ -287,10 +306,20 @@ def _family_counts(data: Dataset, node: int, parents: Sequence[int]) -> np.ndarr
     shape = tuple(data.variables[i].cardinality + 1 for i in (node, *parents))
     size = math.prod(shape)
     _check_cube_size(node, parents, size)
+    return _available_counts(_mixed_radix(data, node, parents), _observed_cells(shape), size)
+
+
+def _mixed_radix(
+    data: Dataset, node: int, parents: Sequence[int], out: np.ndarray | None = None
+) -> np.ndarray:
+    """Codes of the node then the parents, the last parent fastest, built in
+    place in out (a new array when None); the node's own codes when there
+    are no parents."""
     code = data.codes[node]
     for p in parents:
-        code = _extend_codes(data, code, p)
-    return _available_counts(code, _observed_cells(shape), size)
+        code = out = np.multiply(code, data.radix[p], out=out)
+        code += data.codes[p]
+    return code
 
 
 def _check_cube_size(node: int, parents: Sequence[int], size: int) -> None:
@@ -301,20 +330,15 @@ def _check_cube_size(node: int, parents: Sequence[int], size: int) -> None:
         )
 
 
-def _extend_codes(data: Dataset, code: np.ndarray, parents) -> np.ndarray:
-    """Mixed-radix codes with one more, fastest digit: parents is one node, or
-    one node per row of code."""
-    radix = data.radix[parents]
-    if isinstance(parents, np.ndarray):
-        radix = radix[:, None]
-    return code * radix + data.codes[parents]
-
-
+@lru_cache(maxsize=256)
 def _observed_cells(shape: tuple[int, ...]) -> np.ndarray:
     """(q_i, q_pa) flat indices of the cells of a cube of this shape whose every
-    coordinate is below its sentinel; child states index the rows."""
+    coordinate is below its sentinel; child states index the rows. Read-only,
+    as every caller of one shape shares the array."""
     cells = np.arange(math.prod(shape)).reshape(shape)
-    return cells[tuple(slice(q - 1) for q in shape)].reshape(shape[0] - 1, -1)
+    cells = cells[tuple(slice(q - 1) for q in shape)].reshape(shape[0] - 1, -1)
+    cells.setflags(write=False)
+    return cells
 
 
 def _available_counts(rows: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:

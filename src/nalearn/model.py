@@ -50,9 +50,10 @@ class Dag:
         object.__setattr__(self, "parents", _canonical_parents(parents))
 
     @classmethod
-    def from_sorted(cls, parents: tuple[tuple[int, ...], ...]) -> "Dag":
-        """A Dag over parent tuples already canonical (sorted Python ints), kept
-        as they are: DAGs built from the same tuples share them."""
+    def _from_sorted(cls, parents: tuple[tuple[int, ...], ...]) -> "Dag":
+        """A Dag over parent tuples kept as they are, so DAGs built from the
+        same tuples share them. For the search only: equality and hashing
+        hold only if every tuple is already canonical (sorted Python ints)."""
         dag = object.__new__(cls)
         object.__setattr__(dag, "parents", parents)
         return dag

@@ -182,7 +182,7 @@ def complexity_profile(data: Dataset, space: SearchSpace) -> list[ProfilePoint]:
     for t in sorted(states):
         score, chosen = states[t]
         if score > best:
-            points.append(ProfilePoint(t, score, Dag.from_sorted(_choices(chosen))))
+            points.append(ProfilePoint(t, score, Dag._from_sorted(_choices(chosen))))
             best = score
     return points
 
