@@ -20,7 +20,7 @@ from .model import Dag, dags_from_json, load_net, load_structure, read_json, sav
 from .population import beta_of_collection, check_identifiability
 from .sampling import apply_mcar, forward_sample, parse_missingness
 from .scoring import Penalty, parse_penalty, score_decomposable, score_global
-from .search import SearchSpace, complexity_profile, learn_structure
+from .search import SearchSpace, complexity_profile, fill_family_scores, learn_structure
 from .equivalence import dags_equivalent, edge_precision_recall, edge_f_score
 
 
@@ -142,6 +142,7 @@ def cmd_learn(args) -> int:
     space = _space_from_args(args, variables)
     penalty = _penalty_from_args(args, len(variables))
     data = read_csv(args.data, variables)
+    fill_family_scores(data, space)
     learned = learn_structure(data, space, penalty)
     save_structure(learned, variables, args.out)
     if args.profile:
@@ -149,9 +150,17 @@ def cmd_learn(args) -> int:
         with open(args.profile, "w", encoding="utf-8", newline="\n") as f:
             writer = csv.writer(f, lineterminator="\n")
             writer.writerow(["t", "score", "edges"])
+            family_edges: dict[tuple[int, tuple[int, ...]], str] = {}  # formatted once each
             for pt in points:
-                edges = ";".join(f"{p}->{i}" for p, i in pt.dag.edges())
-                writer.writerow([pt.t, f"{pt.best_score:.10g}", edges])
+                texts = []
+                for family in enumerate(pt.dag.parents):
+                    text = family_edges.get(family)
+                    if text is None:
+                        i, parents = family
+                        text = family_edges[family] = ";".join(f"{p}->{i}" for p in parents)
+                    if text:
+                        texts.append(text)
+                writer.writerow([pt.t, f"{pt.best_score:.10g}", ";".join(texts)])
     return 0
 
 
@@ -264,10 +273,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NalearnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (NalearnError, OSError) as exc:  # OSError: a missing file, a directory, ...
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -360,27 +360,30 @@ def write_csv(data: Dataset, path) -> None:
 
 def read_csv(path, variables: Sequence[Variable]) -> Dataset:
     """Read a CSV written by write_csv; header must match the schema names."""
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().rstrip("\r\n").split(",")
-        names = [v.name for v in variables]
-        if header != names:
-            raise SchemaMismatch(f"CSV header {header} != schema {names}")
-        rows = []
-        for lineno, line in enumerate(f, start=2):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != len(names):
-                raise SchemaMismatch(
-                    f"CSV line {lineno} has {len(cells)} cells, expected {len(names)}"
-                )
-            try:
-                rows.append([MISSING if c == MISSING_TOKEN else int(c) for c in cells])
-            except ValueError:
-                raise SchemaMismatch(
-                    f"CSV line {lineno}: cells must be integers or {MISSING_TOKEN}"
-                ) from None
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            header = f.readline().rstrip("\r\n").split(",")
+            names = [v.name for v in variables]
+            if header != names:
+                raise SchemaMismatch(f"CSV header {header} != schema {names}")
+            rows = []
+            for lineno, line in enumerate(f, start=2):
+                line = line.rstrip("\r\n")
+                if not line:
+                    continue
+                cells = line.split(",")
+                if len(cells) != len(names):
+                    raise SchemaMismatch(
+                        f"CSV line {lineno} has {len(cells)} cells, expected {len(names)}"
+                    )
+                try:
+                    rows.append([MISSING if c == MISSING_TOKEN else int(c) for c in cells])
+                except ValueError:
+                    raise SchemaMismatch(
+                        f"CSV line {lineno}: cells must be integers or {MISSING_TOKEN}"
+                    ) from None
+    except UnicodeDecodeError as exc:
+        raise SchemaMismatch(f"{path}: not UTF-8 text: {exc}") from None
     # the Dataset range check rejects cells too large for a category code
     values = rows if rows else np.empty((0, len(variables)))
     return Dataset(variables, values)

@@ -11,6 +11,11 @@ lexicographically smallest sorted parent list.
 
 from __future__ import annotations
 
+import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -54,6 +59,11 @@ class SearchSpace:
         rank = self.order.index(node)
         return self.order[:rank]
 
+    def num_candidates(self, node: int) -> int:
+        """len(candidate_parent_sets(node)), without listing them."""
+        m = len(self.predecessors(node))
+        return sum(math.comb(m, k) for k in range(min(self.max_parents, m) + 1))
+
     def candidate_parent_sets(self, node: int) -> list[tuple[int, ...]]:
         """Subsets of predecessors, by size then lexicographic order."""
         preds = sorted(self.predecessors(node))
@@ -79,7 +89,7 @@ def _node_table(
     follow. The first, the empty set, is scored on its own; every larger set
     extends a prefix and is scored in chunks by count_families.
     """
-    key = (node, tuple(sorted(space.predecessors(node))), space.max_parents)
+    key = _table_key(node, space)
     table = data.family_scores.get(key)
     if table is None:
         root = count_sufficient_stats(data, node, candidates[0])
@@ -96,6 +106,68 @@ def _node_table(
             np.concatenate(nal), np.concatenate(n_i), np.concatenate(df)
         )
     return table
+
+
+def _table_key(node: int, space: SearchSpace) -> tuple[int, tuple[int, ...], int]:
+    return node, tuple(sorted(space.predecessors(node))), space.max_parents
+
+
+# Σ candidates × n below which fill_family_scores leaves the tables to the
+# search. On a 2-vCPU host a 2-worker pool took 22 ms (median of 15, max 25)
+# to start, run 37 trivial tasks and shut down; spawn took 455 ms and
+# forkserver 123 ms, hence fork. Serial tables cost about 11 ns per
+# family-row (0.88 s for learn37_kper2's 7.5e7), so two workers save
+# 5.5 ns a row and pay for the pool from about 4e6 rows: 2^22.
+POOL_FLOOR = 1 << 22
+
+
+def fill_family_scores(data: Dataset, space: SearchSpace) -> None:
+    """Build every node's table in data.family_scores in a process pool, one
+    worker per usable CPU (at most one per node), largest nodes first.
+
+    The tables equal the search's own bit for bit, so what is learned from
+    them does not depend on the worker count. On one CPU, where fork is
+    missing, below POOL_FLOOR, or when the pool cannot start, nothing is
+    built here and the search builds each table as it needs it.
+    """
+    _check_space(data, space)
+    sizes = {node: space.num_candidates(node) for node in range(space.num_nodes)
+             if _table_key(node, space) not in data.family_scores}
+    workers = min(_usable_cpus(), len(sizes))
+    if (workers < 2 or sum(sizes.values()) * data.num_records < POOL_FLOOR
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return
+    nodes = sorted(sizes, key=sizes.get, reverse=True)
+    try:
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_worker, initargs=(data.variables, data.values, space),
+        ) as pool:
+            for node, table in zip(nodes, pool.map(_worker_table, nodes)):
+                data.family_scores[_table_key(node, space)] = table
+    except (OSError, BrokenProcessPool):
+        pass  # the search builds the tables the pool did not
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+# a pool worker's dataset and space, set by its initializer; never set in the caller
+_worker_search: tuple[Dataset, SearchSpace] | None = None
+
+
+def _start_worker(variables, values, space: SearchSpace) -> None:
+    global _worker_search
+    _worker_search = Dataset(variables, values), space
+
+
+def _worker_table(node: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    data, space = _worker_search
+    return _node_table(data, node, space, space.candidate_parent_sets(node))
 
 
 def _check_space(data: Dataset, space: SearchSpace) -> None:
@@ -129,8 +201,9 @@ def learn_structure(data: Dataset, space: SearchSpace, penalty: Penalty) -> Dag:
 
 def _node_frontier(
     data: Dataset, node: int, space: SearchSpace
-) -> list[tuple[int, float, tuple[int, ...]]]:
-    """Pareto frontier of (df, best NAL, parents) for one node.
+) -> tuple[np.ndarray, np.ndarray, list[tuple[int, ...]]]:
+    """Pareto frontier of one node: df (int64) and best NAL (float64) arrays,
+    and the parent set of each entry.
 
     Frontier entries have strictly increasing df and strictly increasing NAL;
     a larger parent set that fails to improve the NAL is dominated and drops
@@ -141,16 +214,18 @@ def _node_frontier(
     observed = np.flatnonzero(nal != NEG_INFINITY)
     if observed.size == 0:
         raise AllCandidatesUnobservable(f"node {node}: every candidate has n_i = 0")
-    frontier = []
-    best = NEG_INFINITY
-    for d in np.unique(df[observed]):
-        group = observed[df[observed] == d]
-        top = nal[group].max()
-        if top > best:
-            parents = min(candidates[k] for k in group[nal[group] == top])
-            frontier.append((int(d), float(top), parents))
-            best = top
-    return frontier
+    # by df, then NAL from the top; each df's first is its best, and a df
+    # enters the frontier when its best beats every smaller df's
+    ranked = observed[np.lexsort((-nal[observed], df[observed]))]
+    starts = np.flatnonzero(np.diff(df[ranked], prepend=-1))
+    top = nal[ranked[starts]]
+    entries = _records(top)
+    ends = np.append(starts[1:], len(ranked))
+    parents = []
+    for a, b, best in zip(starts[entries].tolist(), ends[entries].tolist(), top[entries]):
+        group = ranked[a:b]
+        parents.append(min(candidates[k] for k in group[nal[group] == best].tolist()))
+    return df[ranked[starts[entries]]], top[entries], parents
 
 
 def complexity_profile(data: Dataset, space: SearchSpace) -> list[ProfilePoint]:
@@ -158,42 +233,62 @@ def complexity_profile(data: Dataset, space: SearchSpace) -> list[ProfilePoint]:
 
     Points dominated by a cheaper structure with at least the same NAL are
     pruned, so t and best_score are both strictly increasing.
+
+    The DP's states after node k are the reachable total dfs, a sorted array,
+    with the best total NAL of each: the NAL of nodes 0..k added in node
+    order. A state's successors are its total plus each frontier entry's df,
+    so the candidates of node k are F shifted copies of the states, F the
+    frontier's length. One stable sort merges them and a reduceat takes each
+    total's best; among exactly equal totals the candidate whose parent
+    tuples are smaller, node 0 first, wins. Each node keeps the sorted totals
+    and the frontier entry each state took; the kept points are traced back
+    through them at once.
     """
     _check_space(data, space)
-    # DP state: total df -> (total nal, parents chosen so far as a cons list
-    # (last node's parents, earlier nodes' list), () when empty); states share
-    # their tails and the frontiers' parent tuples
-    states: dict[int, tuple[float, tuple]] = {0: (0.0, ())}
+    t = np.zeros(1, dtype=np.int64)
+    score = np.zeros(1)
+    steps = []  # per node: (its frontier's df and parents, t after it, entry each state took)
     for node in range(space.num_nodes):
-        frontier = _node_frontier(data, node, space)
-        merged: dict[int, tuple[float, tuple]] = {}
-        for t, (score, chosen) in states.items():
-            for df, value, parents in frontier:
-                key = t + df
-                total = score + value
-                cur = merged.get(key)
-                if cur is None or total > cur[0] or (
-                    total == cur[0] and _choices((parents, chosen)) < _choices(cur[1])
-                ):
-                    merged[key] = (total, (parents, chosen))
-        states = merged
-    points = []
-    best = NEG_INFINITY
-    for t in sorted(states):
-        score, chosen = states[t]
-        if score > best:
-            points.append(ProfilePoint(t, score, Dag._from_sorted(_choices(chosen))))
-            best = score
-    return points
+        df, nal, parents = _node_frontier(data, node, space)
+        keys = (df[:, None] + t).ravel()
+        order = np.argsort(keys, kind="stable")  # merges the F sorted runs
+        keys = keys[order]
+        totals = (nal[:, None] + score).ravel()[order]  # the same adds as value + score
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        best = np.maximum.reduceat(totals, starts)
+        hits = np.flatnonzero(totals == np.repeat(best, np.diff(starts, append=len(keys))))
+        # each total's first hit wins unless the total has more than one
+        first = np.flatnonzero(np.diff(np.searchsorted(starts, hits, side="right"), prepend=0))
+        last = np.append(first[1:], len(hits))
+        winner = order[hits[first]]
+        for g in np.flatnonzero(last - first > 1).tolist():
+            tied = order[hits[first[g]:last[g]]].tolist()
+            winner[g] = min(tied, key=lambda c: (
+                _trace_back(steps, np.array([c % len(t)]))[0], parents[c // len(t)]))
+        pick = (winner // len(t)).astype(np.min_scalar_type(len(df) - 1))
+        t, score = keys[starts], best
+        steps.append((df, parents, t, pick))
+    keep = _records(score)
+    chosen = _trace_back(steps, keep)
+    return [ProfilePoint(int(tk), float(sk), Dag._from_sorted(dag))
+            for tk, sk, dag in zip(t[keep].tolist(), score[keep].tolist(), chosen)]
 
 
-def _choices(chosen: tuple) -> tuple[tuple[int, ...], ...]:
-    """A cons list of parent tuples as one tuple, node 0 first (the tie-break order)."""
-    out = []
-    while chosen:
-        parents, chosen = chosen
-        out.append(parents)
-    return tuple(reversed(out))
+def _records(values: np.ndarray) -> np.ndarray:
+    """Indices of the values above every value before them."""
+    return np.flatnonzero(values > np.maximum.accumulate(np.append(NEG_INFINITY, values[:-1])))
+
+
+def _trace_back(steps: list, states: np.ndarray) -> list[tuple[tuple[int, ...], ...]]:
+    """The parent tuples, node 0 first, that reach each of states (indices into
+    the last step's totals); points share the frontiers' tuple objects."""
+    columns = []
+    for df, parents, t, pick in reversed(steps):
+        entry = pick[states]
+        columns.append([parents[e] for e in entry.tolist()])
+        if len(steps) > len(columns):
+            states = np.searchsorted(steps[-len(columns) - 1][2], t[states] - df[entry])
+    return list(zip(*reversed(columns))) if columns else [()] * len(states)
 
 
 def select_from_profile(

@@ -4,6 +4,8 @@ import csv
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from nalearn import (
 from nalearn.cli import main
 from nalearn.networks import eight_node_net
 
-from util import net_to_dict, save_net
+from util import net_to_dict, record_pools, save_net
 
 
 @pytest.fixture
@@ -191,31 +193,131 @@ def test_learn_profile_counts_each_candidate_once(tmp_path, capsys, monkeypatch)
     assert sorted(c for c in calls if not c[1]) == [(i, ()) for i in range(8)]
 
 
-@pytest.mark.parametrize("seed, learned_digest, profile_digest", [
+PINNED_PROFILES = [
     (5, "abb6d8437fb22b0317dd659b9f1045b18f1a30b20fb5315997d8bc61445750aa",
      "0cb1d0dd494523b476534c7280104ce735dcde4f10b4af7d9eab3e69bcda2f89"),
     (11, "82a240cc10335ffc4d6190951fa23ef10fc1c540d760a4333fba8887147fd3c5",
      "8053537407c2c0be284a437d7ee8eebeb96e21cafb8dbf6548523511757daea0"),
-])
-def test_learn_profile_outputs_are_pinned(tmp_path, capsys, seed, learned_digest,
-                                          profile_digest):
-    """learned.json and profile.csv of the eight-node net, n = 300 under kper:2,
-    byte for byte as the per-call search wrote them."""
+]
+
+
+def learn_eight_node(tmp_path, capsys, seed, n=300):
+    """learn --profile on the eight-node net, n records under kper:2; returns
+    the exit code and the sha256 of learned.json and profile.csv."""
     net = eight_node_net()
     structure_path = tmp_path / "structure.json"
     save_structure(net.dag, list(net.variables), structure_path)
     data_path = tmp_path / "data.csv"
-    masked = apply_mcar(forward_sample(net, 300, seed=seed), KPerRecord(2), seed=seed + 1)
+    masked = apply_mcar(forward_sample(net, n, seed=seed), KPerRecord(2), seed=seed + 1)
     write_csv(masked, data_path)
     code, _, _ = run(capsys, [
         "learn", "--data", str(data_path), "--structure", str(structure_path),
         "--penalty", "bic", "--out", str(tmp_path / "learned.json"),
         "--profile", str(tmp_path / "profile.csv"),
     ])
+    return code, [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                  for name in ("learned.json", "profile.csv")]
+
+
+@pytest.fixture
+def search_pools(monkeypatch):
+    """The keyword arguments of every pool the search opens; two usable CPUs."""
+    import nalearn.search
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return record_pools(monkeypatch, nalearn.search)
+
+
+# 162 candidate parent sets over the eight nodes at --max-parents 3, times 300 records
+EIGHT_NODE_ROWS = 162 * 300
+
+
+@pytest.mark.parametrize("seed, learned_digest, profile_digest, pool", [
+    *(pytest.param(*row, False, id="-".join(map(str, row))) for row in PINNED_PROFILES),
+    *(pytest.param(*row, True, id=f"{row[0]}-pool") for row in PINNED_PROFILES),
+])
+def test_learn_profile_outputs_are_pinned(tmp_path, capsys, monkeypatch, search_pools, seed,
+                                          learned_digest, profile_digest, pool):
+    """learned.json and profile.csv of the eight-node net, n = 300 under kper:2,
+    byte for byte as the per-call search wrote them, with the node tables
+    built in a pool of two workers or, below the floor, by the search."""
+    import nalearn.search
+
+    if pool:
+        monkeypatch.setattr(nalearn.search, "POOL_FLOOR", 0)
+    code, digests = learn_eight_node(tmp_path, capsys, seed)
     assert code == 0
-    digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in ("learned.json", "profile.csv")]
     assert digests == [learned_digest, profile_digest]
+    assert [kwargs["max_workers"] for kwargs in search_pools] == [2] * pool
+    assert multiprocessing.active_children() == []  # every worker joined
+
+
+@pytest.mark.parametrize("cpus", [3, 16])
+def test_learn_opens_one_pool_at_the_floor(tmp_path, capsys, monkeypatch, search_pools, cpus):
+    import nalearn.search
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(nalearn.search, "POOL_FLOOR", EIGHT_NODE_ROWS)
+    code, digests = learn_eight_node(tmp_path, capsys, 5)
+    assert code == 0 and digests == list(PINNED_PROFILES[0][1:])
+    assert [kwargs["max_workers"] for kwargs in search_pools] == [min(cpus, 8)]
+
+
+@pytest.mark.parametrize("floor, cpus", [(EIGHT_NODE_ROWS + 1, 2), (None, 2), (0, 1)])
+def test_learn_opens_no_pool_below_the_floor_or_on_one_cpu(tmp_path, capsys, monkeypatch,
+                                                            search_pools, floor, cpus):
+    import nalearn.search
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    if floor is not None:  # None: the floor as shipped
+        monkeypatch.setattr(nalearn.search, "POOL_FLOOR", floor)
+    code, digests = learn_eight_node(tmp_path, capsys, 5)
+    assert code == 0 and digests == list(PINNED_PROFILES[0][1:])
+    assert search_pools == []
+
+
+def _fail_to_fork(*args, **kwargs):
+    raise OSError(11, "Resource temporarily unavailable")
+
+
+def _die(*args):
+    os._exit(1)
+
+
+@pytest.mark.parametrize("failure", ["no pool", "workers die"])
+def test_learn_falls_back_to_the_search_when_the_pool_fails(tmp_path, capsys, monkeypatch,
+                                                            failure):
+    import nalearn.search
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(nalearn.search, "POOL_FLOOR", 0)
+    if failure == "no pool":
+        monkeypatch.setattr(nalearn.search, "ProcessPoolExecutor", _fail_to_fork)
+    else:  # every worker exits in its initializer: BrokenProcessPool
+        monkeypatch.setattr(nalearn.search, "_start_worker", _die)
+    code, digests = learn_eight_node(tmp_path, capsys, 5)
+    assert code == 0 and digests == list(PINNED_PROFILES[0][1:])
+    assert multiprocessing.active_children() == []
+
+
+def test_recovery_workers_open_no_pool(tmp_path, capsys, monkeypatch):
+    """The recovery harness learns through the library, which never opens a
+    pool, so its --jobs workers nest none, even with no floor."""
+    import nalearn.search
+
+    def nested_pool(*args, **kwargs):  # raised in a worker, it fails the command
+        raise AssertionError("a recovery worker opened a pool")
+
+    monkeypatch.setattr(nalearn.search, "POOL_FLOOR", 0)
+    monkeypatch.setattr(nalearn.search, "ProcessPoolExecutor", nested_pool)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "net": "eight-node", "sample_sizes": [300], "penalties": ["bic"],
+        "missingness": [{"mode": "kper", "k": 2}], "replicates": 2, "seed": 25,
+    }))
+    code, _, err = run(capsys, ["experiment", "--config", str(config_path), "--mode",
+                                "recovery", "--out", str(tmp_path), "--jobs", "2"])
+    assert code == 0, err
 
 
 def test_learn_refuses_an_oversized_count_table(tmp_path, capsys):
@@ -396,6 +498,58 @@ def test_malformed_csv_exit_2(two_node_files, tmp_path, capsys, body):
     ):
         code, _, err = run(capsys, [*argv, "--data", str(data_path)])
         assert code == 2 and err.startswith("error:")
+
+
+def test_csv_that_is_not_utf8_exit_2(two_node_files, tmp_path, capsys):
+    net, net_path, structure_path = two_node_files
+    data_path = tmp_path / "data.csv"
+    data_path.write_bytes(b"X1,X2\n0,1\n\xff,0\n")
+    for argv in (
+        ["learn", "--data", str(data_path), "--structure", str(structure_path),
+         "--penalty", "bic", "--out", str(tmp_path / "learned.json")],
+        ["mask", "--in", str(data_path), "--net", str(net_path), "--mode", "kper", "--k", "1",
+         "--seed", "1", "--out", str(tmp_path / "masked.csv")],
+    ):
+        code, _, err = run(capsys, argv)
+        assert code == 2 and err.startswith(f"error: {data_path}: not UTF-8"), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["learn", "--profile", "."],
+    ["learn", "--out", "."],
+    ["learn", "--data", "."],
+    ["score", "--data", "."],
+    ["mask", "--in", "."],
+    ["sample", "--out", "."],
+    ["experiment", "--config", "."],
+    ["population", "--candidates", "."],
+], ids=lambda argv: " ".join(argv))
+def test_a_directory_where_a_file_belongs_exit_2(two_node_files, tmp_path, capsys,
+                                                 monkeypatch, argv):
+    """Each path option given a directory: IsADirectoryError becomes exit 2."""
+    net, net_path, structure_path = two_node_files
+    data_path = tmp_path / "data.csv"
+    write_csv(forward_sample(net, 50, seed=1), data_path)
+    files = {
+        "learn": ["--data", str(data_path), "--structure", str(structure_path), "--penalty",
+                  "bic", "--out", str(tmp_path / "learned.json"), "--profile",
+                  str(tmp_path / "profile.csv")],
+        "score": ["--net-structure", str(structure_path), "--data", str(data_path),
+                  "--penalty", "bic"],
+        "mask": ["--in", str(data_path), "--net", str(net_path), "--mode", "kper", "--k", "1",
+                 "--seed", "1", "--out", str(tmp_path / "masked.csv")],
+        "sample": ["--net", str(net_path), "--n", "10", "--seed", "1", "--out",
+                   str(tmp_path / "sample.csv")],
+        "experiment": ["--config", str(tmp_path / "config.json"), "--mode", "two-node",
+                       "--out", str(tmp_path)],
+        "population": ["--net", str(net_path), "--candidates", "order"],
+    }[argv[0]]
+    option, value = argv[1:]
+    at = files.index(option) + 1
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, [argv[0], *files[:at], value, *files[at + 1:]])
+    assert code == 2 and err.startswith("error: ") and "Traceback" not in err, err
+    assert "Is a directory" in err
 
 
 def test_experiment_subcommand(tmp_path, capsys):

@@ -228,6 +228,14 @@ def test_csv_header_mismatch(tmp_path):
         read_csv(csv_file(tmp_path, "A,B\n0,0\n"), BIN2)
 
 
+@pytest.mark.parametrize("blob", [b"\xff\xfeX1,X2\n0,1\n", b"X1,X2\n0,1\n\xe9,0\n"])
+def test_csv_that_is_not_utf8_is_a_schema_error(tmp_path, blob):
+    path = tmp_path / "data.csv"
+    path.write_bytes(blob)  # a bad header, then a bad row
+    with pytest.raises(SchemaMismatch, match=f"{path}: not UTF-8"):
+        read_csv(path, BIN2)
+
+
 def test_dataset_rejects_out_of_range_cells():
     with pytest.raises(SchemaMismatch):
         Dataset(BIN2, [(0, 2)])

@@ -29,6 +29,8 @@ from nalearn.experiments import (
 from nalearn.sampling import Bernoulli, KPerRecord, parse_missingness
 from nalearn.scoring import lambda_value, parse_penalty
 
+from util import record_pools
+
 
 def test_config_rejects_unknown_field():
     with pytest.raises(ConfigError):
@@ -218,15 +220,7 @@ def opened_pools(monkeypatch):
     """The keyword arguments of every process pool the harness opens."""
     import nalearn.experiments
 
-    opened = []
-    real = nalearn.experiments.ProcessPoolExecutor
-
-    def counting(*args, **kwargs):
-        opened.append(kwargs)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(nalearn.experiments, "ProcessPoolExecutor", counting)
-    return opened
+    return record_pools(monkeypatch, nalearn.experiments)
 
 
 def test_recovery_opens_one_pool_per_run(opened_pools):

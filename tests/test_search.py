@@ -33,7 +33,7 @@ from nalearn import (
     two_node_net,
 )
 from nalearn.errors import AllCandidatesUnobservable
-from nalearn.model import node_df
+from nalearn.model import df_complexity, node_df
 from nalearn.scoring import node_nal, node_nal_from_counts, score_node
 
 from oracles import is_compatible_with_order
@@ -462,3 +462,104 @@ def test_profile_points_share_their_parent_tuples():
     for node in range(6):  # one tuple object per distinct parent set
         tuples = [p.dag.parents[node] for p in profile]
         assert len({id(ps) for ps in tuples}) == len(set(tuples))
+
+
+@st.composite
+def profile_cases(draw):
+    """One to four variables, each drawn freely, constant, or a copy of an
+    earlier one (missing cells too), so that totals tie exactly; a random
+    order and max_parents 0-3."""
+    num = draw(st.integers(1, 4))
+    n = draw(st.sampled_from([6, 60]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    missing = draw(st.sampled_from([0.0, 0.2]))
+    cards, columns = [], []
+    for i in range(num):
+        kind = draw(st.sampled_from(["free", "constant", "copy"] if i else ["free", "constant"]))
+        if kind == "copy":
+            j = draw(st.integers(0, i - 1))
+            cards.append(cards[j])
+            columns.append(columns[j])
+            continue
+        cards.append(draw(st.integers(2, 3)))
+        column = rng.integers(0, cards[-1], n) if kind == "free" else np.zeros(n, dtype=int)
+        column[rng.random(n) < missing] = -1
+        columns.append(column)
+    data = Dataset([Variable(f"X{i}", q) for i, q in enumerate(cards)], np.stack(columns, 1))
+    return data, SearchSpace(draw(st.permutations(range(num))), draw(st.integers(0, 3)))
+
+
+def looped_profile(data, space):
+    """The profile DP as plain loops over dicts: per node, every state plus
+    every frontier entry, keeping at each total df the best total NAL (added
+    in node order) and, among equal totals, the smaller parent tuples, node 0
+    first. Frontiers are built from per-call scores."""
+    states = {0: (0.0, ())}
+    for node in range(space.num_nodes):
+        best_at = {}  # df -> (NAL, parents), the best NAL and then the smallest parents
+        for parents in space.candidate_parent_sets(node):
+            value = node_nal(data, node, parents)
+            df = node_df(node, parents, data.variables)
+            if value != NEG_INFINITY and (df not in best_at or (-value, parents) < (
+                    -best_at[df][0], best_at[df][1])):
+                best_at[df] = (value, parents)
+        frontier, top = [], NEG_INFINITY
+        for df in sorted(best_at):
+            if best_at[df][0] > top:
+                frontier.append((df, *best_at[df]))
+                top = best_at[df][0]
+        merged = {}
+        for t, (score, chosen) in states.items():
+            for df, value, parents in frontier:
+                total, path = score + value, chosen + (parents,)
+                cur = merged.get(t + df)
+                if cur is None or total > cur[0] or (total == cur[0] and path < cur[1]):
+                    merged[t + df] = (total, path)
+        states = merged
+    points, top = [], NEG_INFINITY
+    for t in sorted(states):
+        if states[t][0] > top:
+            points.append((t, states[t][0], Dag(states[t][1])))
+            top = states[t][0]
+    return points
+
+
+@settings(max_examples=120, deadline=None)
+@given(profile_cases())
+def test_profile_equals_brute_force_with_exact_ties(case):
+    """Every t and best NAL as brute force finds them, each DAG attaining its
+    point, and the DAGs the loop DP picks. Brute force breaks ties on the
+    final totals; the DP breaks them node by node, so where two prefixes
+    differ by a rounding error that a later add absorbs, their DAGs differ."""
+    data, space = case
+    want = brute_force_profile(data, space)
+    if not want:  # some node has no observable candidate
+        with pytest.raises(AllCandidatesUnobservable):
+            complexity_profile(data, space)
+        return
+    got = complexity_profile(data, space)
+    assert [(p.t, p.best_score) for p in got] == [(t, score) for t, score, _ in want]
+    for p in got:
+        total = 0.0
+        for node, parents in enumerate(p.dag.parents):
+            total = total + node_nal(data, node, parents)
+        assert (total, df_complexity(p.dag, data.variables)) == (p.best_score, p.t)
+    assert [(p.t, p.best_score, p.dag) for p in got] == looped_profile(data, space)
+
+
+def test_profile_peak_memory_stays_below_the_dict_dp():
+    """The dict-of-cons-lists DP peaked at 672,128 traced bytes here (571 points)."""
+    rng = np.random.default_rng(109)
+    variables = [Variable(f"X{i}", int(rng.integers(2, 4))) for i in range(20)]
+    data = random_dataset(variables, 200, rng, 0.1)
+    space = SearchSpace(list(rng.permutation(20)), 3)
+    learn_structure(data, space, BIC)  # the node tables are not part of the profile's peak
+    gc.collect()
+    tracemalloc.start()
+    try:
+        profile = complexity_profile(data, space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(profile) == 571
+    assert peak <= 672_128, f"{peak} B"

@@ -75,3 +75,16 @@ def net_to_dict(net: BayesNet) -> dict:
 
 def save_net(net: BayesNet, path) -> None:
     write_json(net_to_dict(net), path)
+
+
+def record_pools(monkeypatch, module) -> list[dict]:
+    """The keyword arguments of every process pool that module opens from now on."""
+    opened = []
+    real = module.ProcessPoolExecutor
+
+    def counting(*args, **kwargs):
+        opened.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "ProcessPoolExecutor", counting)
+    return opened
