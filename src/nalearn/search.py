@@ -219,7 +219,7 @@ def _node_frontier(
     ranked = observed[np.lexsort((-nal[observed], df[observed]))]
     starts = np.flatnonzero(np.diff(df[ranked], prepend=-1))
     top = nal[ranked[starts]]
-    entries = _records(top)
+    entries = _new_highs(top)
     ends = np.append(starts[1:], len(ranked))
     parents = []
     for a, b, best in zip(starts[entries].tolist(), ends[entries].tolist(), top[entries]):
@@ -268,13 +268,13 @@ def complexity_profile(data: Dataset, space: SearchSpace) -> list[ProfilePoint]:
         pick = (winner // len(t)).astype(np.min_scalar_type(len(df) - 1))
         t, score = keys[starts], best
         steps.append((df, parents, t, pick))
-    keep = _records(score)
+    keep = _new_highs(score)
     chosen = _trace_back(steps, keep)
     return [ProfilePoint(int(tk), float(sk), Dag._from_sorted(dag))
             for tk, sk, dag in zip(t[keep].tolist(), score[keep].tolist(), chosen)]
 
 
-def _records(values: np.ndarray) -> np.ndarray:
+def _new_highs(values: np.ndarray) -> np.ndarray:
     """Indices of the values above every value before them."""
     return np.flatnonzero(values > np.maximum.accumulate(np.append(NEG_INFINITY, values[:-1])))
 
