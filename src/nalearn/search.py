@@ -113,11 +113,11 @@ def _table_key(node: int, space: SearchSpace) -> tuple[int, tuple[int, ...], int
 
 
 # Σ candidates × n below which fill_family_scores leaves the tables to the
-# search. On a 2-vCPU host a 2-worker pool took 22 ms (median of 15, max 25)
+# search. On a 2-vCPU host a 2-worker pool took 22 ms (median of 14, max 26)
 # to start, run 37 trivial tasks and shut down; spawn took 455 ms and
-# forkserver 123 ms, hence fork. Serial tables cost about 11 ns per
-# family-row (0.88 s for learn37_kper2's 7.5e7), so two workers save
-# 5.5 ns a row and pay for the pool from about 4e6 rows: 2^22.
+# forkserver 123 ms, hence fork. Serial tables cost 13-15 ns per family-row
+# (0.95-1.12 s for learn37_kper2's 7.45e7), so two workers save about 7 ns
+# a row and pay for the pool from about 3e6 rows; 2^22 is 4.2e6.
 POOL_FLOOR = 1 << 22
 
 

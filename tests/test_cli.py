@@ -158,11 +158,6 @@ def test_learn_profile_counts_each_candidate_once(tmp_path, capsys, monkeypatch)
     """Each node's empty set is counted on its own, every larger set in a batch."""
     import nalearn.search
 
-    net = eight_node_net()
-    structure_path = tmp_path / "structure.json"
-    save_structure(net.dag, list(net.variables), structure_path)
-    data_path = tmp_path / "data.csv"
-    write_csv(apply_mcar(forward_sample(net, 300, seed=5), KPerRecord(2), seed=6), data_path)
     calls = []
     real_one = nalearn.search.count_sufficient_stats
     real_batch = nalearn.search.count_families
@@ -181,11 +176,7 @@ def test_learn_profile_counts_each_candidate_once(tmp_path, capsys, monkeypatch)
 
     monkeypatch.setattr(nalearn.search, "count_sufficient_stats", counting_one)
     monkeypatch.setattr(nalearn.search, "count_families", counting_batch)
-    code, _, _ = run(capsys, [
-        "learn", "--data", str(data_path), "--structure", str(structure_path),
-        "--penalty", "bic", "--out", str(tmp_path / "learned.json"),
-        "--profile", str(tmp_path / "profile.csv"),
-    ])
+    code, _ = learn_eight_node(tmp_path, capsys, 5)
     assert code == 0
     space = SearchSpace(range(8), 3)
     candidates = [(i, ps) for i in range(8) for ps in space.candidate_parent_sets(i)]
@@ -201,14 +192,14 @@ PINNED_PROFILES = [
 ]
 
 
-def learn_eight_node(tmp_path, capsys, seed, n=300):
-    """learn --profile on the eight-node net, n records under kper:2; returns
+def learn_eight_node(tmp_path, capsys, seed):
+    """learn --profile on the eight-node net, 300 records under kper:2; returns
     the exit code and the sha256 of learned.json and profile.csv."""
     net = eight_node_net()
     structure_path = tmp_path / "structure.json"
     save_structure(net.dag, list(net.variables), structure_path)
     data_path = tmp_path / "data.csv"
-    masked = apply_mcar(forward_sample(net, n, seed=seed), KPerRecord(2), seed=seed + 1)
+    masked = apply_mcar(forward_sample(net, 300, seed=seed), KPerRecord(2), seed=seed + 1)
     write_csv(masked, data_path)
     code, _, _ = run(capsys, [
         "learn", "--data", str(data_path), "--structure", str(structure_path),
