@@ -311,19 +311,25 @@ def test_recovery_workers_open_no_pool(tmp_path, capsys, monkeypatch):
     assert code == 0, err
 
 
-def test_learn_refuses_an_oversized_count_table(tmp_path, capsys):
+def test_learn_refuses_an_oversized_count_table(tmp_path, capsys, monkeypatch, search_pools):
     # 301^3 sentinel cells for X3 | X1, X2: above the 2^24 cap
+    import nalearn.search
+
     variables = [Variable(f"X{i + 1}", 300) for i in range(3)]
     structure_path = tmp_path / "structure.json"
     save_structure(Dag([[], [], []]), variables, structure_path)
     data_path = tmp_path / "data.csv"
     data_path.write_text("X1,X2,X3\n0,1,2\nNA,299,5\n")
-    code, _, err = run(capsys, [
-        "learn", "--data", str(data_path), "--structure", str(structure_path),
-        "--penalty", "bic", "--out", str(tmp_path / "learned.json"),
-    ])
-    assert code == 2
-    assert "exceeds the cap" in err and "Traceback" not in err
+    for floor in (nalearn.search.POOL_FLOOR, 0):  # refused by the search, then by a worker
+        monkeypatch.setattr(nalearn.search, "POOL_FLOOR", floor)
+        code, _, err = run(capsys, [
+            "learn", "--data", str(data_path), "--structure", str(structure_path),
+            "--penalty", "bic", "--out", str(tmp_path / "learned.json"),
+        ])
+        assert code == 2
+        assert "exceeds the cap" in err and "Traceback" not in err
+    assert [kwargs["max_workers"] for kwargs in search_pools] == [2]
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("extra", [
