@@ -178,28 +178,26 @@ def cmd_compare(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     config = experiments.load_config(args.config)
+    mode = args.mode
+    if args.check:
+        if mode != "two-node":
+            raise ConfigError(f"--check compares the two-node table only, not --mode {mode}")
+        penalties = [parse_penalty(spec, 2) for spec in config.penalties]
+        grid = product(config.betas, config.sample_sizes, penalties)
+        if not any(cell in experiments.TWO_NODE_REFERENCE for cell in grid):
+            raise ConfigError("--check: no (beta, n, penalty) of the grid has a reference value")
+    run, name = {"two-node": (experiments.run_two_node, "table1.csv"),
+                 "recovery": (experiments.run_recovery, "recovery.csv"),
+                 "rates": (experiments.run_rate_probe, "rates.csv")}[mode]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    mode = args.mode
-    if mode == "two-node":
-        rows = experiments.run_two_node(config, jobs=args.jobs)
-        experiments.write_rows(rows, out_dir / "table1.csv")
-        if args.check:
-            failures = experiments.check_two_node(rows)
-            for msg in failures:
-                print(f"CHECK FAIL {msg}", file=sys.stderr)
-            if failures:
-                return 3
-    elif mode == "recovery":
-        rows = experiments.run_recovery(config, jobs=args.jobs)
-        experiments.write_rows(rows, out_dir / "recovery.csv")
-    else:
-        rows = experiments.run_rate_probe(config, jobs=args.jobs)
-        experiments.write_rows(rows, out_dir / "rates.csv")
-    return 0
+    rows = run(config)
+    experiments.write_rows(rows, out_dir / name)
+    failures = experiments.check_two_node(rows) if args.check else []
+    for msg in failures:
+        print(f"CHECK FAIL {msg}", file=sys.stderr)
+    return 3 if failures else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--mode", choices=["two-node", "recovery", "rates"], required=True)
     p.add_argument("--out", default=".")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--check", action="store_true")
     p.set_defaults(func=cmd_experiment)
     return parser

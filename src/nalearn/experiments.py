@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
@@ -22,6 +21,7 @@ from .equivalence import edge_f_score
 from .errors import ConfigError, InsufficientGrid
 from .model import BayesNet, df_complexity, json_int, json_number, load_net, read_json
 from .networks import eight_node_net, two_node_net
+from .pool import pool_map
 from .population import observation_probability
 from .sampling import (
     Bernoulli, KPerRecord, MissingnessModel, apply_mcar, derive_seed, forward_sample,
@@ -122,34 +122,30 @@ def _distinct_labels(labels: list[str], field: str) -> list[str]:
     return labels
 
 
-def _draw_replicate(
-    net: BayesNet, n: int, missing: MissingnessModel | None, rep_seed: int
-) -> Dataset:
-    """n records forward-sampled at rep_seed, then MCAR-masked at a seed derived from it."""
+def _replicate(shared, task):
+    """statistic(data) of n records forward-sampled at rep_seed, then MCAR-masked
+    at a seed derived from it."""
+    net, statistic = shared
+    n, missing, rep_seed = task
     data = forward_sample(net, n, rep_seed)
     if missing is not None:
         data = apply_mcar(data, missing, derive_seed(rep_seed, 1))
-    return data
+    return statistic(data)
 
 
-def _replicate(task):
-    net, n, missing, rep_seed, statistic = task
-    return statistic(_draw_replicate(net, n, missing, rep_seed))
-
-
-def monte_carlo(net: BayesNet, cells, replicates: int, statistic, jobs: int = 1) -> list[list]:
+def monte_carlo(net: BayesNet, cells, replicates: int, statistic, families: int) -> list[list]:
     """statistic(data) of every replicate of every cell: one list per cell, in replicate order.
 
     A cell is (n, missing, cell_seed); its replicate r draws at derive_seed(cell_seed, r).
-    With jobs > 1 one process pool serves every cell, so statistic must pickle.
+    statistic counts that many families in a replicate; pool_map weighs the
+    work as families × the records of every replicate, and one pool, if
+    any, serves every cell of the call.
     """
-    tasks = [(net, n, missing, derive_seed(cell_seed, r), statistic)
+    tasks = [(n, missing, derive_seed(cell_seed, r))
              for n, missing, cell_seed in cells for r in range(replicates)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_replicate, tasks))
-    else:
-        results = [_replicate(task) for task in tasks]
+    shared = net, statistic
+    work = families * replicates * sum(n for n, _, _ in cells)
+    results = pool_map(_replicate, shared, tasks, work) or [_replicate(shared, t) for t in tasks]
     return [results[i:i + replicates] for i in range(0, len(results), replicates)]
 
 
@@ -169,7 +165,7 @@ def spurious_edge_gain(data: Dataset) -> float:
 
 
 def two_node_wrong_fraction(
-    beta: float, n: int, penalties: Sequence[Penalty], replicates: int, seed: int, jobs: int = 1
+    beta: float, n: int, penalties: Sequence[Penalty], replicates: int, seed: int
 ) -> list[float]:
     """Fraction of replicates where the spurious edge wins, per penalty.
 
@@ -177,14 +173,14 @@ def two_node_wrong_fraction(
     wins exactly when its gain exceeds lambda_n; ties count as correct.
     """
     mask = Bernoulli((beta, 1.0)) if beta < 1.0 else None
-    [gains] = monte_carlo(two_node_net(), [(n, mask, seed)], replicates, spurious_edge_gain, jobs)
+    [gains] = monte_carlo(two_node_net(), [(n, mask, seed)], replicates, spurious_edge_gain, 2)
     lams = [lambda_value(pen, n) for pen in penalties]
     return [sum(gain > lam for gain in gains) / replicates for lam in lams]
 
 
-def run_two_node(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
-    """Wrong-selection percentages over the (beta, n, penalty) grid; jobs > 1
-    runs each cell's replicates in a process pool of its own."""
+def run_two_node(config: ExperimentConfig) -> list[dict]:
+    """Wrong-selection percentages over the (beta, n, penalty) grid; each
+    cell's replicates may run in a process pool of their own."""
     config.validate()
     if config.net != "two-node":
         raise ConfigError(f"the two-node table runs on the two-node net only, got {config.net!r}")
@@ -194,20 +190,11 @@ def run_two_node(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     for bi, beta in enumerate(config.betas):
         for ni, n in enumerate(config.sample_sizes):
             cell_seed = derive_seed(config.seed, splitmix64(bi * 1009 + ni))
-            fractions = two_node_wrong_fraction(
-                beta, n, penalties, config.replicates, cell_seed, jobs
-            )
+            fractions = two_node_wrong_fraction(beta, n, penalties, config.replicates, cell_seed)
             for label, frac in zip(labels, fractions):
                 se = math.sqrt(max(frac * (1 - frac), 0.0) / config.replicates)
-                rows.append(
-                    {
-                        "beta": beta,
-                        "n": n,
-                        "penalty": label,
-                        "wrong_pct": 100.0 * frac,
-                        "mc_se": 100.0 * se,
-                    }
-                )
+                rows.append({"beta": beta, "n": n, "penalty": label,
+                             "wrong_pct": 100.0 * frac, "mc_se": 100.0 * se})
     return rows
 
 
@@ -283,7 +270,7 @@ def _learn_per_penalty(net: BayesNet, space: SearchSpace, penalties, data: Datas
     return [(edge_f_score(net.dag, dag), df_complexity(dag, net.variables)) for dag in learned]
 
 
-def run_recovery(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
+def run_recovery(config: ExperimentConfig) -> list[dict]:
     """Mean F-score, mean learned complexity and exact-recovery rate."""
     config.validate()
     net = resolve_net(config.net)
@@ -303,21 +290,15 @@ def run_recovery(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     statistic = partial(_learn_per_penalty, net, space, penalties)
     true_df = net.df()
     rows = []
-    per_cell = monte_carlo(net, cells, config.replicates, statistic, jobs)
+    families = sum(space.num_candidates(i) for i in range(net.num_nodes))
+    per_cell = monte_carlo(net, cells, config.replicates, statistic, families)
     for (regime, n), results in zip(keys, per_cell):
         for pi, label in enumerate(labels):
             fs, dfs = zip(*(res[pi] for res in results))
-            rows.append(
-                {
-                    "n": n,
-                    "missingness": regime,
-                    "penalty": label,
-                    "mean_f": float(np.mean(fs)),
-                    "mean_df": float(np.mean(dfs)),
-                    "recovery_rate": float(np.mean([f == 1.0 for f in fs])),
-                    "true_df": true_df,
-                }
-            )
+            rows.append({"n": n, "missingness": regime, "penalty": label,
+                         "mean_f": float(np.mean(fs)), "mean_df": float(np.mean(dfs)),
+                         "recovery_rate": float(np.mean([f == 1.0 for f in fs])),
+                         "true_df": true_df})
     return rows
 
 
@@ -325,14 +306,14 @@ def run_recovery(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
 # Convergence-rate probe for the nested NAL difference
 # ---------------------------------------------------------------------------
 
-def run_rate_probe(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
+def run_rate_probe(config: ExperimentConfig) -> list[dict]:
     """Sd of the spurious-edge gain per n, with a log-log slope per regime.
 
     The gain is the two-node table's: the NAL difference between the one-edge
     model and the independence model nested in it. A regime that never observes
     X1 and X2 together is refused before sampling, and a cell whose gains are
     not finite or do not vary raises InsufficientGrid instead of writing nan.
-    jobs > 1 runs each regime's replicates in a process pool of its own.
+    Each regime's replicates may run in a process pool of their own.
     """
     config.validate()
     if len(config.sample_sizes) < 2:
@@ -351,7 +332,7 @@ def run_rate_probe(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     for ri, (missing, label) in enumerate(zip(models, regimes)):
         cells = [(n, missing, derive_seed(config.seed, splitmix64(ri * 4001 + ni)))
                  for ni, n in enumerate(config.sample_sizes)]
-        gains = monte_carlo(net, cells, config.replicates, spurious_edge_gain, jobs)
+        gains = monte_carlo(net, cells, config.replicates, spurious_edge_gain, 2)
         for n, cell in zip(config.sample_sizes, gains):
             if not all(map(math.isfinite, cell)):
                 raise InsufficientGrid(f"rate probe: under {label} at n = {n} some replicate "

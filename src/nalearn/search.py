@@ -5,17 +5,16 @@ argmax is assembled from per-node winners. The complexity profile combines
 per-node (df, best NAL) Pareto frontiers with an exact-knapsack dynamic
 program over total complexity.
 
-Tie-breaking, everywhere: higher score first, then smaller df, then the
-lexicographically smallest sorted parent list.
+Tie-breaking: higher score first, then smaller df, then the lexicographically
+smallest sorted parent list. The profile breaks ties node by node as its DP
+adds each node's NAL, not on the final totals: where two prefixes differ by a
+rounding error that a later add absorbs, a point's DAG attains the best total
+but need not be the lexicographically smallest DAG that does.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -25,6 +24,7 @@ import numpy as np
 from .data import Dataset, count_families, count_sufficient_stats
 from .errors import AllCandidatesUnobservable, SchemaMismatch
 from .model import Dag, node_df
+from .pool import pool_map
 from .scoring import (
     NEG_INFINITY,
     NodeScore,
@@ -112,61 +112,22 @@ def _table_key(node: int, space: SearchSpace) -> tuple[int, tuple[int, ...], int
     return node, tuple(sorted(space.predecessors(node))), space.max_parents
 
 
-# Σ candidates × n below which fill_family_scores leaves the tables to the
-# search. On a 2-vCPU host a 2-worker pool took 22 ms (median of 14, max 26)
-# to start, run 37 trivial tasks and shut down; spawn took 455 ms and
-# forkserver 123 ms, hence fork. Serial tables cost 13-15 ns per family-row
-# (0.95-1.12 s for learn37_kper2's 7.45e7), so two workers save about 7 ns
-# a row and pay for the pool from about 3e6 rows; 2^22 is 4.2e6.
-POOL_FLOOR = 1 << 22
-
-
 def fill_family_scores(data: Dataset, space: SearchSpace) -> None:
-    """Build every node's table in data.family_scores in a process pool, one
-    worker per usable CPU (at most one per node), largest nodes first.
-
-    The tables equal the search's own bit for bit, so what is learned from
-    them does not depend on the worker count. On one CPU, where fork is
-    missing, below POOL_FLOOR, or when the pool cannot start, nothing is
-    built here and the search builds each table as it needs it.
-    """
+    """Build every node's table in data.family_scores through pool_map, largest
+    nodes first, weighing Σ candidates × records of work. The tables equal the
+    search's own bit for bit, whatever the worker count; where no pool runs,
+    the search builds each table as it needs it."""
     _check_space(data, space)
     sizes = {node: space.num_candidates(node) for node in range(space.num_nodes)
              if _table_key(node, space) not in data.family_scores}
-    workers = min(_usable_cpus(), len(sizes))
-    if (workers < 2 or sum(sizes.values()) * data.num_records < POOL_FLOOR
-            or "fork" not in multiprocessing.get_all_start_methods()):
-        return
     nodes = sorted(sizes, key=sizes.get, reverse=True)
-    try:
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_start_worker, initargs=(data.variables, data.values, space),
-        ) as pool:
-            for node, table in zip(nodes, pool.map(_worker_table, nodes)):
-                data.family_scores[_table_key(node, space)] = table
-    except (OSError, BrokenProcessPool):
-        pass  # the search builds the tables the pool did not
+    tables = pool_map(_pooled_table, (data, space), nodes, sum(sizes.values()) * data.num_records)
+    for node, table in zip(nodes, tables or ()):
+        data.family_scores[_table_key(node, space)] = table
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity on this platform
-        return os.cpu_count() or 1
-
-
-# a pool worker's dataset and space, set by its initializer; never set in the caller
-_worker_search: tuple[Dataset, SearchSpace] | None = None
-
-
-def _start_worker(variables, values, space: SearchSpace) -> None:
-    global _worker_search
-    _worker_search = Dataset(variables, values), space
-
-
-def _worker_table(node: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    data, space = _worker_search
+def _pooled_table(shared, node: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    data, space = shared
     return _node_table(data, node, space, space.candidate_parent_sets(node))
 
 
@@ -240,7 +201,8 @@ def complexity_profile(data: Dataset, space: SearchSpace) -> list[ProfilePoint]:
     so the candidates of node k are F shifted copies of the states, F the
     frontier's length. One stable sort merges them and a reduceat takes each
     total's best; among exactly equal totals the candidate whose parent
-    tuples are smaller, node 0 first, wins. Each node keeps the sorted totals
+    tuples are smaller, node 0 first, wins. Ties are thus broken at each
+    node's step, never on the final totals. Each node keeps the sorted totals
     and the frontier entry each state took; the kept points are traced back
     through them at once.
     """

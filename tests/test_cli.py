@@ -10,6 +10,8 @@ import os
 import numpy as np
 import pytest
 
+import nalearn.experiments
+import nalearn.pool
 from nalearn import (
     MISSING,
     Dag,
@@ -27,7 +29,7 @@ from nalearn import (
 from nalearn.cli import main
 from nalearn.networks import eight_node_net
 
-from util import net_to_dict, record_pools, save_net
+from util import exit_at_once, fail_to_fork, force_pools, net_to_dict, record_pools, save_net
 
 
 @pytest.fixture
@@ -213,10 +215,8 @@ def learn_eight_node(tmp_path, capsys, seed):
 @pytest.fixture
 def search_pools(monkeypatch):
     """The keyword arguments of every pool the search opens; two usable CPUs."""
-    import nalearn.search
-
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    return record_pools(monkeypatch, nalearn.search)
+    return record_pools(monkeypatch)
 
 
 # 162 candidate parent sets over the eight nodes at --max-parents 3, times 300 records
@@ -232,10 +232,8 @@ def test_learn_profile_outputs_are_pinned(tmp_path, capsys, monkeypatch, search_
     """learned.json and profile.csv of the eight-node net, n = 300 under kper:2,
     byte for byte as the per-call search wrote them, with the node tables
     built in a pool of two workers or, below the floor, by the search."""
-    import nalearn.search
-
     if pool:
-        monkeypatch.setattr(nalearn.search, "POOL_FLOOR", 0)
+        monkeypatch.setattr(nalearn.pool, "POOL_FLOOR", 0)
     code, digests = learn_eight_node(tmp_path, capsys, seed)
     assert code == 0
     assert digests == [learned_digest, profile_digest]
@@ -245,10 +243,8 @@ def test_learn_profile_outputs_are_pinned(tmp_path, capsys, monkeypatch, search_
 
 @pytest.mark.parametrize("cpus", [3, 16])
 def test_learn_opens_one_pool_at_the_floor(tmp_path, capsys, monkeypatch, search_pools, cpus):
-    import nalearn.search
-
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(nalearn.search, "POOL_FLOOR", EIGHT_NODE_ROWS)
+    monkeypatch.setattr(nalearn.pool, "POOL_FLOOR", EIGHT_NODE_ROWS)
     code, digests = learn_eight_node(tmp_path, capsys, 5)
     assert code == 0 and digests == list(PINNED_PROFILES[0][1:])
     assert [kwargs["max_workers"] for kwargs in search_pools] == [min(cpus, 8)]
@@ -257,35 +253,23 @@ def test_learn_opens_one_pool_at_the_floor(tmp_path, capsys, monkeypatch, search
 @pytest.mark.parametrize("floor, cpus", [(EIGHT_NODE_ROWS + 1, 2), (None, 2), (0, 1)])
 def test_learn_opens_no_pool_below_the_floor_or_on_one_cpu(tmp_path, capsys, monkeypatch,
                                                             search_pools, floor, cpus):
-    import nalearn.search
-
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     if floor is not None:  # None: the floor as shipped
-        monkeypatch.setattr(nalearn.search, "POOL_FLOOR", floor)
+        monkeypatch.setattr(nalearn.pool, "POOL_FLOOR", floor)
     code, digests = learn_eight_node(tmp_path, capsys, 5)
     assert code == 0 and digests == list(PINNED_PROFILES[0][1:])
     assert search_pools == []
 
 
-def _fail_to_fork(*args, **kwargs):
-    raise OSError(11, "Resource temporarily unavailable")
-
-
-def _die(*args):
-    os._exit(1)
-
-
 @pytest.mark.parametrize("failure", ["no pool", "workers die"])
 def test_learn_falls_back_to_the_search_when_the_pool_fails(tmp_path, capsys, monkeypatch,
                                                             failure):
-    import nalearn.search
-
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(nalearn.search, "POOL_FLOOR", 0)
+    monkeypatch.setattr(nalearn.pool, "POOL_FLOOR", 0)
     if failure == "no pool":
-        monkeypatch.setattr(nalearn.search, "ProcessPoolExecutor", _fail_to_fork)
+        monkeypatch.setattr(nalearn.pool, "ProcessPoolExecutor", fail_to_fork)
     else:  # every worker exits in its initializer: BrokenProcessPool
-        monkeypatch.setattr(nalearn.search, "_start_worker", _die)
+        monkeypatch.setattr(nalearn.pool, "_start_worker", exit_at_once)
     code, digests = learn_eight_node(tmp_path, capsys, 5)
     assert code == 0 and digests == list(PINNED_PROFILES[0][1:])
     assert multiprocessing.active_children() == []
@@ -293,35 +277,36 @@ def test_learn_falls_back_to_the_search_when_the_pool_fails(tmp_path, capsys, mo
 
 def test_recovery_workers_open_no_pool(tmp_path, capsys, monkeypatch):
     """The recovery harness learns through the library, which never opens a
-    pool, so its --jobs workers nest none, even with no floor."""
-    import nalearn.search
+    pool, so the workers of its own pool nest none, even with no floor."""
+    pools = force_pools(monkeypatch)
+    parent, counting = os.getpid(), nalearn.pool.ProcessPoolExecutor
 
-    def nested_pool(*args, **kwargs):  # raised in a worker, it fails the command
-        raise AssertionError("a recovery worker opened a pool")
+    def parent_pool_only(*args, **kwargs):  # raised in a worker, it fails the command
+        if os.getpid() != parent:
+            raise AssertionError("a recovery worker opened a pool")
+        return counting(*args, **kwargs)
 
-    monkeypatch.setattr(nalearn.search, "POOL_FLOOR", 0)
-    monkeypatch.setattr(nalearn.search, "ProcessPoolExecutor", nested_pool)
+    monkeypatch.setattr(nalearn.pool, "ProcessPoolExecutor", parent_pool_only)
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({
         "net": "eight-node", "sample_sizes": [300], "penalties": ["bic"],
         "missingness": [{"mode": "kper", "k": 2}], "replicates": 2, "seed": 25,
     }))
     code, _, err = run(capsys, ["experiment", "--config", str(config_path), "--mode",
-                                "recovery", "--out", str(tmp_path), "--jobs", "2"])
+                                "recovery", "--out", str(tmp_path)])
     assert code == 0, err
+    assert [kwargs["max_workers"] for kwargs in pools] == [2]
 
 
 def test_learn_refuses_an_oversized_count_table(tmp_path, capsys, monkeypatch, search_pools):
     # 301^3 sentinel cells for X3 | X1, X2: above the 2^24 cap
-    import nalearn.search
-
     variables = [Variable(f"X{i + 1}", 300) for i in range(3)]
     structure_path = tmp_path / "structure.json"
     save_structure(Dag([[], [], []]), variables, structure_path)
     data_path = tmp_path / "data.csv"
     data_path.write_text("X1,X2,X3\n0,1,2\nNA,299,5\n")
-    for floor in (nalearn.search.POOL_FLOOR, 0):  # refused by the search, then by a worker
-        monkeypatch.setattr(nalearn.search, "POOL_FLOOR", floor)
+    for floor in (nalearn.pool.POOL_FLOOR, 0):  # refused by the search, then by a worker
+        monkeypatch.setattr(nalearn.pool, "POOL_FLOOR", floor)
         code, _, err = run(capsys, [
             "learn", "--data", str(data_path), "--structure", str(structure_path),
             "--penalty", "bic", "--out", str(tmp_path / "learned.json"),
@@ -380,6 +365,12 @@ _WIDE_NET = {  # 2**64 joint states, a count that wraps to 0 in int64
     "parents": [[]] * 64,
     "cpt": [[[0.5, 0.5]]] * 64,
 }
+# --check where there is nothing to check: another mode, or a grid that meets
+# no cell of the reference table
+_CHECK_WITHOUT_REFERENCE = [
+    ([*_RECOVERY, "--check"], _TWO_NODE_CONFIG),
+    ([*_TWO_NODE, "--check"], {**_TWO_NODE_CONFIG, "sample_sizes": [50]}),
+]
 
 
 @pytest.mark.parametrize("argv, config", [
@@ -422,7 +413,7 @@ _WIDE_NET = {  # 2**64 joint states, a count that wraps to 0 in int64
     (["population", "--net", "{config}", "--candidates", "order", "--max-parents", "0"],
      _WIDE_NET),
     (_TWO_NODE, {**_TWO_NODE_CONFIG, "net": "eight-node"}),
-    *[([*_RECOVERY, "--jobs", jobs], _TWO_NODE_CONFIG) for jobs in ["0", "-3"]],
+    *_CHECK_WITHOUT_REFERENCE,
     (_SAMPLE_FROM, {**_NET_DICT, "cpt": [[[math.nan, math.nan]], _NET_DICT["cpt"][1]]}),
     # JSON booleans that float() or int() would read as 0 or 1
     (_TWO_NODE, {**_TWO_NODE_CONFIG, "betas": [True]}),
@@ -469,6 +460,28 @@ def test_malformed_spec_exit_2(two_node_files, tmp_path, capsys, argv, config):
     code, _, err = run(capsys, [arg.format(**paths) for arg in argv])
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv, config", _CHECK_WITHOUT_REFERENCE)
+def test_check_without_a_reference_is_refused_before_sampling(tmp_path, capsys, monkeypatch,
+                                                             argv, config):
+    def no_sampling(*args):
+        raise AssertionError("sampled before --check was refused")
+
+    monkeypatch.setattr(nalearn.experiments, "forward_sample", no_sampling)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, [arg.format(config=config_path, out_dir=out_dir) for arg in argv])
+    assert code == 2 and err.startswith("error: --check") and not out_dir.exists(), err
+
+
+def test_experiment_takes_no_jobs_option(capsys):
+    # the harness sizes its process pools itself
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--config", "config.json", "--mode", "recovery", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_mask_needs_exactly_one_schema(two_node_files, tmp_path, capsys):

@@ -3,12 +3,14 @@
 import hashlib
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nalearn.pool
 from nalearn import AIC, BIC, Dataset, Penalty, power_law, two_node_net
 from nalearn.cli import main
 from nalearn.errors import ConfigError, InsufficientGrid
@@ -29,7 +31,7 @@ from nalearn.experiments import (
 from nalearn.sampling import Bernoulli, KPerRecord, parse_missingness
 from nalearn.scoring import lambda_value, parse_penalty
 
-from util import record_pools
+from util import exit_at_once, fail_to_fork, force_pools
 
 
 def test_config_rejects_unknown_field():
@@ -161,10 +163,10 @@ def test_unobservable_spurious_edge_is_never_selected():
 
 def test_monte_carlo_runs_each_replicate_at_its_own_seed():
     cells = [(20, None, 3), (30, Bernoulli((0.5, 1.0)), 4)]
-    per_cell = monte_carlo(two_node_net(), cells, 3, spurious_edge_gain)
+    per_cell = monte_carlo(two_node_net(), cells, 3, spurious_edge_gain, 2)
     assert [len(gains) for gains in per_cell] == [3, 3]
     # a cell's replicates do not depend on the other cells or on the replicate count
-    assert monte_carlo(two_node_net(), cells[1:], 2, spurious_edge_gain) == [per_cell[1][:2]]
+    assert monte_carlo(two_node_net(), cells[1:], 2, spurious_edge_gain, 2) == [per_cell[1][:2]]
 
 
 def test_two_node_wrong_fraction_extremes():
@@ -203,7 +205,7 @@ def test_run_recovery_smoke():
     assert 0.0 <= row["recovery_rate"] <= 1.0
 
 
-def test_run_recovery_parallel_matches_serial():
+def test_run_recovery_parallel_matches_serial(monkeypatch):
     cfg = ExperimentConfig(
         net="eight-node",
         sample_sizes=(300,),
@@ -212,15 +214,16 @@ def test_run_recovery_parallel_matches_serial():
         replicates=4,
         seed=13,
     )
-    assert run_recovery(cfg, jobs=1) == run_recovery(cfg, jobs=2)
+    serial = run_recovery(cfg)
+    pools = force_pools(monkeypatch)
+    assert run_recovery(cfg) == serial and len(pools) == 1
 
 
 @pytest.fixture
 def opened_pools(monkeypatch):
-    """The keyword arguments of every process pool the harness opens."""
-    import nalearn.experiments
-
-    return record_pools(monkeypatch, nalearn.experiments)
+    """The keyword arguments of every process pool the harness opens, with two
+    usable CPUs and no floor."""
+    return force_pools(monkeypatch)
 
 
 def test_recovery_opens_one_pool_per_run(opened_pools):
@@ -231,22 +234,21 @@ def test_recovery_opens_one_pool_per_run(opened_pools):
         replicates=2,
         seed=3,
     )
-    rows = run_recovery(cfg, jobs=2)
-    assert len(rows) == 4 and opened_pools == [{"max_workers": 2}]
+    rows = run_recovery(cfg)
+    assert len(rows) == 4 and [kwargs["max_workers"] for kwargs in opened_pools] == [2]
 
 
 @pytest.mark.parametrize("mode, pools", [("two-node", 4), ("rates", 2)])
-def test_table_and_probe_take_jobs(opened_pools, tmp_path, mode, pools):
+def test_table_and_probe_open_a_pool_per_cell_and_regime(opened_pools, tmp_path, mode, pools):
     # the table opens one pool per (beta, n) cell, the probe one per regime
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({
         "sample_sizes": [50, 100], "betas": [1.0, 0.9], "penalties": ["bic"], "replicates": 3,
         "seed": 3, "missingness": [{"mode": "none"}, {"mode": "bernoulli", "p": [0.9, 1.0]}],
     }))
-    argv = ["experiment", "--config", str(config_path), "--mode", mode, "--out", str(tmp_path),
-            "--jobs", "2"]
+    argv = ["experiment", "--config", str(config_path), "--mode", mode, "--out", str(tmp_path)]
     assert main(argv) == 0
-    assert opened_pools == [{"max_workers": 2}] * pools
+    assert [kwargs["max_workers"] for kwargs in opened_pools] == [2] * pools
 
 
 def test_run_rate_probe_slopes_and_grid():
@@ -399,10 +401,25 @@ _RATES = {"sample_sizes": [50, 200, 800], "replicates": 20, "seed": 5,
           "missingness": [{"mode": "none"}, {"mode": "bernoulli", "p": [0.75, 1.0]}]}
 
 
+# monte_carlo calls of each mode: one per (beta, n) cell, per regime, per run
+_CALLS = {"two-node": 6, "rates": 2, "recovery": 1}
+_CSV = {"two-node": "table1.csv", "rates": "rates.csv", "recovery": "recovery.csv"}
+
+
+def run_pinned(tmp_path, mode, config) -> str:
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    argv = ["experiment", "--config", str(config_path), "--mode", mode, "--out", str(tmp_path)]
+    assert main(argv) == 0
+    return hashlib.sha256((tmp_path / _CSV[mode]).read_bytes()).hexdigest()
+
+
 # Taken before the runners shared one replicate driver; a change to the random
 # stream, the seed schedule or the statistics changes them. Every replicate has
-# its own seed, so --jobs leaves the CSV as it is.
-@pytest.mark.parametrize("mode, jobs, config, digest", [
+# its own seed, so the worker count leaves the CSV as it is: "jobs1" runs on
+# one usable CPU, serially, and "jobs2" on two with no floor, in a pool of two
+# workers per monte_carlo call.
+@pytest.mark.parametrize("mode, workers, config, digest", [
     ("two-node", 1, _TABLE, _TABLE_DIGEST),
     ("rates", 1, _RATES, _RATES_DIGEST),
     ("recovery", 1, _RECOVERY8, _RECOVERY8_DIGEST),
@@ -413,11 +430,20 @@ _RATES = {"sample_sizes": [50, 200, 800], "replicates": 20, "seed": 5,
     ("rates", 2, _RATES, _RATES_DIGEST),
 ], ids=["table", "rates", "recovery8-jobs1", "recovery8-jobs2", "recovery2-jobs1",
         "recovery2-jobs2", "table-jobs2", "rates-jobs2"])
-def test_harness_outputs_are_pinned(tmp_path, mode, jobs, config, digest):
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(config))
-    argv = ["experiment", "--config", str(config_path), "--mode", mode, "--out", str(tmp_path),
-            "--jobs", str(jobs)]
-    assert main(argv) == 0
-    name = {"two-node": "table1.csv", "rates": "rates.csv", "recovery": "recovery.csv"}[mode]
-    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+def test_harness_outputs_are_pinned(tmp_path, monkeypatch, mode, workers, config, digest):
+    pools = force_pools(monkeypatch, workers)
+    assert run_pinned(tmp_path, mode, config) == digest
+    assert [kwargs["max_workers"] for kwargs in pools] == ([2] * _CALLS[mode] if workers == 2
+                                                           else [])
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("failure", ["no pool", "workers die"])
+def test_monte_carlo_falls_back_to_serial_when_the_pool_fails(tmp_path, monkeypatch, failure):
+    force_pools(monkeypatch)
+    if failure == "no pool":
+        monkeypatch.setattr(nalearn.pool, "ProcessPoolExecutor", fail_to_fork)
+    else:  # every worker exits in its initializer: BrokenProcessPool
+        monkeypatch.setattr(nalearn.pool, "_start_worker", exit_at_once)
+    assert run_pinned(tmp_path, "two-node", _TABLE) == _TABLE_DIGEST
+    assert multiprocessing.active_children() == []

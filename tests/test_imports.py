@@ -1,7 +1,7 @@
 """Every package module uses every name it imports (``__init__`` re-exports),
-none imports an underscore name from another package module, and every
-public package name has a caller in the program: the package itself, the
-demos or the benchmark. The test helpers ``oracles.py`` and ``util.py`` keep
+none imports an underscore name from another package module, every public
+package name has a caller in the program: the package itself, the demos or
+the benchmark, and only ``nalearn.pool`` opens process pools. The test helpers ``oracles.py`` and ``util.py`` keep
 the same import rules, so the reference implementations use only public
 names."""
 
@@ -97,3 +97,28 @@ def test_every_public_name_has_a_caller():
     assert not uncalled, f"public names nothing in src/, demos/ or perfbench/ loads: {uncalled}"
     stale = sorted(set(ALLOWED_UNUSED) - set(unused))
     assert not stale, f"allow-listed names that have a caller: {stale}"
+
+
+def pool_uses(tree: ast.Module):
+    """Each import of concurrent.futures or multiprocessing in a module, and
+    each ProcessPoolExecutor it constructs."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (f"import {alias.name}" for alias in node.names
+                        if alias.name.partition(".")[0] in ("concurrent", "multiprocessing"))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] in (
+                "concurrent", "multiprocessing"):
+            yield f"from {node.module} import"
+        elif isinstance(node, ast.Call) and "ProcessPoolExecutor" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            yield "ProcessPoolExecutor()"
+
+
+def test_only_the_pool_module_opens_process_pools():
+    """One pool policy: a second module that imports a pool library or builds
+    an executor goes around nalearn.pool.pool_map."""
+    uses = {path.name: list(pool_uses(ast.parse(path.read_text(encoding="utf-8"))))
+            for path in MODULES}
+    outside = {name: found for name, found in uses.items() if found and name != "pool.py"}
+    assert not outside, f"process pools opened outside nalearn.pool: {outside}"
+    assert uses["pool.py"].count("ProcessPoolExecutor()") == 1

@@ -451,6 +451,21 @@ def test_profile_ties_compare_node_0_first():
     assert [p.dag for p in profile if p.t == 4] == [Dag([(), (), (0,)])]
 
 
+def test_profile_breaks_ties_node_by_node():
+    """At t = 8, node 0 with parent X3 and node 1 with parent X0 reach totals
+    that differ after node 1 by one rounding error (-1.0114042647073516
+    against ...518), which the last two adds absorb. The DP keeps the prefix
+    that led at node 1, so the point attains brute force's best total but is
+    not its lexicographically smallest maximizer."""
+    values = [[1, 2, 1, 0], [1, 2, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1], [1, 0, 1, 0], [0, 0, 0, 0]]
+    data = Dataset([Variable(f"X{i}", q) for i, q in enumerate([2, 3, 2, 3])], np.array(values))
+    space = SearchSpace((2, 3, 0, 1), 1)
+    [point] = [p for p in complexity_profile(data, space) if p.t == 8]
+    [(_, best, smallest)] = [want for want in brute_force_profile(data, space) if want[0] == 8]
+    assert point.best_score == best == -2.2844326012969773
+    assert point.dag == Dag([(3,), (), (), ()]) and smallest == Dag([(), (0,), (), ()])
+
+
 def test_profile_points_share_their_parent_tuples():
     rng = np.random.default_rng(127)
     variables = [Variable(f"X{i}", int(rng.integers(2, 4))) for i in range(6)]

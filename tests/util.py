@@ -3,10 +3,12 @@ a network file writer."""
 
 from __future__ import annotations
 
+import os
 from itertools import product
 
 import numpy as np
 
+import nalearn.pool
 from nalearn import BayesNet, Cpt, Dag, Dataset, Variable
 from nalearn.model import parent_config_count, structure_to_dict, write_json
 
@@ -77,14 +79,33 @@ def save_net(net: BayesNet, path) -> None:
     write_json(net_to_dict(net), path)
 
 
-def record_pools(monkeypatch, module) -> list[dict]:
-    """The keyword arguments of every process pool that module opens from now on."""
+def force_pools(monkeypatch, cpus: int = 2) -> list[dict]:
+    """cpus usable CPUs and no floor, so every pool_map call with work and two
+    or more items pools; returns the keyword arguments of every process pool
+    opened from now on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(nalearn.pool, "POOL_FLOOR", 0)
+    return record_pools(monkeypatch)
+
+
+def record_pools(monkeypatch) -> list[dict]:
+    """The keyword arguments of every process pool that nalearn.pool opens from now on."""
     opened = []
-    real = module.ProcessPoolExecutor
+    real = nalearn.pool.ProcessPoolExecutor
 
     def counting(*args, **kwargs):
         opened.append(kwargs)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(module, "ProcessPoolExecutor", counting)
+    monkeypatch.setattr(nalearn.pool, "ProcessPoolExecutor", counting)
     return opened
+
+
+def fail_to_fork(*args, **kwargs):
+    """A ProcessPoolExecutor that cannot start."""
+    raise OSError(11, "Resource temporarily unavailable")
+
+
+def exit_at_once(*args):
+    """A pool initializer whose worker dies: the pool breaks."""
+    os._exit(1)
