@@ -137,9 +137,9 @@ def monte_carlo(net: BayesNet, cells, replicates: int, statistic, families: int)
     """statistic(data) of every replicate of every cell: one list per cell, in replicate order.
 
     A cell is (n, missing, cell_seed); its replicate r draws at derive_seed(cell_seed, r).
-    statistic counts that many families in a replicate; pool_map weighs the
-    work as families × the records of every replicate, and one pool, if
-    any, serves every cell of the call.
+    families is the number of (node, parent set) families statistic counts in
+    a replicate; pool_map weighs the work as families × the records of every
+    replicate, and one pool, if any, serves every cell of the call.
     """
     tasks = [(n, missing, derive_seed(cell_seed, r))
              for n, missing, cell_seed in cells for r in range(replicates)]
