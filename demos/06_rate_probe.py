@@ -19,10 +19,7 @@ config = ExperimentConfig(
     sample_sizes=(100, 1000, 10000),
     replicates=300,
     seed=20240901,
-    missingness=(
-        {"mode": "none"},
-        {"mode": "bernoulli", "p": (0.75, 1.0)},
-    ),
+    missingness=("none", "bernoulli:0.75,1"),
 )
 
 rows = run_rate_probe(config)

@@ -19,7 +19,7 @@ from .errors import ConfigError, NalearnError, StateSpaceTooLarge
 from .model import Dag, dags_from_json, load_net, load_structure, read_json, save_structure
 from .population import beta_of_collection, check_identifiability
 from .sampling import apply_mcar, forward_sample, parse_missingness
-from .scoring import Penalty, parse_penalty, score_decomposable, score_global
+from .scoring import parse_penalty, score_decomposable, score_global
 from .search import SearchSpace, complexity_profile, fill_family_scores, learn_structure
 from .equivalence import dags_equivalent, edge_precision_recall, edge_f_score
 
@@ -30,23 +30,10 @@ from .equivalence import dags_equivalent, edge_precision_recall, edge_f_score
 ORDER_DAG_CAP = 10_000
 
 
-def _penalty_from_args(args, num_vars: int) -> Penalty:
-    spec = {"kind": args.penalty, "alpha": args.alpha, "coef": args.coef}
-    if args.penalty == "power" and args.alpha is None:
-        spec["alpha"] = 0.5
-    return parse_penalty({key: value for key, value in spec.items() if value is not None}, num_vars)
-
-
 def _require_nonnegative(**options) -> None:
     for name, value in options.items():
         if value < 0:
             raise ConfigError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
-
-
-def _add_penalty_args(sub):
-    sub.add_argument("--penalty", choices=["aic", "bic", "power", "none"], required=True)
-    sub.add_argument("--alpha", type=float, default=None, help="power law only (default 0.5)")
-    sub.add_argument("--coef", type=float, default=None, help="power law only (default 1/N)")
 
 
 def cmd_sample(args) -> int:
@@ -63,7 +50,10 @@ def cmd_mask(args) -> int:
         variables = list(load_net(args.net).variables)
     else:
         variables, _ = load_structure(args.structure)
-    model = parse_missingness({"mode": args.mode, "p": args.p, "k": args.k}, len(variables))
+    model = parse_missingness(args.missing, len(variables))
+    if model is None:
+        raise ConfigError("mask --missing none would mask nothing; write bernoulli:p[,p...] "
+                          "or kper:k")
     data = read_csv(args.infile, variables)
     write_csv(apply_mcar(data, model, args.seed), args.out)
     return 0
@@ -71,7 +61,7 @@ def cmd_mask(args) -> int:
 
 def cmd_score(args) -> int:
     variables, dag = load_structure(args.net_structure)
-    penalty = _penalty_from_args(args, len(variables))
+    penalty = parse_penalty(args.penalty, len(variables))
     data = read_csv(args.data, variables)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     if args.decomposable:
@@ -96,14 +86,14 @@ def cmd_population(args) -> int:
     if args.candidates == "order":
         _require_nonnegative(max_parents=args.max_parents)
         space = SearchSpace(net.dag.topological_order(), args.max_parents)
-        candidate_lists = [space.candidate_parent_sets(i) for i in range(net.num_nodes)]
-        total = math.prod(len(c) for c in candidate_lists)
+        total = math.prod(map(space.num_candidates, range(net.num_nodes)))
         if total > ORDER_DAG_CAP:
             raise StateSpaceTooLarge(
                 f"--candidates order spans {total} DAGs, above the cap of "
                 f"{ORDER_DAG_CAP}; lower --max-parents or pass a candidate file"
             )
-        candidates = [Dag(choice) for choice in product(*candidate_lists)]
+        candidates = [Dag(choice) for choice in product(
+            *map(space.candidate_parent_sets, range(net.num_nodes)))]
     else:
         candidates = read_json(args.candidates, dags_from_json)
     report = check_identifiability(net, candidates)
@@ -140,7 +130,7 @@ def _space_from_args(args, variables) -> SearchSpace:
 def cmd_learn(args) -> int:
     variables, _ = load_structure(args.structure)
     space = _space_from_args(args, variables)
-    penalty = _penalty_from_args(args, len(variables))
+    penalty = parse_penalty(args.penalty, len(variables))
     data = read_csv(args.data, variables)
     fill_family_scores(data, space)
     learned = learn_structure(data, space, penalty)
@@ -217,9 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("mask", help="apply MCAR masking to a CSV dataset")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--mode", choices=["bernoulli", "kper"], required=True)
-    p.add_argument("--p", default=None, help="comma list of observation probs")
-    p.add_argument("--k", type=int, default=None, help="deletions per record")
+    p.add_argument("--missing", required=True, help="bernoulli:p,... | kper:k")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     schema = p.add_mutually_exclusive_group(required=True)
@@ -230,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("score", help="score a structure against a dataset")
     p.add_argument("--net-structure", dest="net_structure", required=True)
     p.add_argument("--data", required=True)
-    _add_penalty_args(p)
+    p.add_argument("--penalty", required=True, help="aic | bic | none | a<alpha>[c<coef>]")
     p.add_argument("--decomposable", action="store_true")
     p.set_defaults(func=cmd_score)
 
@@ -246,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--structure", required=True, help="structure file giving the schema")
     p.add_argument("--order", default=None, help="comma list of variable names")
     p.add_argument("--max-parents", type=int, default=3)
-    _add_penalty_args(p)
+    p.add_argument("--penalty", required=True, help="aic | bic | none | a<alpha>[c<coef>]")
     p.add_argument("--out", required=True)
     p.add_argument("--profile", default=None, help="write the complexity profile CSV")
     p.set_defaults(func=cmd_learn)

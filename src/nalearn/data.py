@@ -76,10 +76,12 @@ class Dataset:
                 raise SchemaMismatch(
                     f"column {v.name!r} has values outside 0..{v.cardinality - 1}"
                 )
-        a = a.astype(np.int16)
-        a.setflags(write=False)
+        codes = a.astype(np.int16)
+        if a.dtype.kind not in "iu" and not np.array_equal(codes, a):  # 0.5 would store 0
+            raise SchemaMismatch("values must be integers")
+        codes.setflags(write=False)
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "values", a)
+        object.__setattr__(self, "values", codes)
 
     @property
     def num_records(self) -> int:

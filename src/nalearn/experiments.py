@@ -38,8 +38,8 @@ class ExperimentConfig:
     net: str = "two-node"  # "two-node", "eight-node" or a network file path
     sample_sizes: tuple[int, ...] = (100, 1000, 10000, 100000)
     betas: tuple[float, ...] = (1.0, 0.99, 0.95, 0.90, 0.75)  # two-node masking
-    missingness: tuple[dict, ...] = ({"mode": "none"},)  # recovery masking specs
-    penalties: tuple = ("aic", "bic")
+    missingness: tuple[str, ...] = ("none",)  # recovery and rate-probe masking specs
+    penalties: tuple = ("aic", "bic")  # specs, or Penalty objects
     replicates: int = 1000
     seed: int = 20240901
     max_parents: int = 3
@@ -73,7 +73,7 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
         "net": str,
         "sample_sizes": lambda v: tuple(json_int(x) for x in v),
         "betas": lambda v: tuple(float(json_number(x)) for x in v),
-        "missingness": lambda v: tuple(dict(d) for d in v),
+        "missingness": tuple,
         "penalties": tuple,
         "replicates": json_int,
         "seed": json_int,

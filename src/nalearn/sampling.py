@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import MISSING, Dataset
 from .errors import ConfigError
-from .model import BayesNet, json_number
+from .model import BayesNet
 
 _MASK64 = (1 << 64) - 1
 
@@ -62,37 +62,29 @@ MissingnessModel = Bernoulli | KPerRecord
 
 
 def parse_missingness(spec, num_vars: int) -> MissingnessModel | None:
-    """MCAR model from "none" | "bernoulli:p[,p...]" | "kper:k" or a dict
-    {mode, p, k}, mode defaulting to "none" (which gives None). Bernoulli takes
-    1 probability (for every variable) or num_vars, as a number, list or comma
-    list; k-per-record needs 0 <= k < num_vars. Raises ConfigError quoting `spec`.
+    """MCAR model from "none" (which gives None) | "bernoulli:p[,p...]" |
+    "kper:k". Bernoulli takes 1 probability (for every variable) or
+    num_vars; k-per-record needs 0 <= k < num_vars. Raises ConfigError
+    quoting `spec`, which must be a string.
     """
-    fields = spec
-    if isinstance(spec, str):
-        mode, _, arg = spec.partition(":")
-        fields = {"mode": mode, "p" if mode == "bernoulli" else "k": arg or None}
-    mode = fields.get("mode", "none") if isinstance(fields, dict) else None
-    if mode not in ("none", "bernoulli", "kper"):
-        raise ConfigError(f"unknown missingness spec {spec!r}")
-    given = sorted(key for key, value in fields.items() if key != "mode" and value is not None)
-    wanted = {"none": [], "bernoulli": ["p"], "kper": ["k"]}[mode]
-    if given != wanted:
-        raise ConfigError(f"missingness spec {spec!r}: mode {mode!r} takes {wanted or 'nothing'}")
+    if spec == "none":
+        return None
+    mode, _, arg = spec.partition(":") if isinstance(spec, str) else (None, None, None)
+    if mode not in ("bernoulli", "kper") or not arg:
+        raise ConfigError(f"unknown missingness spec {spec!r}; write none, "
+                          "bernoulli:p[,p...] or kper:k")
     try:
         if mode == "bernoulli":
-            p = fields["p"].split(",") if isinstance(fields["p"], str) else fields["p"]
-            probs = [float(json_number(x)) for x in (p if isinstance(p, (list, tuple)) else [p])]
+            probs = [float(p) for p in arg.split(",")]
             if len(probs) not in (1, num_vars):
                 raise ValueError(f"needs 1 or {num_vars} probabilities, got {len(probs)}")
             return Bernoulli(probs * (num_vars // len(probs)))
-        if mode == "kper":
-            k = int(json_number(fields["k"]))
-            if k != float(fields["k"]) or not 0 <= k < num_vars:
-                raise ValueError(f"k must be an integer with 0 <= k < {num_vars}")
-            return KPerRecord(k)
-    except (TypeError, ValueError) as exc:
+        k = int(arg)
+        if not 0 <= k < num_vars:
+            raise ValueError(f"k must satisfy 0 <= k < {num_vars}")
+        return KPerRecord(k)
+    except ValueError as exc:
         raise ConfigError(f"missingness spec {spec!r}: {exc}") from None
-    return None
 
 
 def forward_sample(net: BayesNet, n: int, seed: int) -> Dataset:

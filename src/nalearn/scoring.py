@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset, SufficientCounts, count_sufficient_stats
 from .errors import ConfigError, SchemaMismatch, ZeroSampleSize
-from .model import Dag, df_complexity, json_number, node_df
+from .model import Dag, df_complexity, node_df
 
 NEG_INFINITY = float("-inf")
 
@@ -62,33 +62,22 @@ def power_law(coefficient: float, alpha: float) -> Penalty:
 
 
 def parse_penalty(spec, num_vars: int) -> Penalty:
-    """Penalty from "aic" | "bic" | "none" | "a<alpha>" | "a<alpha>c<coef>", a
-    dict {kind, alpha, coef} whose kind defaults to "power", or a Penalty. The
-    power-law coefficient defaults to 1/num_vars; a null alpha or coef counts
-    as absent, and only a power law takes either. Penalty.label writes this
-    grammar. Raises ConfigError quoting `spec`.
+    """Penalty from "aic" | "bic" | "none" | "a<alpha>" | "a<alpha>c<coef>", or
+    a Penalty, passed through. The power-law coefficient defaults to
+    1/num_vars. Penalty.label writes this grammar. Raises ConfigError quoting
+    `spec`, which must be a string unless it is a Penalty.
     """
     if isinstance(spec, Penalty):
         return spec
     if spec in ("aic", "bic", "none"):
         return Penalty(spec)
-    fields = spec
-    if isinstance(spec, str) and spec.startswith("a"):
-        alpha, c, coef = spec[1:].partition("c")
-        fields = {"alpha": alpha, "coef": coef if c else None}
-    if not isinstance(fields, dict) or not set(fields) <= {"kind", "alpha", "coef"}:
-        raise ConfigError(f"unknown penalty spec {spec!r}")
-    kind, alpha, coef = fields.get("kind", "power"), fields.get("alpha"), fields.get("coef")
-    if kind == "power" and alpha is None:
-        raise ConfigError(f"penalty spec {spec!r}: a power law needs alpha")
-    if kind != "power" and (alpha is not None or coef is not None):
-        raise ConfigError(f"penalty spec {spec!r}: {kind!r} takes no alpha or coef")
+    if not (isinstance(spec, str) and spec.startswith("a")):
+        raise ConfigError(f"unknown penalty spec {spec!r}; write aic, bic, none or "
+                          "a<alpha>[c<coef>]")
+    alpha, c, coef = spec[1:].partition("c")
     try:
-        if kind != "power":
-            return Penalty(kind)
-        coef = 1.0 / num_vars if coef is None else float(json_number(coef))
-        return power_law(coef, float(json_number(alpha)))
-    except (TypeError, ValueError) as exc:
+        return power_law(float(coef) if c else 1.0 / num_vars, float(alpha))
+    except ValueError as exc:
         raise ConfigError(f"penalty spec {spec!r}: {exc}") from None
 
 

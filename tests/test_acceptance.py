@@ -73,7 +73,7 @@ def rate_rows():
         sample_sizes=(100, 1000, 10000),
         replicates=500,
         seed=BASE_SEED + 1,
-        missingness=({"mode": "none"}, {"mode": "bernoulli", "p": (0.75, 1.0)}),
+        missingness=("none", "bernoulli:0.75,1"),
     )
     return run_rate_probe(config)
 
@@ -314,7 +314,7 @@ def test_criterion_9_eight_node_trends(capsys):
         net="eight-node",
         sample_sizes=(10_000,),
         penalties=("bic", "a0.3"),
-        missingness=({"mode": "kper", "k": 2},),
+        missingness=("kper:2",),
         replicates=20,
         seed=BASE_SEED + 2,
     )
@@ -322,7 +322,7 @@ def test_criterion_9_eight_node_trends(capsys):
         net="eight-node",
         sample_sizes=(100_000,),
         penalties=("bic", "a0.3"),
-        missingness=({"mode": "kper", "k": 2},),
+        missingness=("kper:2",),
         replicates=10,
         seed=BASE_SEED + 3,
     )

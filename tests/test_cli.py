@@ -6,6 +6,7 @@ import json
 import math
 import multiprocessing
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from nalearn import (
     two_node_net,
     write_csv,
 )
-from nalearn.cli import main
+from nalearn.cli import build_parser, main
 from nalearn.networks import eight_node_net
 
 from util import exit_at_once, fail_to_fork, force_pools, net_to_dict, record_pools, save_net
@@ -61,7 +62,7 @@ def test_sample_and_mask(two_node_files, tmp_path, capsys):
 
     masked_path = tmp_path / "masked.csv"
     code, _, _ = run(capsys, [
-        "mask", "--in", str(data_path), "--mode", "bernoulli", "--p", "0.5,1.0",
+        "mask", "--in", str(data_path), "--missing", "bernoulli:0.5,1.0",
         "--seed", "4", "--out", str(masked_path), "--net", str(net_path),
     ])
     assert code == 0
@@ -71,7 +72,7 @@ def test_sample_and_mask(two_node_files, tmp_path, capsys):
 
     kper_path = tmp_path / "kper.csv"
     code, _, _ = run(capsys, [
-        "mask", "--in", str(data_path), "--mode", "kper", "--k", "1",
+        "mask", "--in", str(data_path), "--missing", "kper:1",
         "--seed", "5", "--out", str(kper_path), "--net", str(net_path),
     ])
     assert code == 0
@@ -96,24 +97,12 @@ def test_score_subcommand(two_node_files, tmp_path, capsys):
 
     code, out, _ = run(capsys, [
         "score", "--net-structure", str(structure_path), "--data", str(data_path),
-        "--penalty", "power", "--alpha", "0.3", "--decomposable",
+        "--penalty", "a0.3", "--decomposable",
     ])
     assert code == 0
     rows = list(csv.reader(out.strip().split("\n")))
     assert rows[0][0] == "node"
     assert rows[-1][0] == "total"
-
-
-def test_power_penalty_alpha_defaults_to_half(two_node_files, tmp_path, capsys):
-    _, net_path, structure_path = two_node_files
-    data_path = tmp_path / "data.csv"
-    run(capsys, ["sample", "--net", str(net_path), "--n", "200", "--seed", "1",
-                 "--out", str(data_path)])
-    score = ["score", "--net-structure", str(structure_path), "--data", str(data_path),
-             "--penalty", "power"]
-    default, half, other = (run(capsys, [*score, *extra]) for extra in
-                            [[], ["--alpha", "0.5"], ["--alpha", "0.3"]])
-    assert default[0] == 0 and default == half and default != other
 
 
 def test_population_subcommand(two_node_files, capsys):
@@ -136,7 +125,7 @@ def test_learn_and_compare(two_node_files, tmp_path, capsys):
     profile_path = tmp_path / "profile.csv"
     code, _, _ = run(capsys, [
         "learn", "--data", str(data_path), "--structure", str(structure_path),
-        "--penalty", "power", "--alpha", "0.3", "--out", str(learned_path),
+        "--penalty", "a0.3", "--out", str(learned_path),
         "--profile", str(profile_path),
     ])
     assert code == 0
@@ -290,7 +279,7 @@ def test_recovery_workers_open_no_pool(tmp_path, capsys, monkeypatch):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({
         "net": "eight-node", "sample_sizes": [300], "penalties": ["bic"],
-        "missingness": [{"mode": "kper", "k": 2}], "replicates": 2, "seed": 25,
+        "missingness": ["kper:2"], "replicates": 2, "seed": 25,
     }))
     code, _, err = run(capsys, ["experiment", "--config", str(config_path), "--mode",
                                 "recovery", "--out", str(tmp_path)])
@@ -317,15 +306,55 @@ def test_learn_refuses_an_oversized_count_table(tmp_path, capsys, monkeypatch, s
     assert multiprocessing.active_children() == []
 
 
+@pytest.fixture
+def no_listing(monkeypatch):
+    def refuse(space, node):
+        raise AssertionError("listed the candidate parent sets of a refused space")
+
+    monkeypatch.setattr(SearchSpace, "candidate_parent_sets", refuse)
+
+
+def test_learn_refuses_an_oversized_search_space_before_listing(tmp_path, capsys, no_listing):
+    variables = [Variable(f"X{i}", 2) for i in range(37)]
+    structure_path = tmp_path / "structure.json"
+    save_structure(Dag([[]] * 37), variables, structure_path)
+    data_path = tmp_path / "data.csv"
+    data_path.write_text(",".join(v.name for v in variables) + "\n" + ",".join("0" * 37) + "\n")
+    code, _, err = run(capsys, [
+        "learn", "--data", str(data_path), "--structure", str(structure_path),
+        "--penalty", "bic", "--max-parents", "8", "--out", str(tmp_path / "learned.json"),
+    ])
+    assert code == 2 and not (tmp_path / "learned.json").exists()
+    assert err == ("error: the search space holds 176142311 candidate parent sets, above the "
+                   "cap of 16777216; lower max_parents\n")
+
+
+@pytest.mark.parametrize("num_nodes, max_parents, message", [
+    (26, 25, "the search space holds 67108863 candidate parent sets"),
+    (8, 3, "--candidates order spans 67092480 DAGs"),
+], ids=["26-nodes", "8-nodes"])
+def test_population_refuses_an_oversized_order_space_before_listing(
+        tmp_path, capsys, no_listing, num_nodes, max_parents, message):
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps({
+        "variables": [{"name": f"X{i}", "cardinality": 2} for i in range(num_nodes)],
+        "parents": [[]] * num_nodes, "cpt": [[[0.5, 0.5]]] * num_nodes,
+    }))
+    code, out, err = run(capsys, ["population", "--net", str(net_path), "--candidates", "order",
+                                  "--max-parents", str(max_parents)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("extra", [
     ["--penalty", "bic", "--max-parents", "-1"],
-    ["--penalty", "power", "--alpha", "1.5"],
-    ["--penalty", "power", "--alpha", "0.3", "--coef", "0"],
+    ["--penalty", "a1.5"],
+    ["--penalty", "a0.3c0"],
     ["--penalty", "bic", "--order", "X2,X9"],
     ["--penalty", "bic", "--order", "X1,X1"],
-    ["--penalty", "bic", "--alpha", "0.3"],
-    ["--penalty", "none", "--coef", "1"],
-    ["--penalty", "power", "--alpha", "0.3", "--coef", "inf"],
+    ["--penalty", "a0.3c"],
+    ["--penalty", "power"],
+    ["--penalty", "a0.3cinf"],
 ])
 def test_learn_bad_arguments_exit_2(two_node_files, tmp_path, capsys, extra):
     _, _, structure_path = two_node_files
@@ -377,9 +406,9 @@ _CHECK_WITHOUT_REFERENCE = [
     *[(["population", *_NET, "--candidates", "order", "--missing", spec], None)
       for spec in ["kper:x", "kper:2", "mar", "bernoulli:abc", "bernoulli:2",
                    "bernoulli:0.5,0.5,0.5"]],
-    ([*_MASK, "--mode", "bernoulli", "--seed", "1"], None),
-    ([*_MASK, "--mode", "kper", "--seed", "1"], None),
-    ([*_MASK, "--mode", "kper", "--k", "1", "--seed", "-1"], None),
+    ([*_MASK, "--missing", "bernoulli", "--seed", "1"], None),
+    ([*_MASK, "--missing", "kper", "--seed", "1"], None),
+    ([*_MASK, "--missing", "kper:1", "--seed", "-1"], None),
     (["sample", *_NET, "--n", "10", "--seed", "-1", "--out", "{out}"], None),
     (["sample", *_NET, "--n", "-1", "--seed", "1", "--out", "{out}"], None),
     *[(_TWO_NODE, {**_TWO_NODE_CONFIG, "penalties": ["aic", spec]})
@@ -417,35 +446,33 @@ _CHECK_WITHOUT_REFERENCE = [
     (_SAMPLE_FROM, {**_NET_DICT, "cpt": [[[math.nan, math.nan]], _NET_DICT["cpt"][1]]}),
     # JSON booleans that float() or int() would read as 0 or 1
     (_TWO_NODE, {**_TWO_NODE_CONFIG, "betas": [True]}),
+    # a spec that is not a string, such as the dict spellings nalearn once read
     *[(_RECOVERY, {**_TWO_NODE_CONFIG, "missingness": [spec]})
-      for spec in [{"mode": "kper", "k": True}, {"mode": "bernoulli", "p": True},
-                   {"mode": "bernoulli", "p": [True, 0.5]}]],
-    (_RECOVERY, {**_TWO_NODE_CONFIG, "penalties": [{"alpha": 0.5, "coef": True}]}),
+      for spec in [True, {"mode": "kper", "k": 1}, ["bernoulli", 0.5]]],
+    (_RECOVERY, {**_TWO_NODE_CONFIG, "penalties": [{"kind": "bic"}]}),
     # rate probes that would write nan: X1 and X2 never observed together in a
     # regime or in some replicate, or a gain that does not vary
     *[(_RATES, {"sample_sizes": [100, 200], "replicates": 5, "missingness": [spec]})
-      for spec in [{"mode": "kper", "k": 1}, {"mode": "bernoulli", "p": [0.0, 1.0]},
-                   {"mode": "bernoulli", "p": [1.0, 0.0]}]],
-    (_RATES, {"sample_sizes": [2, 100], "replicates": 20,
-              "missingness": [{"mode": "bernoulli", "p": [0.3, 1.0]}]}),
+      for spec in ["kper:1", "bernoulli:0,1", "bernoulli:1,0"]],
+    (_RATES, {"sample_sizes": [2, 100], "replicates": 20, "missingness": ["bernoulli:0.3,1"]}),
     (_RATES, {"sample_sizes": [1, 2], "replicates": 5}),
-    # alpha or coef on a penalty other than a power law
+    # penalty specs outside the grammar: a kind with a suffix, a negative coef
     *[(_TWO_NODE, {**_TWO_NODE_CONFIG, "penalties": [spec]})
-      for spec in [{"kind": "bic", "alpha": "junk", "coef": True}, {"kind": "aic", "coef": -3}]],
-    *[([*_LEARN_FROM, *extra], _NET_DICT) for extra in [["--alpha", "0.3"], ["--coef", "2"]]],
+      for spec in ["bica0.3", "a0.3c-3"]],
+    *[([*_LEARN_FROM, "--penalty", spec], _NET_DICT) for spec in ["power", "aicc2"]],
     # specs that repeat a CSV label
-    (_TWO_NODE, {**_TWO_NODE_CONFIG, "penalties": ["a0.3", {"alpha": 0.3}]}),
-    (_RECOVERY, {**_TWO_NODE_CONFIG, "missingness": [{"mode": "none"}, {"mode": "none"}]}),
+    (_TWO_NODE, {**_TWO_NODE_CONFIG, "penalties": ["a0.3", "a0.3c0.5"]}),
+    (_RECOVERY, {**_TWO_NODE_CONFIG, "missingness": ["none", "none"]}),
     (_RATES, {"sample_sizes": [100, 200], "replicates": 5,
-              "missingness": [{"mode": "none"}, {"mode": "kper", "k": 0}, {"mode": "none"}]}),
+              "missingness": ["none", "kper:0", "none"]}),
     # specs that give one model under two labels
-    (_RECOVERY, {**_TWO_NODE_CONFIG, "missingness": [{"mode": "bernoulli", "p": 0.5},
-                                                     {"mode": "bernoulli", "p": [0.5, 0.5]}]}),
+    (_RECOVERY, {**_TWO_NODE_CONFIG, "missingness": ["bernoulli:0.5", "bernoulli:0.5,0.5"]}),
     (_TWO_NODE, {**_TWO_NODE_CONFIG, "penalties": ["a0.5", "a0.50"]}),
     # a repeated n or beta: every copy would run and write rows that share a key
     (_TWO_NODE, {"sample_sizes": [100, 100], "betas": [0.9, 0.9], "penalties": ["bic"]}),
     (_TWO_NODE, {**_TWO_NODE_CONFIG, "betas": [0.9, 0.9]}),
     (_RATES, {"sample_sizes": [100, 200, 100], "replicates": 5}),
+    ([*_MASK, "--missing", "none", "--seed", "1"], None),  # would mask nothing
 ])
 def test_malformed_spec_exit_2(two_node_files, tmp_path, capsys, argv, config):
     _, net_path, _ = two_node_files
@@ -486,7 +513,7 @@ def test_experiment_takes_no_jobs_option(capsys):
 
 def test_mask_needs_exactly_one_schema(two_node_files, tmp_path, capsys):
     _, net_path, structure_path = two_node_files
-    base = ["mask", "--in", "data.csv", "--mode", "kper", "--k", "1", "--seed", "1",
+    base = ["mask", "--in", "data.csv", "--missing", "kper:1", "--seed", "1",
             "--out", str(tmp_path / "out.csv")]
     for schema in ([], ["--net", str(net_path), "--structure", str(structure_path)]):
         with pytest.raises(SystemExit) as exc:
@@ -503,8 +530,7 @@ def test_malformed_csv_exit_2(two_node_files, tmp_path, capsys, body):
     for argv in (
         ["learn", "--structure", str(structure_path), "--penalty", "bic",
          "--out", str(tmp_path / "learned.json")],
-        ["score", "--net-structure", str(structure_path), "--penalty", "power",
-         "--alpha", "0.3"],
+        ["score", "--net-structure", str(structure_path), "--penalty", "a0.3"],
     ):
         code, _, err = run(capsys, [*argv, "--data", str(data_path)])
         assert code == 2 and err.startswith("error:")
@@ -517,7 +543,7 @@ def test_csv_that_is_not_utf8_exit_2(two_node_files, tmp_path, capsys):
     for argv in (
         ["learn", "--data", str(data_path), "--structure", str(structure_path),
          "--penalty", "bic", "--out", str(tmp_path / "learned.json")],
-        ["mask", "--in", str(data_path), "--net", str(net_path), "--mode", "kper", "--k", "1",
+        ["mask", "--in", str(data_path), "--net", str(net_path), "--missing", "kper:1",
          "--seed", "1", "--out", str(tmp_path / "masked.csv")],
     ):
         code, _, err = run(capsys, argv)
@@ -546,7 +572,7 @@ def test_a_directory_where_a_file_belongs_exit_2(two_node_files, tmp_path, capsy
                   str(tmp_path / "profile.csv")],
         "score": ["--net-structure", str(structure_path), "--data", str(data_path),
                   "--penalty", "bic"],
-        "mask": ["--in", str(data_path), "--net", str(net_path), "--mode", "kper", "--k", "1",
+        "mask": ["--in", str(data_path), "--net", str(net_path), "--missing", "kper:1",
                  "--seed", "1", "--out", str(tmp_path / "masked.csv")],
         "sample": ["--net", str(net_path), "--n", "10", "--seed", "1", "--out",
                    str(tmp_path / "sample.csv")],
@@ -560,6 +586,22 @@ def test_a_directory_where_a_file_belongs_exit_2(two_node_files, tmp_path, capsy
     code, _, err = run(capsys, [argv[0], *files[:at], value, *files[at + 1:]])
     assert code == 2 and err.startswith("error: ") and "Traceback" not in err, err
     assert "Is a directory" in err
+
+
+def test_readme_cli_block_parses():
+    """Every `nalearn` line of the README's CLI block parses, and runs nothing,
+    so an option the parser no longer takes cannot stay in the docs."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    lines = [line.split()[1:] for line in block.splitlines() if line.startswith("nalearn ")]
+    parser = build_parser()
+    for argv in lines:
+        try:
+            parser.parse_args([arg.strip("[]") for arg in argv])
+        except SystemExit:
+            pytest.fail(f"the README's CLI block has a line nalearn refuses: {' '.join(argv)}")
+    assert [argv[0] for argv in lines] == [
+        "sample", "mask", "score", "population", "learn", "compare", "experiment"]
 
 
 def test_experiment_subcommand(tmp_path, capsys):
@@ -587,7 +629,7 @@ def test_experiment_rates_mode(tmp_path, capsys):
         "sample_sizes": [100, 400],
         "replicates": 30,
         "seed": 23,
-        "missingness": [{"mode": "none"}],
+        "missingness": ["none"],
     }
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
@@ -604,7 +646,7 @@ def test_experiment_recovery_mode(tmp_path, capsys):
         "net": "eight-node",
         "sample_sizes": [300],
         "penalties": ["bic"],
-        "missingness": [{"mode": "kper", "k": 1}],
+        "missingness": ["kper:1"],
         "replicates": 2,
         "seed": 25,
     }

@@ -223,6 +223,13 @@ def test_csv_accepts_crlf(tmp_path):
     assert back.num_records == 2
 
 
+def test_dataset_refuses_non_integral_values():
+    with pytest.raises(SchemaMismatch, match="integers"):
+        Dataset(BIN2, [[0.5, 1.0]])
+    data = Dataset(BIN2, np.array([[0.0, 1.0], [-1.0, 0.0]]))  # integral floats are codes
+    assert data.values.tolist() == [[0, 1], [MISSING, 0]]
+
+
 def test_csv_header_mismatch(tmp_path):
     with pytest.raises(SchemaMismatch):
         read_csv(csv_file(tmp_path, "A,B\n0,0\n"), BIN2)

@@ -70,29 +70,24 @@ def test_parse_penalty_variants():
     assert parse_penalty("bic", 2) == Penalty("bic")
     p = parse_penalty("a0.3", 2)
     assert p.kind == "power" and p.alpha == 0.3 and p.coefficient == 0.5
-    q = parse_penalty({"kind": "power", "alpha": 0.4, "coef": 0.25}, 2)
-    assert q == power_law(0.25, 0.4)
-    assert parse_penalty("a0.4c0.25", 2) == q
-    assert parse_penalty({"alpha": 0.4, "coef": None}, 4) == power_law(0.25, 0.4)
-    with pytest.raises(ConfigError, match="takes no alpha or coef"):
-        parse_penalty({"kind": "bic", "alpha": 0.5}, 2)
-    assert parse_penalty({"kind": "bic", "alpha": None, "coef": None}, 2) == BIC
+    assert parse_penalty("a0.4c0.25", 2) == power_law(0.25, 0.4)
+    assert parse_penalty("a0.4", 4) == power_law(0.25, 0.4)
+    assert parse_penalty("bic", 2) == BIC
     assert parse_penalty(AIC, 2) is AIC
-    for bad in ["mdl", "a0.x", "a1.5", "power", "a0.3c", "a0.3cx", "ac0.3", {"kind": "power"},
-                {"alpha": 0.3, "coeff": 1.0}, {"alpha": 0.3, "coef": 0}, 0.3,
-                {"kind": "bic", "alpha": "junk", "coef": True}, {"kind": "aic", "coef": -3},
-                {"kind": "none", "alpha": 0.5}]:
+    # a spec is a string: the dict spellings, a number or a boolean are refused
+    for bad in ["mdl", "a0.x", "a1.5", "power", "a0.3c", "a0.3cx", "ac0.3", "a0.3c0",
+                "a0.3c-3", "bica0.3", "aicc2", "nonea0.5", {"kind": "power", "alpha": 0.3},
+                {"alpha": 0.3}, {"kind": "bic"}, 0.3, True, None]:
         with pytest.raises(ConfigError, match="penalty spec"):
             parse_penalty(bad, 2)
 
 
 def test_penalty_labels():
     # a label is written from the parsed penalty, so every spelling of one penalty shares it
-    for spec, label in [("a0.3", "a0.3"), ("bic", "bic"), ({"kind": "bic"}, "bic"),
-                        ({"alpha": 0.3}, "a0.3"), ({"alpha": 0.3, "coef": None}, "a0.3"),
+    for spec, label in [("a0.3", "a0.3"), ("bic", "bic"), ("a0.30", "a0.3"),
                         ("a0.50", "a0.5"), ("a0.3c0.5", "a0.3"), (power_law(0.5, 0.3), "a0.3"),
-                        ({"alpha": 0.3, "coef": 0.01}, "a0.3c0.01"), ("a0.3c1e-05", "a0.3c1e-05"),
-                        ({"kind": "power", "alpha": 0.3, "coef": 10}, "a0.3c10"),
+                        ("a0.3c0.010", "a0.3c0.01"), ("a0.3c1e-05", "a0.3c1e-05"),
+                        ("a0.3c10.0", "a0.3c10"),
                         (power_law(1 / 3, 0.3), "a0.3c0.3333333333333333")]:
         assert parse_penalty(spec, 2).label(2) == label, spec
         assert parse_penalty(label, 2) == parse_penalty(spec, 2), spec
@@ -110,14 +105,14 @@ def test_penalty_label_parses_back(alpha, coef, num_vars):
 
 
 def test_missingness_labels():
-    for spec, label in [("none", "complete"), ({"mode": "kper", "k": 1.0}, "kper(k=1)"),
+    for spec, label in [("none", "complete"), ("kper:1", "kper(k=1)"),
                         ("kper:0", "kper(k=0)"), ("bernoulli:0.9", "bernoulli(p=0.9)"),
-                        ({"mode": "bernoulli", "p": [0.9, 0.9]}, "bernoulli(p=0.9)"),
-                        ({"mode": "bernoulli", "p": 1}, "bernoulli(p=1.0)"),
-                        ({"mode": "bernoulli", "p": [1, 0.5]}, "bernoulli(p=[1.0, 0.5])"),
-                        ({"mode": "bernoulli", "p": [-0.0, 0]}, "bernoulli(p=0.0)")]:
+                        ("bernoulli:0.9,0.90", "bernoulli(p=0.9)"),
+                        ("bernoulli:1", "bernoulli(p=1.0)"),
+                        ("bernoulli:1,0.5", "bernoulli(p=[1.0, 0.5])"),
+                        ("bernoulli:-0.0,0", "bernoulli(p=0.0)")]:
         assert missingness_label(parse_missingness(spec, 2)) == label, spec
-    assert missingness_label(parse_missingness({"mode": "kper", "k": 2.0}, 8)) == "kper(k=2)"
+    assert missingness_label(parse_missingness("kper:2", 8)) == "kper(k=2)"
 
 
 def test_string_missingness_spec_in_a_python_config():
@@ -128,7 +123,7 @@ def test_string_missingness_spec_in_a_python_config():
 
 def test_power_laws_with_distinct_coefs_get_distinct_rows():
     cfg = ExperimentConfig(sample_sizes=(100,), betas=(1.0,), replicates=20, seed=5,
-                           penalties=({"alpha": 0.3, "coef": 0.01}, {"alpha": 0.3, "coef": 10}))
+                           penalties=("a0.3c0.01", "a0.3c10"))
     rows = run_two_node(cfg)
     assert [r["penalty"] for r in rows] == ["a0.3c0.01", "a0.3c10"]
     assert rows[0]["wrong_pct"] > rows[1]["wrong_pct"]
@@ -137,18 +132,16 @@ def test_power_laws_with_distinct_coefs_get_distinct_rows():
 def test_resolve_net_and_parse_missingness():
     assert resolve_net("two-node").num_nodes == 2
     assert resolve_net("eight-node").num_nodes == 8
-    assert parse_missingness({"mode": "none"}, 2) is None
     assert parse_missingness("none", 2) is None
-    m = parse_missingness({"mode": "bernoulli", "p": 0.75}, 2)
-    assert m == Bernoulli((0.75, 0.75))
-    assert parse_missingness("bernoulli:0.75", 2) == m
+    assert parse_missingness("bernoulli:0.75", 2) == Bernoulli((0.75, 0.75))
     assert parse_missingness("bernoulli:0.5,1", 2) == Bernoulli((0.5, 1.0))
-    assert parse_missingness({"mode": "bernoulli", "p": [0.5, 1]}, 2) == Bernoulli((0.5, 1.0))
-    assert parse_missingness({"mode": "kper", "k": 2}, 8) == KPerRecord(2)
+    assert parse_missingness("kper:2", 8) == KPerRecord(2)
     assert parse_missingness("kper:0", 2) == KPerRecord(0)
-    for bad in [{"mode": "mar"}, "mar", "kper:x", "kper:2", "kper:-1", {"mode": "kper", "k": 1.5},
-                {"mode": "kper"}, "bernoulli:abc", "bernoulli:2", "bernoulli:0.5,0.5,0.5",
-                {"mode": "bernoulli", "k": 1}, "none:3", ["none"]]:
+    # a spec is a string: the dict spellings, a list or a boolean are refused
+    for bad in ["mar", "kper:x", "kper:2", "kper:-1", "kper:1.5", "kper", "kper:",
+                "bernoulli:abc", "bernoulli:2", "bernoulli:0.5,0.5,0.5", "bernoulli:true",
+                "bernoulli", "none:3", {"mode": "none"}, {"mode": "kper", "k": 1},
+                {"mode": "bernoulli", "p": 0.5}, ["none"], True, None]:
         with pytest.raises(ConfigError, match="missingness spec"):
             parse_missingness(bad, 2)
 
@@ -193,7 +186,7 @@ def test_run_recovery_smoke():
         net="eight-node",
         sample_sizes=(500,),
         penalties=("a0.3",),
-        missingness=({"mode": "kper", "k": 1},),
+        missingness=("kper:1",),
         replicates=3,
         seed=9,
     )
@@ -210,7 +203,7 @@ def test_run_recovery_parallel_matches_serial(monkeypatch):
         net="eight-node",
         sample_sizes=(300,),
         penalties=("bic",),
-        missingness=({"mode": "none"},),
+        missingness=("none",),
         replicates=4,
         seed=13,
     )
@@ -230,7 +223,7 @@ def test_recovery_opens_one_pool_per_run(opened_pools):
     cfg = ExperimentConfig(
         sample_sizes=(50, 100),
         penalties=("bic",),
-        missingness=({"mode": "none"}, {"mode": "bernoulli", "p": 0.9}),
+        missingness=("none", "bernoulli:0.9"),
         replicates=2,
         seed=3,
     )
@@ -244,7 +237,7 @@ def test_table_and_probe_open_a_pool_per_cell_and_regime(opened_pools, tmp_path,
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({
         "sample_sizes": [50, 100], "betas": [1.0, 0.9], "penalties": ["bic"], "replicates": 3,
-        "seed": 3, "missingness": [{"mode": "none"}, {"mode": "bernoulli", "p": [0.9, 1.0]}],
+        "seed": 3, "missingness": ["none", "bernoulli:0.9,1"],
     }))
     argv = ["experiment", "--config", str(config_path), "--mode", mode, "--out", str(tmp_path)]
     assert main(argv) == 0
@@ -256,7 +249,7 @@ def test_run_rate_probe_slopes_and_grid():
         sample_sizes=(100, 1000),
         replicates=60,
         seed=17,
-        missingness=({"mode": "none"},),
+        missingness=("none",),
     )
     rows = run_rate_probe(cfg)
     assert all(r["sd"] > 0 for r in rows)
@@ -271,10 +264,10 @@ def test_run_rate_probe_slopes_and_grid():
 
 @pytest.mark.parametrize("fields, message", [
     # X1 unobserved in both records of some replicate: the gain is -inf
-    ({"sample_sizes": (2, 100), "missingness": ({"mode": "bernoulli", "p": [0.3, 1.0]},)},
+    ({"sample_sizes": (2, 100), "missingness": ("bernoulli:0.3,1",)},
      r"bernoulli\(p=\[0.3, 1.0\]\) at n = 2 some replicate never observes"),
     # one record: both NALs are 0 in every replicate
-    ({"sample_sizes": (1, 2), "missingness": ({"mode": "none"},)},
+    ({"sample_sizes": (1, 2), "missingness": ("none",)},
      "complete at n = 1 the gain does not vary"),
 ])
 def test_rate_probe_refuses_a_cell_without_a_finite_sd(fields, message):
@@ -284,29 +277,27 @@ def test_rate_probe_refuses_a_cell_without_a_finite_sd(fields, message):
 
 @pytest.mark.parametrize("runner, fields", [
     (run_recovery, {"penalties": ("bic", "a0.x")}),
-    (run_recovery, {"missingness": ({"mode": "none"}, {"mode": "kper", "k": 8})}),
-    (run_rate_probe, {"missingness": ({"mode": "none"}, {"mode": "bernoulli", "p": 2.0})}),
+    (run_recovery, {"missingness": ("none", "kper:8")}),
+    (run_rate_probe, {"missingness": ("none", "bernoulli:2")}),
     (run_recovery, {"max_parents": -1}),
     (run_recovery, {"order": (0, 0, 1, 2, 3, 4, 5, 6)}),
     (run_recovery, {"order": (1, 0)}),  # a permutation, but of two nodes
     # regimes that never observe X1 and X2 together
-    (run_rate_probe, {"missingness": ({"mode": "none"}, {"mode": "kper", "k": 1})}),
-    (run_rate_probe, {"missingness": ({"mode": "bernoulli", "p": [1.0, 0.0]},)}),
-    (run_rate_probe, {"missingness": ({"mode": "bernoulli", "p": 0},)}),
+    (run_rate_probe, {"missingness": ("none", "kper:1")}),
+    (run_rate_probe, {"missingness": ("bernoulli:1,0",)}),
+    (run_rate_probe, {"missingness": ("bernoulli:0",)}),
     # specs that repeat a CSV label
-    (run_two_node, {"penalties": ("bic", {"kind": "bic"})}),
-    (run_recovery, {"penalties": ("a0.3", {"alpha": 0.3, "coef": None})}),
-    (run_recovery, {"missingness": ({"mode": "none"}, {"mode": "none"})}),
-    (run_rate_probe, {"missingness": ({"mode": "kper", "k": 0}, {"mode": "kper", "k": 0})}),
+    (run_two_node, {"penalties": ("bic", "bic")}),
+    (run_recovery, {"penalties": ("a0.3", "a0.3")}),
+    (run_recovery, {"missingness": ("none", "none")}),
+    (run_rate_probe, {"missingness": ("kper:0", "kper:0")}),
     # specs that give one model under two labels
     (run_two_node, {"penalties": ("a0.5", "a0.50")}),
-    (run_two_node, {"penalties": ("a0.8", {"alpha": 0.8, "coef": 0.5})}),
-    (run_recovery, {"penalties": ("bic", "a0.3c0.125", {"alpha": 0.3})}),
-    (run_recovery, {"missingness": ({"mode": "bernoulli", "p": 0.5},
-                                    {"mode": "bernoulli", "p": [0.5] * 8})}),
-    (run_rate_probe, {"missingness": ({"mode": "bernoulli", "p": [0.5, 0.5]},
-                                      {"mode": "bernoulli", "p": 0.5})}),
-    (run_rate_probe, {"missingness": ("bernoulli:0.9", {"mode": "bernoulli", "p": 0.9})}),
+    (run_two_node, {"penalties": ("a0.8", "a0.8c0.5")}),
+    (run_recovery, {"penalties": ("bic", "a0.3c0.125", "a0.3")}),
+    (run_recovery, {"missingness": ("bernoulli:0.5", ",".join(["bernoulli:0.5"] + ["0.5"] * 7))}),
+    (run_rate_probe, {"missingness": ("bernoulli:0.5,0.5", "bernoulli:0.5")}),
+    (run_rate_probe, {"missingness": ("bernoulli:0.9", "bernoulli:0.90")}),
     (run_two_node, {"penalties": (power_law(0.5, 0.8), "a0.8")}),
     # a repeated n or beta would write rows that share a key
     (run_two_node, {"sample_sizes": (100, 100)}),
@@ -314,7 +305,10 @@ def test_rate_probe_refuses_a_cell_without_a_finite_sd(fields, message):
     (run_recovery, {"sample_sizes": (50, 50)}),
     # an infinite power-law coefficient would give lambda_n = inf
     (run_two_node, {"penalties": ("a0.5cinf",)}),
-    (run_two_node, {"penalties": ({"alpha": 0.5, "coef": float("inf")},)}),
+    (run_two_node, {"penalties": ("a0.5c1e400",)}),
+    # a spec that is not a string
+    (run_two_node, {"penalties": ({"kind": "bic"},)}),
+    (run_recovery, {"missingness": ({"mode": "none"},)}),
 ])
 def test_bad_spec_raises_before_sampling(monkeypatch, runner, fields):
     import nalearn.experiments
@@ -384,10 +378,10 @@ def test_write_rows_format(tmp_path):
 
 _PENALTIES = ["a0.2", "a0.3", "a0.4", "a0.5", "a0.6", "a0.7", "a0.8", "bic", "aic"]
 _RECOVERY8 = {"net": "eight-node", "sample_sizes": [200, 500],
-              "missingness": [{"mode": "none"}, {"mode": "kper", "k": 1}],
+              "missingness": ["none", "kper:1"],
               "penalties": ["bic", "a0.3"], "replicates": 3, "seed": 7}
 _RECOVERY2 = {"net": "two-node", "sample_sizes": [100, 400],
-              "missingness": [{"mode": "none"}, {"mode": "bernoulli", "p": 0.9}],
+              "missingness": ["none", "bernoulli:0.9"],
               "penalties": ["aic", "bic"], "replicates": 5, "seed": 9}
 _TABLE_DIGEST = "ec160256ddf49a8c7db9085752575d010be8a0ef8097a742dec8d2183397b74a"
 _RATES_DIGEST = "6eb25d1242ffb70ff30fe5da5c34cc5fb583447af1e1a3efb0a2179b456ff896"
@@ -398,7 +392,7 @@ _RECOVERY2_DIGEST = "66f9329aafa187731442a4fa6d80b460f772a347cc00ed590412f1e6d16
 _TABLE = {"sample_sizes": [100, 1000], "betas": [1.0, 0.9, 0.75], "penalties": _PENALTIES,
           "replicates": 30, "seed": 3}
 _RATES = {"sample_sizes": [50, 200, 800], "replicates": 20, "seed": 5,
-          "missingness": [{"mode": "none"}, {"mode": "bernoulli", "p": [0.75, 1.0]}]}
+          "missingness": ["none", "bernoulli:0.75,1"]}
 
 
 # monte_carlo calls of each mode: one per (beta, n) cell, per regime, per run
