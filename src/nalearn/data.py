@@ -1,20 +1,18 @@
 """Datasets with missing cells, sufficient counts and CSV input and output.
 
-A dataset is an (n, N) array of int16 category codes; MISSING (-1) marks an
-unobserved cell. Counts for a (node, parent set) pair use available-case
-analysis: a record contributes only when the node and every parent in the
-candidate set are all observed in that record.
+A dataset is an (N, n) array of codes in the smallest unsigned dtype that
+holds 0..q, a missing cell coded as one extra state q; the constructor and
+``Dataset.values`` use the (n, N) form with MISSING (-1). Counts for a (node,
+parent set) pair use available-case analysis: a record contributes only when
+the node and every parent in the candidate set are all observed in it.
 
-Counting codes a missing cell as one extra state. In ``Dataset.codes`` a
-column of cardinality q holds ``values % (q + 1)``, which leaves 0..q-1 as
-they are and maps MISSING to q (computed as a masked copy, which is
-cheaper than an integer modulo). The mixed-radix code of the node and its
-parents then indexes a cube of shape (q_i + 1, q_p1 + 1, ...), and one
-``bincount`` over all n records fills it. A record with any missing
-coordinate lands in some last index q, so the cells [:q_i, :q_p1, ...], taken
-with one gather, keep exactly the records where all are observed: they are
-the available-case n_ikj, with no row mask. This relies on every value lying
-in [-1, q-1], which the constructor checks.
+The mixed-radix code of the node and its parents, formed in int64, indexes a
+cube of shape (q_i + 1, q_p1 + 1, ...), and one ``bincount`` over all n
+records fills it. A record with any missing coordinate lands in some last
+index q, so the cells [:q_i, :q_p1, ...], taken with one gather, keep exactly
+the records where all are observed: they are the available-case n_ikj, with
+no row mask. This relies on every code lying in [0, q], which the
+constructor checks.
 
 ``count_families`` counts many parent sets of one node with one ``bincount``
 per chunk of sets. Sets that share a prefix (all but their last parent)
@@ -53,12 +51,17 @@ CHUNK_BUDGET = 1 << 16  # row codes, and cube cells, per batched bincount
 RUN_CELLS = 1 << 12  # cells of counts that count_families yields together, at least
 
 
+def code_dtype(variables: Iterable[Variable]) -> np.dtype:
+    """The smallest unsigned dtype that holds every code 0..q, the sentinel q included."""
+    return np.min_scalar_type(max((v.cardinality for v in variables), default=0))
+
+
 @dataclass(frozen=True)
 class Dataset:
     """An immutable table of categorical records with optional missing cells."""
 
     variables: tuple[Variable, ...]
-    values: np.ndarray  # (n, N) int16, MISSING = -1
+    codes: np.ndarray  # (N, n) read-only, one row per variable, a missing cell coded q
 
     def __init__(self, variables: Iterable[Variable], values):
         variables = tuple(variables)
@@ -69,36 +72,45 @@ class Dataset:
             raise SchemaMismatch(
                 f"values shape {a.shape} does not match {len(variables)} variables"
             )
-        # checked before the int16 cast, which would wrap large values into range
+        # checked before the cast, which would wrap large values into range
         for i, v in enumerate(variables):
             col = a[:, i]
             if col.size and not (col.min() >= MISSING and col.max() < v.cardinality):
                 raise SchemaMismatch(
                     f"column {v.name!r} has values outside 0..{v.cardinality - 1}"
                 )
-        codes = a.astype(np.int16)
-        if a.dtype.kind not in "iu" and not np.array_equal(codes, a):  # 0.5 would store 0
+        coded = np.where(a == MISSING, [v.cardinality for v in variables], a)
+        codes = np.array(coded.T, dtype=code_dtype(variables), order="C")
+        if a.dtype.kind not in "iu" and not np.array_equal(codes.T, coded):  # 0.5 would store 0
             raise SchemaMismatch("values must be integers")
         codes.setflags(write=False)
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "values", codes)
+        object.__setattr__(self, "codes", codes)
+
+    @classmethod
+    def from_codes(cls, variables: Iterable[Variable], codes: np.ndarray) -> Dataset:
+        """A dataset over the program's own (N, n) codes of code_dtype(variables), unchecked."""
+        data = object.__new__(cls)
+        codes.setflags(write=False)
+        object.__setattr__(data, "variables", tuple(variables))
+        object.__setattr__(data, "codes", codes)
+        return data
 
     @property
     def num_records(self) -> int:
-        return self.values.shape[0]
+        return self.codes.shape[1]
 
     @property
     def num_variables(self) -> int:
-        return self.values.shape[1]
+        return self.codes.shape[0]
 
     @cached_property
-    def codes(self) -> np.ndarray:
-        """(N, n) int64 state codes, one row per variable, MISSING coded as q."""
-        cards = np.array([[v.cardinality] for v in self.variables], dtype=np.int64)
-        codes = np.array(self.values.T, dtype=np.int64, order="C")
-        np.copyto(codes, cards, where=codes == MISSING)  # = values % (q + 1)
-        codes.setflags(write=False)
-        return codes
+    def values(self) -> np.ndarray:
+        """(n, N) read-only values, one row per record, MISSING (-1) for a missing cell."""
+        values = np.array(self.codes.T, np.promote_types(self.codes.dtype, np.int8), order="C")
+        values[values == self.radix - 1] = MISSING
+        values.setflags(write=False)
+        return values
 
     @cached_property
     def radix(self) -> np.ndarray:
@@ -283,7 +295,7 @@ def _count_level(
         ):
             if g != held:
                 code, held = _mixed_radix(data, node, sets[heads[g], :-1].tolist(), prefix_code), g
-            np.multiply(code, w, out=rows[a])
+            np.multiply(code, w, out=rows[a], dtype=np.int64)
             if shift:
                 rows[a] += shift
             np.add(wide[x + 1:x + b - a], rows[a], out=rows[a + 1:b])
@@ -353,11 +365,8 @@ def write_csv(data: Dataset, path) -> None:
     """Write a dataset as CSV: header of variable names, "NA" for missing."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(v.name for v in data.variables) + "\n")
-        for row in data.values:
-            f.write(
-                ",".join(MISSING_TOKEN if c == MISSING else str(int(c)) for c in row)
-                + "\n"
-            )
+        for row in data.values.tolist():
+            f.write(",".join(MISSING_TOKEN if c == MISSING else str(c) for c in row) + "\n")
 
 
 def read_csv(path, variables: Sequence[Variable]) -> Dataset:
@@ -387,5 +396,4 @@ def read_csv(path, variables: Sequence[Variable]) -> Dataset:
     except UnicodeDecodeError as exc:
         raise SchemaMismatch(f"{path}: not UTF-8 text: {exc}") from None
     # the Dataset range check rejects cells too large for a category code
-    values = rows if rows else np.empty((0, len(variables)))
-    return Dataset(variables, values)
+    return Dataset(variables, rows)

@@ -46,6 +46,8 @@ class ExperimentConfig:
     order: tuple[int, ...] | None = None
 
     def validate(self) -> None:
+        if not isinstance(self.net, str):
+            raise ConfigError(f"net must be a string, got {self.net!r}")
         for name in ("sample_sizes", "betas", "penalties", "missingness"):
             if not getattr(self, name):
                 raise InsufficientGrid(f"{name} must not be empty")
@@ -70,7 +72,7 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
         raise TypeError(f"a config must be a JSON object, got {type(obj).__name__}")
     cfg = ExperimentConfig()
     known = {
-        "net": str,
+        "net": lambda v: v,  # validate refuses a non-string; str() would read 5 as "5"
         "sample_sizes": lambda v: tuple(json_int(x) for x in v),
         "betas": lambda v: tuple(float(json_number(x)) for x in v),
         "missingness": tuple,
@@ -182,8 +184,9 @@ def run_two_node(config: ExperimentConfig) -> list[dict]:
     """Wrong-selection percentages over the (beta, n, penalty) grid; each
     cell's replicates may run in a process pool of their own."""
     config.validate()
-    if config.net != "two-node":
-        raise ConfigError(f"the two-node table runs on the two-node net only, got {config.net!r}")
+    if config.net != "two-node" or tuple(config.missingness) != ("none",):  # betas mask X1
+        raise ConfigError("the two-node table runs on the two-node net without missingness, got "
+                          f"{config.net!r} and {list(config.missingness)}")
     penalties = [parse_penalty(p, 2) for p in config.penalties]
     labels = _distinct_labels([p.label(2) for p in penalties], "penalties")
     rows = []

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import MISSING, Dataset
+from .data import Dataset, code_dtype
 from .errors import ConfigError
 from .model import BayesNet
 
@@ -95,21 +95,20 @@ def forward_sample(net: BayesNet, n: int, seed: int) -> Dataset:
     lowest-index-first topological order, and node i's value is the number of
     the first q_i - 1 cumulative bounds of its CPT row (selected by the
     realized parents) that are <= u; leaving out the last bound caps the value
-    at q_i - 1 when a row sums to just under 1. The columns are filled one
-    variable at a time in an (N, n) array, and the Dataset gets its transpose.
+    at q_i - 1 when a row sums to just under 1. The rows of an (N, n) array of
+    codes are filled one variable at a time, and the Dataset keeps the array.
     """
     rng = np.random.default_rng(seed)
-    N = net.num_nodes
-    vals = np.zeros((N, n), dtype=np.int16)
-    u = rng.random((n, N)).T
+    codes = np.zeros((net.num_nodes, n), dtype=code_dtype(net.variables))
+    u = rng.random((n, net.num_nodes))
     for i in net.dag.topological_order():
-        bounds = np.cumsum(net.cpt.tables[i], axis=1)[:, :-1].T  # (q_i - 1, q_pa)
+        bounds = np.cumsum(net.cpt.tables[i], axis=1)  # (q_pa, q_i)
         j = np.intp(0)  # parent configuration, the last parent varying fastest
         for p in net.dag.parents[i]:
-            j = j * net.variables[p].cardinality + vals[p]
-        for bound in bounds:
-            vals[i] += u[i] >= bound[j]
-    return Dataset(net.variables, vals.T)
+            j = j * net.variables[p].cardinality + codes[p]
+        for k in range(net.variables[i].cardinality - 1):
+            codes[i] += u[:, i] >= bounds[:, k][j]
+    return Dataset.from_codes(net.variables, codes)
 
 
 def apply_mcar(data: Dataset, model: MissingnessModel, seed: int) -> Dataset:
@@ -120,23 +119,23 @@ def apply_mcar(data: Dataset, model: MissingnessModel, seed: int) -> Dataset:
     p_i; k-per-record drops the k cells of smallest uniform in each record.
     """
     rng = np.random.default_rng(seed)
-    n, N = data.values.shape
-    vals = np.array(data.values.T, order="C")  # (N, n): one row per variable
+    N, n = data.codes.shape
+    codes = data.codes.copy()
     if isinstance(model, Bernoulli):
         if len(model.observe_probs) != N:
             raise ValueError("one observation probability per variable required")
-        u = rng.random((n, N)).T
+        u = rng.random((n, N))
         for i, p in enumerate(model.observe_probs):
             if p < 1.0:  # every uniform is < 1, so p = 1 drops nothing
-                np.putmask(vals[i], u[i] >= p, MISSING)
+                np.putmask(codes[i], u[:, i] >= p, data.radix[i] - 1)
     else:
         if not 0 <= model.k < N:
             raise ValueError(f"k must satisfy 0 <= k < {N}")
         if model.k > 0 and n > 0:
             keys = rng.random((n, N))
             idx = np.argpartition(keys, model.k - 1, axis=1)[:, : model.k]
-            vals[idx, np.arange(n)[:, None]] = MISSING
-    return Dataset(data.variables, vals.T)
+            codes[idx, np.arange(n)[:, None]] = data.radix[idx] - 1
+    return Dataset.from_codes(data.variables, codes)
 
 
 def subset_observation_probability(N: int, k: int, s: int) -> float:

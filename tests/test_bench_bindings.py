@@ -4,11 +4,14 @@ The traced benchmark wraps functions at the module bindings its workloads
 list and reports a metric absent when a binding is gone, so a refactor that
 drops one would only show as an empty per-layer metric. These tests fail
 instead: every binding must resolve, and a traced tiny two-node command must
-fill the sampling and counting metrics. They load perfbench/workloads.py and perfbench/tracing.py from their
-files and changes nothing there.
+fill the sampling and counting metrics. One more pins the full-size
+learn37_kper2 output to the benchmark's reference digest. They load
+perfbench/workloads.py and perfbench/tracing.py from their files and change
+nothing there.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -51,3 +54,16 @@ def test_traced_two_node_command_fills_the_sampling_metrics(tmp_path, capsys):
                  "data.count_sufficient_stats.calls"):
         assert metrics[name] is not None and metrics[name] > 0, name
     assert metrics["sampling.records"] == prepared.work
+
+
+def test_learn37_kper2_output_matches_the_reference_digest(tmp_path, capsys):
+    # a node's level-1 digit spans the states of up to 36 predecessors, so its
+    # code times that span passes 255: a product formed in uint8 would wrap
+    import nalearn.cli
+
+    workload = workloads.WORKLOADS["learn37_kper2"]
+    prepared = workload.prepare(tmp_path, seed=1, size=workloads.FULL)
+    assert nalearn.cli.main(prepared.argv) == 0
+    stdout = capsys.readouterr().out
+    reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
+    assert workload.digest(prepared, stdout) == reference["digests"]["learn37_kper2"]["1"]

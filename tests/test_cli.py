@@ -473,6 +473,9 @@ _CHECK_WITHOUT_REFERENCE = [
     (_TWO_NODE, {**_TWO_NODE_CONFIG, "betas": [0.9, 0.9]}),
     (_RATES, {"sample_sizes": [100, 200, 100], "replicates": 5}),
     ([*_MASK, "--missing", "none", "--seed", "1"], None),  # would mask nothing
+    # the two-node table masks X1 through betas alone
+    (_TWO_NODE, {**_TWO_NODE_CONFIG, "missingness": ["kper:1"]}),
+    (_TWO_NODE, {**_TWO_NODE_CONFIG, "net": 5}),  # str() would read it as "5"
 ])
 def test_malformed_spec_exit_2(two_node_files, tmp_path, capsys, argv, config):
     _, net_path, _ = two_node_files

@@ -21,8 +21,11 @@ from nalearn import (
 )
 from nalearn.data import STATE_SPACE_CAP, count_families
 from nalearn.errors import IndexOutOfRange, SchemaMismatch, StateSpaceTooLarge
+from nalearn.experiments import spurious_edge_gain
+from nalearn.networks import benchmark_structure_37, eight_node_net
 from nalearn.population import induced_theta_mcar
 from nalearn.scoring import NEG_INFINITY, node_nal_from_counts
+from nalearn.search import SearchSpace, fill_family_scores
 
 from util import random_dataset
 
@@ -92,7 +95,6 @@ def test_oversized_count_table_is_refused_before_it_is_allocated():
     variables = [Variable(f"X{i}", 300) for i in range(3)]
     assert 301**3 > STATE_SPACE_CAP >= 301**2
     data = Dataset(variables, [(0, 1, 2), (MISSING, 299, 5)])
-    data.codes, data.radix  # built before tracing
     tracemalloc.start()
     try:
         assert count_sufficient_stats(data, 2, [0]).n_i == 1  # 301^2 cells: allowed
@@ -162,8 +164,35 @@ def test_sentinel_counts_match_row_loop(seed, cards, n, draw):
 def test_codes_map_missing_to_extra_state():
     data = Dataset([Variable("A", 2), Variable("B", 3)], [(0, MISSING), (MISSING, 2)])
     np.testing.assert_array_equal(data.codes, [[0, 2], [3, 2]])
+    assert data.codes.dtype == np.uint8
     assert data.codes.flags.c_contiguous and not data.codes.flags.writeable
     assert Dataset(BIN2, np.empty((0, 2))).codes.shape == (2, 0)
+
+
+def test_values_of_32768_and_above_keep_their_state(tmp_path):
+    variables = [Variable("X", 40000), Variable("Y", 2)]
+    data = Dataset(variables, [[35000, 1]])
+    assert data.codes.dtype == np.uint16 and data.values[0, 0] == 35000
+    n_ikj = count_sufficient_stats(data, 0, ()).n_ikj
+    assert n_ikj[35000, 0] == n_ikj.sum() == 1
+    path = tmp_path / "data.csv"
+    write_csv(data, path)
+    assert read_csv(path, variables).values.tolist() == [[35000, 1]]
+
+
+def test_dataset_holds_one_array_from_sampling_and_reading_to_scores(tmp_path):
+    """A two-node replicate (sample, mask, gain) and learn's read_csv and
+    fill_family_scores work on codes alone: nothing builds values."""
+    data = apply_mcar(forward_sample(two_node_net(), 200, 1), Bernoulli((0.9, 1.0)), 2)
+    spurious_edge_gain(data)
+    assert data.codes.dtype == np.uint8 and "values" not in data.__dict__
+    assert forward_sample(eight_node_net(), 10, 1).codes.dtype == np.uint8
+    variables, _ = benchmark_structure_37()
+    path = tmp_path / "data.csv"
+    write_csv(random_dataset(variables, 50, np.random.default_rng(5), 0.1), path)
+    data = read_csv(path, variables)
+    fill_family_scores(data, SearchSpace(list(range(len(variables))), 1))
+    assert data.codes.dtype == np.uint8 and "values" not in data.__dict__
 
 
 def test_counts_deterministic():

@@ -233,11 +233,13 @@ def test_recovery_opens_one_pool_per_run(opened_pools):
 
 @pytest.mark.parametrize("mode, pools", [("two-node", 4), ("rates", 2)])
 def test_table_and_probe_open_a_pool_per_cell_and_regime(opened_pools, tmp_path, mode, pools):
-    # the table opens one pool per (beta, n) cell, the probe one per regime
+    # the table opens one pool per (beta, n) cell, the probe one per regime;
+    # the table masks through betas and refuses missingness
     config_path = tmp_path / "config.json"
+    regimes = {"missingness": ["none", "bernoulli:0.9,1"]} if mode == "rates" else {}
     config_path.write_text(json.dumps({
         "sample_sizes": [50, 100], "betas": [1.0, 0.9], "penalties": ["bic"], "replicates": 3,
-        "seed": 3, "missingness": ["none", "bernoulli:0.9,1"],
+        "seed": 3, **regimes,
     }))
     argv = ["experiment", "--config", str(config_path), "--mode", mode, "--out", str(tmp_path)]
     assert main(argv) == 0

@@ -198,6 +198,7 @@ def _old_apply_mcar(data: Dataset, model, seed: int) -> Dataset:
 def _assert_same_records(new: Dataset, old: Dataset):
     assert new.values.dtype == old.values.dtype == np.int16
     assert np.array_equal(new.values, old.values)
+    assert new.codes.dtype == old.codes.dtype and np.array_equal(new.codes, old.codes)
 
 
 def _edge_case_net(rng) -> BayesNet:

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nalearn.data
@@ -358,7 +358,6 @@ def test_family_scores_keep_a_few_bytes_per_family():
     data = random_dataset(variables, 200, rng, 0.1)
     space = SearchSpace(list(rng.permutation(20)), 3)
     families = sum(len(space.candidate_parent_sets(i)) for i in range(20))
-    data.codes  # built before tracing: the codes are not part of the memo
     tracemalloc.start()
     try:
         learn_structure(data, space, BIC)
@@ -402,8 +401,21 @@ def batch_cases(draw):
     return Dataset(variables, values), space, draw(st.sampled_from([None, 1, 3]))
 
 
+def _wide_case():
+    """A node of cardinality 4 after 24 binary predecessors, with missing
+    cells: a level-1 code times its digit's span reaches 4 * 72 = 288, past
+    the range of the uint8 codes."""
+    rng = np.random.default_rng(113)
+    cards = [2] * 24 + [4]
+    values = np.stack([rng.integers(0, q, size=60) for q in cards], axis=1)
+    values[rng.random(values.shape) < 0.3] = -1
+    variables = [Variable(f"X{i}", q) for i, q in enumerate(cards)]
+    return Dataset(variables, values), SearchSpace(list(range(25)), 2), None
+
+
 @settings(max_examples=150, deadline=None)
 @given(batch_cases())
+@example(_wide_case())
 def test_batched_family_scores_equal_per_call_scores(case):
     data, space, chunk = case
     candidates = {i: space.candidate_parent_sets(i) for i in range(space.num_nodes)}
