@@ -331,7 +331,7 @@ def _mixed_radix(
     are no parents."""
     code = data.codes[node]
     for p in parents:
-        code = out = np.multiply(code, data.radix[p], out=out)
+        code = out = np.multiply(code, data.radix[p], out=out, dtype=np.int64)
         code += data.codes[p]
     return code
 

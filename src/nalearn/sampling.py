@@ -105,7 +105,7 @@ def forward_sample(net: BayesNet, n: int, seed: int) -> Dataset:
         bounds = np.cumsum(net.cpt.tables[i], axis=1)  # (q_pa, q_i)
         j = np.intp(0)  # parent configuration, the last parent varying fastest
         for p in net.dag.parents[i]:
-            j = j * net.variables[p].cardinality + codes[p]
+            j = np.add(j * net.variables[p].cardinality, codes[p], dtype=np.intp)
         for k in range(net.variables[i].cardinality - 1):
             codes[i] += u[:, i] >= bounds[:, k][j]
     return Dataset.from_codes(net.variables, codes)

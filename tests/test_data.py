@@ -161,6 +161,17 @@ def test_sentinel_counts_match_row_loop(seed, cards, n, draw):
         assert node_nal_from_counts(c) == NEG_INFINITY
 
 
+def test_counts_of_a_cube_wider_than_a_byte_match_row_loop():
+    # uint8 codes, but the family's code runs past 255: it is formed in int64
+    rng = np.random.default_rng(11)
+    variables = [Variable("C", 4)] + [Variable(f"P{i}", 3) for i in range(4)]
+    data = random_dataset(variables, 400, rng, 0.1)
+    assert data.codes.dtype == np.uint8
+    parents = [1, 2, 3, 4]
+    np.testing.assert_array_equal(count_sufficient_stats(data, 0, parents).n_ikj,
+                                  brute_force_counts(data, 0, parents))
+
+
 def test_codes_map_missing_to_extra_state():
     data = Dataset([Variable("A", 2), Variable("B", 3)], [(0, MISSING), (MISSING, 2)])
     np.testing.assert_array_equal(data.codes, [[0, 2], [3, 2]])

@@ -253,6 +253,15 @@ def test_column_kernels_match_the_row_oracle(n):
                                  _old_apply_mcar(masked, model, seed + 3))
 
 
+def test_forward_sample_indexes_more_than_256_parent_configurations():
+    # uint8 codes, but a CPT row index runs past 255: it is formed in intp
+    rng = np.random.default_rng(7)
+    variables = [Variable(f"X{i}", 2) for i in range(10)]
+    dag = Dag([[]] * 9 + [list(range(9))])
+    net = BayesNet(variables, dag, random_cpt(dag, variables, rng))
+    _assert_same_records(forward_sample(net, 2000, 5), _old_forward_sample(net, 2000, 5))
+
+
 class _ReplayedUniforms:
     """Stands in for a numpy Generator: random(shape) returns the given block."""
 
