@@ -3,9 +3,10 @@ Population quantities and identifiability
 =========================================
 
 Works at the population level (no sampling): exact joint distributions,
-induced conditional tables for a candidate structure, the population
-node-average log-likelihood, and the identifiability report over a
-candidate set, together with the minimum observation probability beta.
+the population node-average log-likelihood of a candidate structure (each
+family's joint marginal scored by the same kernel as sample counts), and the
+identifiability report over a candidate set, together with the minimum
+observation probability beta.
 """
 
 from nalearn import (

@@ -20,7 +20,7 @@ from .model import (
     validate_dag,
 )
 from .population import (
-    InducedTable,
+    FamilyTables,
     beta_of_collection,
     check_identifiability,
     induced_theta_mcar,

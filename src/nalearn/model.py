@@ -226,8 +226,12 @@ def json_number(value):
 
 
 def dags_from_json(candidates) -> list[Dag]:
-    """Dags from JSON lists of parent lists; a parent that is not an integer is a ValueError."""
-    # one type pass in C: a candidate file can list thousands of DAGs
+    """Dags from a non-empty JSON list of DAGs, each a list of parent lists; any
+    other shape, or a parent that is not an integer, is a ValueError."""
+    # type passes in C: a candidate file can list thousands of DAGs
+    if not (type(candidates) is list and candidates and set(map(type, candidates)) <= {list}
+            and set(map(type, chain.from_iterable(candidates))) <= {list}):
+        raise ValueError("expected a non-empty list of DAGs, each a list of parent lists")
     if not set(map(type, chain.from_iterable(chain.from_iterable(candidates)))) <= {int}:
         candidates = [[[json_int(p) for p in ps] for ps in parents] for parents in candidates]
     return [Dag(parents) for parents in candidates]
@@ -251,6 +255,8 @@ def structure_to_dict(dag: Dag, variables: Sequence[Variable]) -> dict:
 
 def structure_from_dict(obj: dict) -> tuple[list[Variable], Dag]:
     variables = [Variable(d["name"], json_int(d["cardinality"])) for d in obj["variables"]]
+    if not (type(obj["parents"]) is list and set(map(type, obj["parents"])) <= {list}):
+        raise ValueError('"parents": expected a list of parent lists')
     (dag,) = dags_from_json([obj["parents"]])
     validate_dag(dag)
     if dag.num_nodes != len(variables):

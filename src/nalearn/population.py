@@ -1,9 +1,11 @@
 """Exact population-level quantities via enumeration of the joint state space.
 
 All computations marginalize the exact joint distribution of the generating
-network, so they are limited to at most STATE_SPACE_CAP joint states. Under
-MCAR the chance theta_i that a family is observed (observation_probability)
-factors out of its conditional tables, so missingness enters only through beta.
+network, so they are limited to at most STATE_SPACE_CAP joint states. A
+family's marginal of the joint is scored by the same kernel as its sample
+counts, ``scoring.stacked_nal``. Under MCAR the records where a family is
+observed follow that marginal whatever the chance theta_i of observing it
+(observation_probability), so missingness enters only through beta.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .data import STATE_SPACE_CAP
 from .errors import NodeCountMismatch, StateSpaceTooLarge
 from .model import BayesNet, Dag, df_complexity, validate_dag
 from .sampling import Bernoulli, MissingnessModel, subset_observation_probability
-from .scoring import neg_conditional_entropy
+from .scoring import stacked_nal
 
 
 def _broadcast_factor(table: np.ndarray, axes: list[int], N: int) -> np.ndarray:
@@ -54,25 +56,16 @@ def joint_distribution(net: BayesNet) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NodeTable:
-    """Population tables for one (node, parent set) pair."""
+    """The true joint's marginal of one (node, parent set) family."""
 
     node: int
     parents: tuple[int, ...]
-    theta_ij: np.ndarray  # P(Pa_i = j), canonical j order
-    theta_ikj: np.ndarray  # P(X_i = k | Pa_i = j), shape (q_i, q_pa)
+    marginal: np.ndarray  # P(X_i = k, Pa_i = j), shape (q_i, q_pa), canonical j order
 
     @cached_property
     def nal(self) -> float:
-        """Observed population negative conditional entropy of the node."""
-        return neg_conditional_entropy(self.theta_ij, self.theta_ikj)[0]
-
-
-@dataclass(frozen=True)
-class InducedTable:
-    """Per-node population tables of a candidate DAG induced by a true net."""
-
-    dag: Dag
-    nodes: tuple[NodeTable, ...]
+        """Population negative conditional entropy of the node given its parents."""
+        return float(stacked_nal(self.marginal, [self.marginal.shape[1]])[0][0])
 
 
 def observation_probability(
@@ -89,25 +82,14 @@ def observation_probability(
     return subset_observation_probability(N, missing.k, len(parents) + 1)
 
 
-def _node_table(joint: np.ndarray, node: int, parents: tuple[int, ...]) -> NodeTable:
-    N = joint.ndim
-    q_i = joint.shape[node]
-    other = tuple(ax for ax in range(N) if ax != node and ax not in parents)
-    marg = joint.sum(axis=other, keepdims=False)  # axes: sorted(parents + node)
-    kept = sorted(list(parents) + [node])
-    child_pos = kept.index(node)
-    # move child axis last; remaining axes are the parents in ascending order
-    marg = np.moveaxis(marg, child_pos, -1)
-    pa_child = marg.reshape(-1, q_i)  # row-major over parents, last fastest
-    theta_ij = pa_child.sum(axis=1)
-    zero = theta_ij <= 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = pa_child / np.where(zero, 1.0, theta_ij)[:, None]
-    cond[zero] = 1.0 / q_i  # unreachable configs padded uniform
-    theta_ikj = cond.T.copy()
-    theta_ij.flags.writeable = False  # tables are shared through FamilyTables
-    theta_ikj.flags.writeable = False
-    return NodeTable(node, parents, theta_ij, theta_ikj)
+def _family_marginal(joint: np.ndarray, node: int, parents: tuple[int, ...]) -> np.ndarray:
+    """The (q_i, q_pa) marginal of node and parents, j row-major over the parents."""
+    other = tuple(ax for ax in range(joint.ndim) if ax != node and ax not in parents)
+    marg = joint.sum(axis=other)  # axes: sorted(parents + node)
+    child_pos = sorted((*parents, node)).index(node)
+    marginal = np.moveaxis(marg, child_pos, 0).reshape(joint.shape[node], -1)
+    marginal.flags.writeable = False  # tables are shared through FamilyTables
+    return marginal
 
 
 class FamilyTables:
@@ -115,11 +97,10 @@ class FamilyTables:
 
     The joint is built once. Pass one instance to every induced_theta_mcar
     call over the same net so that each family is marginalized, and its
-    entropy evaluated, once however many candidates share it.
+    NAL evaluated, once however many candidates share it.
     """
 
     def __init__(self, net0: BayesNet):
-        self.net0 = net0
         self.joint = _joint_array(net0)
         self.joint.flags.writeable = False
         self._memo: dict[tuple[int, tuple[int, ...]], NodeTable] = {}
@@ -128,31 +109,25 @@ class FamilyTables:
         key = (node, parents)
         hit = self._memo.get(key)
         if hit is None:
-            hit = self._memo[key] = _node_table(self.joint, node, parents)
+            hit = self._memo[key] = NodeTable(
+                node, parents, _family_marginal(self.joint, node, parents))
         return hit
 
 
-def induced_theta_mcar(
-    g: Dag, net0: BayesNet, *, tables: FamilyTables | None = None
-) -> InducedTable:
-    """Population tables theta(G | G0), the same under every MCAR missingness.
-
-    Without `tables` the joint is built for this call alone.
-    """
-    if tables is None:
-        tables = FamilyTables(net0)
-    elif tables.net0 is not net0:
-        raise ValueError("family tables were built for a different net")
-    return InducedTable(g, tuple(tables.node_table(i, ps) for i, ps in enumerate(g.parents)))
+def induced_theta_mcar(g: Dag, tables: FamilyTables) -> tuple[NodeTable, ...]:
+    """The true net's marginals of g's families, in node order: the population
+    tables theta(G | G0), the same under every MCAR missingness."""
+    return tuple(tables.node_table(i, ps) for i, ps in enumerate(g.parents))
 
 
-def population_nal(table: InducedTable) -> float:
-    """Population NAL l(G | G0) from the induced tables of G."""
-    return math.fsum(e.nal for e in table.nodes)
+def population_nal(tables: Sequence[NodeTable]) -> float:
+    """Population NAL l(G | G0) from the family tables of G."""
+    return math.fsum(t.nal for t in tables)
 
 
 def population_nal_of(g: Dag, net0: BayesNet) -> float:
-    return population_nal(induced_theta_mcar(g, net0))
+    """l(G | G0), building the joint of net0 for this call alone."""
+    return population_nal(induced_theta_mcar(g, FamilyTables(net0)))
 
 
 @dataclass(frozen=True)
@@ -200,7 +175,7 @@ def check_identifiability(
     tables = FamilyTables(net0)
 
     def nal_of(g: Dag) -> float:
-        return population_nal(induced_theta_mcar(g, net0, tables=tables))
+        return population_nal(induced_theta_mcar(g, tables))
 
     true_nal = nal_of(net0.dag)
     values = [nal_of(g) for g in candidates]

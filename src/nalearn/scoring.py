@@ -119,13 +119,16 @@ def node_nal_from_counts(counts: SufficientCounts) -> float:
 
 def stacked_nal(n_ikj: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(NAL, n_i) of families whose n_ikj stand side by side, family f over
-    widths[f] columns, as ``data.count_families`` yields them. Each NAL equals
-    ``node_nal_from_counts`` of the family's own counts, bit for bit."""
+    widths[f] columns, as ``data.count_families`` yields them. n_ikj holds
+    counts or a probability marginal P(X_i = k, Pa_i = j); empty columns and
+    families are divided by 1, never by their zero total. On counts each NAL
+    equals ``node_nal_from_counts`` of the family's own counts, bit for bit."""
     n_ij = n_ikj.sum(axis=0)
     ends = np.cumsum(widths)
     n_i = np.add.reduceat(n_ij, ends - widths)
-    weights = n_ij / np.repeat(np.maximum(n_i, 1), widths)
-    nal = np.array(neg_conditional_entropy(weights, n_ikj / np.maximum(n_ij, 1), ends.tolist()))
+    weights = n_ij / np.repeat(np.where(n_i > 0, n_i, 1), widths)
+    nal = np.array(neg_conditional_entropy(weights, n_ikj / np.where(n_ij > 0, n_ij, 1),
+                                           ends.tolist()))
     nal[n_i == 0] = NEG_INFINITY
     return nal, n_i
 

@@ -10,7 +10,8 @@ part of the package:
   log-likelihood;
 * the standard sample-average log-likelihood, which equals the NAL on
   complete data;
-* the joint distribution a candidate DAG induces from a true net, and the
+* the conditional tables of a family's joint marginal, the joint
+  distribution a candidate DAG induces from a true net through them, and the
   subgraph and order-compatibility relations between DAGs.
 
 Only public package names are used here.
@@ -25,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from nalearn import BayesNet, Cpt, Dag, Dataset, SufficientCounts, count_sufficient_stats
-from nalearn import induced_theta_mcar, joint_distribution
+from nalearn import FamilyTables, induced_theta_mcar, joint_distribution
 from nalearn.errors import NalearnError, NodeCountMismatch, SchemaMismatch
 from nalearn.scoring import NEG_INFINITY
 
@@ -148,10 +149,18 @@ def standard_avg_loglik(data: Dataset, dag: Dag) -> float:
 # Induced joints and relations between DAGs
 # ---------------------------------------------------------------------------
 
+def conditional(marginal: np.ndarray) -> np.ndarray:
+    """P(X_i = k | Pa_i = j) from a (q_i, q_pa) marginal P(X_i = k, Pa_i = j);
+    a parent configuration of probability 0 gets the uniform column."""
+    p_j = marginal.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p_j > 0, marginal / p_j, 1.0 / marginal.shape[0])
+
+
 def induced_joint(g: Dag, net0: BayesNet) -> np.ndarray:
     """Flat joint of the distribution induced by reading net0 through g."""
-    table = induced_theta_mcar(g, net0)
-    cpt = Cpt(entry.theta_ikj.T for entry in table.nodes)
+    tables = induced_theta_mcar(g, FamilyTables(net0))
+    cpt = Cpt(conditional(t.marginal).T for t in tables)
     return joint_distribution(BayesNet(net0.variables, g, cpt))
 
 

@@ -14,6 +14,7 @@ from nalearn import (
     BIC,
     Bernoulli,
     Dag,
+    FamilyTables,
     KPerRecord,
     Penalty,
     SearchSpace,
@@ -215,14 +216,15 @@ def test_criterion_6_population_properties(capsys):
         if not ok:
             break
         # parent-addition monotonicity of the node population NAL
+        tables = FamilyTables(net)
         for node in range(3):
             others = [j for j in range(3) if j != node]
             subsets = [(), (others[0],), (others[1],), tuple(sorted(others))]
             vals = {}
             for parents in subsets:
                 dag = Dag([list(parents) if i == node else [] for i in range(3)])
-                table = induced_theta_mcar(dag, net)
-                vals[parents] = table.nodes[node].nal
+                table = induced_theta_mcar(dag, tables)
+                vals[parents] = table[node].nal
             for small in subsets:
                 for big in subsets:
                     if set(small) <= set(big) and vals[small] > vals[big] + 1e-9:

@@ -4,10 +4,10 @@ The traced benchmark wraps functions at the module bindings its workloads
 list and reports a metric absent when a binding is gone, so a refactor that
 drops one would only show as an empty per-layer metric. These tests fail
 instead: every binding must resolve, and a traced tiny two-node command must
-fill the sampling and counting metrics. One more pins the full-size
-learn37_kper2 output to the benchmark's reference digest. They load
-perfbench/workloads.py and perfbench/tracing.py from their files and change
-nothing there.
+fill the sampling and counting metrics. The others pin the full-size
+learn37_kper2 and population8 outputs to the benchmark's reference digests.
+They load perfbench/workloads.py and perfbench/tracing.py from their files and
+change nothing there.
 """
 
 import importlib.util
@@ -56,14 +56,25 @@ def test_traced_two_node_command_fills_the_sampling_metrics(tmp_path, capsys):
     assert metrics["sampling.records"] == prepared.work
 
 
-def test_learn37_kper2_output_matches_the_reference_digest(tmp_path, capsys):
-    # a node's level-1 digit spans the states of up to 36 predecessors, so its
-    # code times that span passes 255: a product formed in uint8 would wrap
+def _matches_the_reference_digest(name, seed, tmp_path, capsys) -> bool:
     import nalearn.cli
 
-    workload = workloads.WORKLOADS["learn37_kper2"]
-    prepared = workload.prepare(tmp_path, seed=1, size=workloads.FULL)
+    workload = workloads.WORKLOADS[name]
+    prepared = workload.prepare(tmp_path, seed=seed, size=workloads.FULL)
     assert nalearn.cli.main(prepared.argv) == 0
     stdout = capsys.readouterr().out
     reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
-    assert workload.digest(prepared, stdout) == reference["digests"]["learn37_kper2"]["1"]
+    return workload.digest(prepared, stdout) == reference["digests"][name][str(seed)]
+
+
+def test_learn37_kper2_output_matches_the_reference_digest(tmp_path, capsys):
+    # a node's level-1 digit spans the states of up to 36 predecessors, so its
+    # code times that span passes 255: a product formed in uint8 would wrap
+    assert _matches_the_reference_digest("learn37_kper2", 1, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_population8_output_matches_the_reference_digest(seed, tmp_path, capsys):
+    # every NAL is printed at %.12g: an ulp of drift in a family's score can
+    # flip a printed digit
+    assert _matches_the_reference_digest("population8", seed, tmp_path, capsys)

@@ -394,6 +394,8 @@ _WIDE_NET = {  # 2**64 joint states, a count that wraps to 0 in int64
     "parents": [[]] * 64,
     "cpt": [[[0.5, 0.5]]] * 64,
 }
+# candidate documents that are an empty list or not a list at all
+_NOT_CANDIDATE_LISTS = [[], {"a": 1}, '"x"', 5]
 # --check where there is nothing to check: another mode, or a grid that meets
 # no cell of the reference table
 _CHECK_WITHOUT_REFERENCE = [
@@ -476,6 +478,10 @@ _CHECK_WITHOUT_REFERENCE = [
     # the two-node table masks X1 through betas alone
     (_TWO_NODE, {**_TWO_NODE_CONFIG, "missingness": ["kper:1"]}),
     (_TWO_NODE, {**_TWO_NODE_CONFIG, "net": 5}),  # str() would read it as "5"
+    # candidate documents that are not a non-empty list of DAGs, each a list of parent lists
+    *[(_CANDIDATES, doc) for doc in _NOT_CANDIDATE_LISTS],
+    *[(_CANDIDATES, doc) for doc in [[5], [[5]], [[[], "ab"]]]],
+    *[(_SAMPLE_FROM, {**_NET_DICT, "parents": parents}) for parents in [5, [[], "ab"]]],
 ])
 def test_malformed_spec_exit_2(two_node_files, tmp_path, capsys, argv, config):
     _, net_path, _ = two_node_files
@@ -490,6 +496,23 @@ def test_malformed_spec_exit_2(two_node_files, tmp_path, capsys, argv, config):
     code, _, err = run(capsys, [arg.format(**paths) for arg in argv])
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv, doc, shape", [
+    *[(_CANDIDATES, doc, "a non-empty list of DAGs, each a list of parent lists")
+      for doc in _NOT_CANDIDATE_LISTS],
+    *[(_SAMPLE_FROM, {**_NET_DICT, "parents": parents}, "a list of parent lists")
+      for parents in [5, [[], "ab"]]],
+])
+def test_a_document_of_another_shape_names_the_shape(two_node_files, tmp_path, capsys,
+                                                     argv, doc, shape):
+    _, net_path, _ = two_node_files
+    path = tmp_path / "doc.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    code, out, err = run(capsys, [arg.format(net=net_path, config=path, out=tmp_path / "out.csv")
+                                  for arg in argv])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: ") and err.endswith(f"expected {shape}\n"), err
 
 
 @pytest.mark.parametrize("argv, config", _CHECK_WITHOUT_REFERENCE)

@@ -23,7 +23,7 @@ from nalearn.data import STATE_SPACE_CAP, count_families
 from nalearn.errors import IndexOutOfRange, SchemaMismatch, StateSpaceTooLarge
 from nalearn.experiments import spurious_edge_gain
 from nalearn.networks import benchmark_structure_37, eight_node_net
-from nalearn.population import induced_theta_mcar
+from nalearn.population import FamilyTables, induced_theta_mcar
 from nalearn.scoring import NEG_INFINITY, node_nal_from_counts
 from nalearn.search import SearchSpace, fill_family_scores
 
@@ -217,8 +217,8 @@ def test_counts_deterministic():
 def test_theta_unbiasedness_monte_carlo():
     """Mean of defined theta-hat entries matches the population table (3 MC se)."""
     net = two_node_net()
-    table = induced_theta_mcar(net.dag, net)
-    target = table.nodes[1].theta_ikj[:, 0]  # marginal of X2: (0.3, 0.7)
+    tables = induced_theta_mcar(net.dag, FamilyTables(net))
+    target = tables[1].marginal[:, 0]  # marginal of X2: (0.3, 0.7)
     reps = 2000
     vals = np.zeros((reps, 2))
     for r in range(reps):

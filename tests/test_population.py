@@ -10,6 +10,7 @@ from nalearn import (
     Bernoulli,
     Cpt,
     Dag,
+    FamilyTables,
     KPerRecord,
     Variable,
     beta_of_collection,
@@ -24,10 +25,11 @@ from nalearn import (
 )
 from nalearn.errors import CycleDetected, MalformedParents, NodeCountMismatch, StateSpaceTooLarge
 from nalearn.networks import eight_node_net
-from nalearn.population import FamilyTables, observation_probability
+from nalearn.population import observation_probability
 from nalearn.scoring import node_nal_from_counts
+from nalearn.search import SearchSpace
 
-from oracles import induced_joint, is_subgraph
+from oracles import conditional, induced_joint, is_subgraph
 from util import all_dags, random_net
 
 
@@ -104,15 +106,15 @@ def test_induced_joint_empty_dag_is_product_of_marginals():
 
 def test_induced_theta_true_dag_matches_cpt():
     net = dependent_two_node()
-    table = induced_theta_mcar(net.dag, net)
-    np.testing.assert_allclose(table.nodes[1].theta_ikj, net.cpt.tables[1].T, atol=1e-12)
+    tables = induced_theta_mcar(net.dag, FamilyTables(net))
+    np.testing.assert_allclose(conditional(tables[1].marginal), net.cpt.tables[1].T, atol=1e-12)
     assert observation_probability(0, (), None, 2) == 1.0  # complete data observes every family
 
 
 def test_induced_theta_independent_net_chain_candidate():
     net = two_node_net()
-    table = induced_theta_mcar(two_node_chain_dag(), net)
-    theta = table.nodes[1].theta_ikj
+    tables = induced_theta_mcar(two_node_chain_dag(), FamilyTables(net))
+    theta = conditional(tables[1].marginal)
     np.testing.assert_allclose(theta[:, 0], [0.3, 0.7], atol=1e-12)
     np.testing.assert_allclose(theta[:, 1], [0.3, 0.7], atol=1e-12)
 
@@ -124,7 +126,7 @@ def test_induced_theta_bernoulli_observation_probability():
     assert observation_probability(1, (), missing, 2) == 1.0
     assert beta_of_collection([two_node_chain_dag()], missing, 2) == pytest.approx(0.75)
     with pytest.raises(TypeError):  # the tables take no missingness: MCAR leaves them unchanged
-        induced_theta_mcar(two_node_chain_dag(), two_node_net(), missing)
+        induced_theta_mcar(two_node_chain_dag(), FamilyTables(two_node_net()), missing)
 
 
 def test_population_nal_independent_net():
@@ -148,14 +150,35 @@ def test_population_nal_deterministic_net_is_zero():
     assert population_nal_of(net.dag, net) == pytest.approx(0.0, abs=1e-15)
 
 
+def kernel_free_nal(marginal):
+    """sum_j P(Pa_i = j) sum_k theta_kj ln theta_kj, written out over conditional()."""
+    theta, p_j = conditional(marginal), marginal.sum(axis=0)
+    return math.fsum(p_j[j] * t * math.log(t) for (_, j), t in np.ndenumerate(theta) if t > 0)
+
+
+def test_every_eight_node_family_nal_matches_the_conditional_entropy():
+    # all 162 families of the eight-node net's order at max_parents 3; the
+    # kernel divides by the joint's total, 1 + 2**-52, which the formula does not
+    net = eight_node_net()
+    tables = FamilyTables(net)
+    space = SearchSpace(list(range(8)), 3)
+    families = [(i, ps) for i in range(8) for ps in space.candidate_parent_sets(i)]
+    assert len(families) == 162
+    for node, parents in families:
+        table = tables.node_table(node, parents)
+        want = kernel_free_nal(table.marginal)
+        assert abs(table.nal - want) <= 1e-15, (node, parents)
+        assert f"{table.nal:.12g}" == f"{want:.12g}", (node, parents)
+
+
 def test_law_of_large_numbers():
     rng = np.random.default_rng(47)
     net = random_net(4, rng)
     data = forward_sample(net, 100_000, seed=501)
+    tables = induced_theta_mcar(net.dag, FamilyTables(net))
     for node in range(4):
         c = count_sufficient_stats(data, node, net.dag.parents[node])
-        table = induced_theta_mcar(net.dag, net)
-        assert abs(node_nal_from_counts(c) - table.nodes[node].nal) < 0.01
+        assert abs(node_nal_from_counts(c) - tables[node].nal) < 0.01
 
 
 def test_identifiability_two_node_independent():
@@ -323,25 +346,18 @@ def test_identifiability_builds_the_joint_once(monkeypatch):
     assert len(calls) == 2
 
 
-def test_family_tables_of_another_net_raise():
-    tables = FamilyTables(dependent_two_node())
-    with pytest.raises(ValueError):
-        induced_theta_mcar(Dag([[], []]), two_node_net(), tables=tables)
-
-
 def test_family_tables_share_read_only_node_tables():
     net = dependent_two_node()
     tables = FamilyTables(net)
-    chain = induced_theta_mcar(two_node_chain_dag(), net, tables=tables)
-    empty = induced_theta_mcar(Dag([[], []]), net, tables=tables)
-    assert chain.nodes[0] is empty.nodes[0]  # family (0, ()) is marginalized once
-    again = induced_theta_mcar(two_node_chain_dag(), net, tables=tables)
-    assert again.nodes[1] is chain.nodes[1]  # under any masking, whose theta_i is beta's alone
+    chain = induced_theta_mcar(two_node_chain_dag(), tables)
+    empty = induced_theta_mcar(Dag([[], []]), tables)
+    assert chain[0] is empty[0]  # family (0, ()) is marginalized once
+    again = induced_theta_mcar(two_node_chain_dag(), tables)
+    assert again[1] is chain[1]  # under any masking, whose theta_i is beta's alone
     assert beta_of_collection([two_node_chain_dag()], Bernoulli((0.75, 1.0)), 2) == 0.75
-    for entry in chain.nodes + empty.nodes:
-        for array in (entry.theta_ij, entry.theta_ikj):
-            with pytest.raises(ValueError):
-                array[0] = 0.5
+    for entry in chain + empty:
+        with pytest.raises(ValueError):
+            entry.marginal[0, 0] = 0.5
     with pytest.raises(ValueError):
         tables.joint[0, 0] = 0.5
 

@@ -28,7 +28,7 @@ from nalearn import (
 )
 from nalearn.errors import ZeroSampleSize
 from nalearn.data import SufficientCounts
-from nalearn.scoring import node_nal_from_counts
+from nalearn.scoring import node_nal_from_counts, stacked_nal
 
 from oracles import standard_avg_loglik
 from util import random_dataset, random_net
@@ -84,6 +84,29 @@ def test_node_nal_kernel_bit_identical_to_loop_form():
         perm = rng.permutation(q_pa)
         shuffled = SufficientCounts(0, (), c.n, c.n_i, n_ij[perm], n_ikj[:, perm])
         assert node_nal_from_counts(shuffled) == value
+
+
+def test_stacked_nal_bit_identical_to_per_family_kernel_on_counts():
+    # the kernel divides by np.where(n > 0, n, 1) so that it also scores
+    # probabilities; on counts that must be np.maximum(n, 1) to the bit
+    rng = np.random.default_rng(2017)
+    for trial in range(200):
+        q_i = int(rng.integers(2, 6))
+        widths = rng.integers(1, 12, size=int(rng.integers(1, 8)))
+        n_ikj = rng.integers(0, 40, size=(q_i, int(widths.sum()))) * (
+            rng.random((q_i, int(widths.sum()))) < 0.6)
+        n_ikj[:, rng.random(n_ikj.shape[1]) < 0.3] = 0  # unobserved parent configurations
+        starts = np.cumsum(widths) - widths
+        for f in np.flatnonzero(rng.random(len(widths)) < 0.2):  # whole families with n_i = 0
+            n_ikj[:, starts[f]:starts[f] + widths[f]] = 0
+        nal_values, n_i = stacked_nal(n_ikj, widths)
+        for f, (s, w) in enumerate(zip(starts, widths)):
+            family = n_ikj[:, s:s + w]
+            n_ij = family.sum(axis=0)
+            c = SufficientCounts(0, (), int(n_ij.sum()), int(n_ij.sum()), n_ij, family)
+            assert n_i[f] == c.n_i
+            assert nal_values[f] == node_nal_from_counts(c)  # -inf == -inf when n_i = 0
+            assert (nal_values[f] == NEG_INFINITY) == (c.n_i == 0)
 
 
 def test_node_nal_hand_marginal():
