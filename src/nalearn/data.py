@@ -14,20 +14,16 @@ the records where all are observed: they are the available-case n_ikj, with
 no row mask. This relies on every code lying in [0, q], which the
 constructor checks.
 
-``count_families`` counts many parent sets of one node with one ``bincount``
-per chunk of sets. Sets that share a prefix (all but their last parent)
-share one cube: the prefix's cube times one wide last digit, on which each
-last parent has its own q + 1 states. A set's code is the prefix's code
-times the digit's width, plus its last parent's codes shifted to that
-parent's states. A group's prefix code is built once, in place, and kept
-while the group runs on into the next chunk, so a chunk costs about one
-multiply and one add over its (sets, n) rows; the chunk's cubes lie end to
-end, and one gather through their observed cells gives every family's
-available-case n_ikj. A chunk holds CHUNK_BUDGET // max(n, cells) sets, at
-least one, where cells is the largest cube of one set: at most CHUNK_BUDGET
-row codes and as many cube cells. Chunks are yielded in runs of at least
-RUN_CELLS cells of counts, so the one-set chunks of a large n are scored
-together too, while a run's scoring stays small beside a chunk. No family's cube may exceed STATE_SPACE_CAP cells, in either
+``count_families`` counts many parent sets of one node. Sets that share a
+prefix (all but their last parent) share one cube: the prefix's cube times
+one wide last digit, on which each last parent has its own q + 1 states. A
+group, a run of such sets whose last parents lie side by side on the digit,
+builds its prefix code once; one ``bincount`` then counts the group, or each
+slice of at most CHUNK_BUDGET // max(n, cells) of its sets, where cells is
+the largest cube of one set of the size. One gather through the slice's
+observed cells gives each family's available-case n_ikj. Counts are yielded
+in runs of at least RUN_CELLS cells, so that one-set slices are scored
+together too. No family's cube may exceed STATE_SPACE_CAP cells, in either
 function.
 """
 
@@ -176,16 +172,14 @@ def count_families(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Available-case counts for (node | parents) of every parent set in families.
 
-    Each set is sorted and non-empty; sets of one size are adjacent and in
-    strictly increasing lexicographic order, as
-    ``SearchSpace.candidate_parent_sets`` lists them. Every set is checked,
-    and every family's cube against STATE_SPACE_CAP, before the first count.
-    Yields (n_ikj, widths) pairs over runs of consecutive sets, each run's
-    counts at least RUN_CELLS cells (but the last): n_ikj has shape
-    (q_i, columns) and holds the run's families side by side, each over its
-    q_pa = widths[f] columns. A family's columns are its parent
-    configurations with the last parent slowest; the order of the
-    configurations changes no score.
+    Each set is sorted and non-empty; the sets may come in any order, and a
+    repeated set is counted again. Every set is checked, and every family's
+    cube against STATE_SPACE_CAP, before the first count. Yields (n_ikj,
+    widths) pairs over runs of consecutive sets, each run's counts at least
+    RUN_CELLS cells (but the last): n_ikj has shape (q_i, columns) and holds
+    the run's families side by side, each over its q_pa = widths[f] columns.
+    A family's columns are its parent configurations with the last parent
+    slowest; the order of the configurations changes no score.
     """
     if not 0 <= node < data.num_variables:
         raise IndexOutOfRange(f"node {node}")
@@ -198,13 +192,15 @@ def count_families(
     if not levels:
         return
     # every last parent in its own range of one wide digit, last[x] after the
-    # states of last[:x]
+    # states of last[:x]; observed holds the digit's cells but the sentinels,
+    # so last[x]'s observed states start at observed[digit_ends[x] - x]
     last = np.unique(np.concatenate([sets[:, -1] for sets in levels]))
     digit_ends = np.concatenate(([0], np.cumsum(data.radix[last])))
     wide = data.codes[last] + digit_ends[:-1, None]  # row x: last[x] on its own states
+    observed = np.delete(np.arange(digit_ends[-1]), digit_ends[1:] - 1)
     run, run_cells = [], 0  # chunks not yet yielded, and their cells of counts
     for sets in levels:
-        for chunk in _count_level(data, node, sets, last, digit_ends, wide):
+        for chunk in _count_level(data, node, sets, last, digit_ends, wide, observed):
             run.append(chunk)
             run_cells += chunk[0].size
             if run_cells >= RUN_CELLS:
@@ -221,15 +217,12 @@ def _joined(chunks: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np
 
 
 def _check_level(data: Dataset, node: int, sets: np.ndarray) -> None:
-    """Refuse parent sets of one size that are out of range, unsorted, out of
-    lexicographic order, or whose cube exceeds STATE_SPACE_CAP."""
+    """Refuse parent sets of one size that are out of range, unsorted or
+    repeat a parent, or whose cube exceeds STATE_SPACE_CAP."""
     if not ((sets >= 0) & (sets < data.num_variables) & (sets != node)).all():
         raise IndexOutOfRange(f"node {node}: parent sets {sets.tolist()} out of range")
     if (np.diff(sets, axis=1) <= 0).any():
         raise IndexOutOfRange(f"node {node}: parent sets {sets.tolist()} are not sorted")
-    step = sets[1:] - sets[:-1]
-    if (step[np.arange(len(step)), (step != 0).argmax(axis=1)] <= 0).any():
-        raise ValueError(f"node {node}: parent sets are not in lexicographic order")
     # a float product is exact up to 2^53, far above the cap
     big = np.flatnonzero(data.radix[sets].astype(float).prod(axis=1) * data.radix[node]
                          > STATE_SPACE_CAP)
@@ -245,19 +238,17 @@ def _count_level(
     last: np.ndarray,
     digit_ends: np.ndarray,
     wide: np.ndarray,
+    observed: np.ndarray,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """count_families over checked sets of one size.
 
     A group is a run of sets with one prefix whose last parents are
-    consecutive in last, so its digit has no unused range and its sets' rows
-    of wide are one slice. Within a chunk a group's cube is its prefix cube
-    times the span of its sets' digit ranges, from the first set of the group
-    in the chunk. The chunk's cubes lie end to end from cell low[0], where the
-    first group's codes already start, so that group needs no shift. With
-    its prefix code kept, a chunk of one set (every chunk, once n exceeds
-    CHUNK_BUDGET / 2) costs one multiply and one add over its n rows beside
-    the bincount, where counting the family alone extends the code once per
-    parent.
+    consecutive in last, so its sets' rows of wide are one slice. Its prefix
+    code is built once; each slice of at most per_chunk of its sets then
+    costs one multiply and one add over its rows beside the bincount, where
+    counting a family alone extends the code once per parent. A slice's
+    cube is the prefix cube times the span of its digit ranges, and its
+    codes start at cell low, where the first set's range starts.
     """
     largest = int((data.radix[node] * data.radix[sets].prod(axis=1)).max())  # one family's cube
     per_chunk = max(1, CHUNK_BUDGET // max(data.num_records, largest))
@@ -265,53 +256,30 @@ def _count_level(
     pos = np.searchsorted(last, sets[:, -1])
     new_group = np.ones(len(sets), dtype=bool)
     new_group[1:] = (sets[1:, :-1] != sets[:-1, :-1]).any(axis=1) | (pos[1:] != pos[:-1] + 1)
-    group = np.cumsum(new_group) - 1
-    heads = np.flatnonzero(new_group)
-    prefix_radix = data.radix[sets[heads, :-1]]
-    prefix_cells = data.radix[node] * prefix_radix.prod(axis=1)
-    prefix_shapes = [(q_i + 1, *row) for row in prefix_radix.tolist()]
+    heads = np.append(np.flatnonzero(new_group), len(sets)).tolist()
     states = data.radix[sets[:, -1]] - 1
-    widths = (prefix_radix - 1).prod(axis=1)[group] * states
-    row_buffer = np.empty((min(per_chunk, len(sets)), data.num_records), dtype=np.int64)
+    pos, ends = pos.tolist(), digit_ends.tolist()
+    row_buffer = np.empty((min(per_chunk, len(last)), data.num_records), dtype=np.int64)
     prefix_code = np.empty(data.num_records, dtype=np.int64)
-    held = -1  # the group whose prefix code prefix_code holds
-    for start in range(0, len(sets), per_chunk):
-        stop = min(start + per_chunk, len(sets))
-        g0, g1 = int(group[start]), int(group[stop - 1]) + 1
-        firsts = np.maximum(heads[g0:g1], start)
-        lasts = np.append(firsts[1:], stop) - 1
-        low = digit_ends[pos[firsts]]
-        span = digit_ends[pos[lasts] + 1] - low
-        size = prefix_cells[g0:g1] * span
-        base = np.cumsum(size) - size + low[0]
-        member = group[start:stop] - g0
-        opens, closes = firsts - start, lasts + 1 - start  # each group's sets in the chunk
-        rows = row_buffer[: stop - start]
-        # a group's code: its prefix's code, kept while the group runs on into
-        # the next chunk, times the span, plus its sets' rows of wide
-        for g, a, b, x, w, shift in zip(
-            range(g0, g1), opens.tolist(), closes.tolist(), pos[firsts].tolist(),
-            span.tolist(), (base - low).tolist(),
-        ):
-            if g != held:
-                code, held = _mixed_radix(data, node, sets[heads[g], :-1].tolist(), prefix_code), g
-            np.multiply(code, w, out=rows[a], dtype=np.int64)
-            if shift:
-                rows[a] += shift
-            np.add(wide[x + 1:x + b - a], rows[a], out=rows[a + 1:b])
-            rows[a] += wide[x]
-        # each set's states on its group's digit, then the group's observed cells
-        s = states[start:stop]
-        bounds = np.concatenate(([0], np.cumsum(s)))
-        digit = np.repeat(digit_ends[pos[start:stop]] - low[member] - bounds[:-1], s)
-        digit += np.arange(bounds[-1])
-        index = np.concatenate([
-            (b + _observed_cells(shape)[:, None, :] * w + digit[lo:hi, None]).reshape(q_i, -1)
-            for shape, b, w, lo, hi in zip(
-                prefix_shapes[g0:g1], base.tolist(), span.tolist(),
-                bounds[opens].tolist(), bounds[closes].tolist())
-        ], axis=1)
-        yield _available_counts(rows, index, int(base[-1] + size[-1])), widths[start:stop]
+    for head, end in zip(heads[:-1], heads[1:]):
+        prefix = sets[head, :-1].tolist()
+        shape = (q_i + 1, *data.radix[prefix].tolist())
+        cells = _observed_cells(shape)
+        code = _mixed_radix(data, node, prefix, prefix_code)
+        for start in range(head, end, per_chunk):
+            stop = min(start + per_chunk, end)
+            x0, x1 = pos[start], pos[start] + stop - start
+            low, span = ends[x0], ends[x1] - ends[x0]
+            rows = row_buffer[: stop - start]
+            np.multiply(code, span, out=rows[0], dtype=np.int64)
+            np.add(wide[x0 + 1:x1], rows[0], out=rows[1:])
+            rows[0] += wide[x0]
+            # a set's columns: its last parent's observed states, slowest, by
+            # the prefix's observed configurations
+            digit = observed[low - x0:ends[x1] - x1]
+            index = (cells[:, None, :] * span + digit[:, None]).reshape(q_i, -1)
+            yield (_available_counts(rows, index, math.prod(shape) * span + low),
+                   cells.shape[1] * states[start:stop])
 
 
 def _family_counts(data: Dataset, node: int, parents: Sequence[int]) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 from .data import Dataset, count_sufficient_stats
 from .equivalence import edge_f_score
 from .errors import ConfigError, InsufficientGrid
-from .model import BayesNet, df_complexity, json_int, json_number, load_net, read_json
+from .model import BayesNet, df_complexity, json_int, json_list, json_number, load_net, read_json
 from .networks import eight_node_net, two_node_net
 from .pool import pool_map
 from .population import observation_probability
@@ -73,14 +73,14 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
     cfg = ExperimentConfig()
     known = {
         "net": lambda v: v,  # validate refuses a non-string; str() would read 5 as "5"
-        "sample_sizes": lambda v: tuple(json_int(x) for x in v),
-        "betas": lambda v: tuple(float(json_number(x)) for x in v),
-        "missingness": tuple,
-        "penalties": tuple,
+        "sample_sizes": lambda v: tuple(json_int(x) for x in json_list(v)),
+        "betas": lambda v: tuple(float(json_number(x)) for x in json_list(v)),
+        "missingness": lambda v: tuple(json_list(v)),
+        "penalties": lambda v: tuple(json_list(v)),
         "replicates": json_int,
         "seed": json_int,
         "max_parents": json_int,
-        "order": lambda v: tuple(json_int(x) for x in v) if v is not None else None,
+        "order": lambda v: tuple(json_int(x) for x in json_list(v)) if v is not None else None,
     }
     for key, value in obj.items():
         if key not in known:

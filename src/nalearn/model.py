@@ -219,9 +219,17 @@ def json_int(value) -> int:
 
 
 def json_number(value):
-    """`value` unless it is a bool, which float() and int() would read as 0 or 1."""
-    if isinstance(value, bool):
+    """`value` if it is a JSON number: not a bool, which float() and int() would
+    read as 0 or 1, nor a string, which float() would parse."""
+    if type(value) not in (int, float):
         raise ValueError(f"expected a number, got {value!r}")
+    return value
+
+
+def json_list(value) -> list:
+    """`value` if it is a JSON list: a string would be read character by character."""
+    if type(value) is not list:
+        raise ValueError(f"expected a list, got {value!r}")
     return value
 
 
@@ -266,7 +274,12 @@ def structure_from_dict(obj: dict) -> tuple[list[Variable], Dag]:
 
 def net_from_dict(obj: dict) -> BayesNet:
     variables, dag = structure_from_dict(obj)
-    return BayesNet(variables, dag, Cpt(obj["cpt"]))
+    tables = json_list(obj["cpt"])
+    for table in tables:  # a bool or a string would pass np.asarray(dtype=float)
+        entries = np.array(table, dtype=object).ravel()
+        if not set(map(type, entries)) <= {int, float}:
+            raise ValueError(f'"cpt": expected tables of numbers, got {table!r}')
+    return BayesNet(variables, dag, Cpt(tables))
 
 
 def load_net(path) -> BayesNet:

@@ -398,6 +398,15 @@ _WIDE_NET = {  # 2**64 joint states, a count that wraps to 0 in int64
 _NOT_CANDIDATE_LISTS = [[], {"a": 1}, '"x"', 5]
 # --check where there is nothing to check: another mode, or a grid that meets
 # no cell of the reference table
+# list-valued config fields given as a string, which would be read character
+# by character
+_NOT_LISTS = [
+    (_TWO_NODE, "penalties", "bic"),
+    (_TWO_NODE, "betas", "1"),
+    (_TWO_NODE, "sample_sizes", "100"),
+    (_RECOVERY, "missingness", "kper:2"),
+    (_RECOVERY, "order", "01"),
+]
 _CHECK_WITHOUT_REFERENCE = [
     ([*_RECOVERY, "--check"], _TWO_NODE_CONFIG),
     ([*_TWO_NODE, "--check"], {**_TWO_NODE_CONFIG, "sample_sizes": [50]}),
@@ -482,6 +491,12 @@ _CHECK_WITHOUT_REFERENCE = [
     *[(_CANDIDATES, doc) for doc in _NOT_CANDIDATE_LISTS],
     *[(_CANDIDATES, doc) for doc in [[5], [[5]], [[[], "ab"]]]],
     *[(_SAMPLE_FROM, {**_NET_DICT, "parents": parents}) for parents in [5, [[], "ab"]]],
+    # strings and booleans where JSON numbers or lists belong
+    (_TWO_NODE, {**_TWO_NODE_CONFIG, "betas": ["0.9", "1e0"]}),
+    *[(argv, {**_TWO_NODE_CONFIG, field: value}) for argv, field, value in _NOT_LISTS],
+    *[(_SAMPLE_FROM, {**_NET_DICT, "cpt": [table, _NET_DICT["cpt"][1]]})
+      for table in [[["0.4", "0.6"]], [[True, False]]]],
+    (_SAMPLE_FROM, {**_NET_DICT, "cpt": "ab"}),
 ])
 def test_malformed_spec_exit_2(two_node_files, tmp_path, capsys, argv, config):
     _, net_path, _ = two_node_files
@@ -513,6 +528,15 @@ def test_a_document_of_another_shape_names_the_shape(two_node_files, tmp_path, c
                                   for arg in argv])
     assert code == 2 and out == ""
     assert err.startswith(f"error: {path}: ") and err.endswith(f"expected {shape}\n"), err
+
+
+@pytest.mark.parametrize("argv, field, value", _NOT_LISTS)
+def test_a_config_field_that_is_not_a_list_names_the_field(tmp_path, capsys, argv, field, value):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({**_TWO_NODE_CONFIG, field: value}))
+    code, _, err = run(capsys, [arg.format(config=config_path, out_dir=tmp_path / "out")
+                                for arg in argv])
+    assert code == 2 and f"field {field!r}: expected a list, got {value!r}" in err, err
 
 
 @pytest.mark.parametrize("argv, config", _CHECK_WITHOUT_REFERENCE)

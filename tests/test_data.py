@@ -1,11 +1,16 @@
 """Datasets, sufficient counts and the CSV format."""
 
+import math
 import tracemalloc
+from itertools import groupby
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import nalearn.data
 
 from nalearn import (
     MISSING,
@@ -86,9 +91,70 @@ def test_count_families_index_errors():
                            (3, [(1, 0)]), (3, [(0, 0)])]:
         with pytest.raises(IndexOutOfRange):
             list(count_families(data, node, families))
-    for families in [[(1,), (0,)], [(0,), (0,)], [(0, 2), (0, 1)]]:
-        with pytest.raises(ValueError, match="lexicographic"):
-            list(count_families(data, 3, families))
+    for families in [[(1,), (0,)], [(0,), (0,)], [(0, 2), (0, 1)]]:  # any order is counted
+        assert sum(len(widths) for _, widths in count_families(data, 3, families)) == 2
+
+
+def _batch_columns(n_ikj, parents, cardinalities):
+    """A per-call n_ikj (last parent fastest) with its columns in count_families'
+    order: the last parent slowest, the others in their own order."""
+    cube = n_ikj.reshape(n_ikj.shape[0], *(cardinalities[p] for p in parents))
+    return np.moveaxis(cube, -1, 1).reshape(n_ikj.shape[0], -1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**31),
+    st.lists(st.integers(2, 4), min_size=2, max_size=6),
+    st.sampled_from([0, 1, 5, 40]),
+    st.sampled_from([1, 7, nalearn.data.CHUNK_BUDGET]),
+    st.data(),
+)
+def test_count_families_counts_any_list_one_prefix_per_bincount(seed, cards, n, budget, choose):
+    """Sets shuffled within a size or with sizes interleaved, some repeated and
+    some left out, as the search never lists them: every family's counts
+    equal a call of its own, and no bincount holds more than per_chunk sets
+    or sets of two prefixes."""
+    rng = np.random.default_rng(seed)
+    variables = [Variable(f"X{i}", q) for i, q in enumerate(cards)]
+    data = random_dataset(variables, n, rng, 0.3)
+    space = SearchSpace(choose.draw(st.permutations(range(len(cards)))), 3)
+    node = choose.draw(st.integers(0, len(cards) - 1))
+    candidates = space.candidate_parent_sets(node)[1:]
+    if not candidates:
+        return
+    kept = choose.draw(st.integers(1, len(candidates)))
+    families = choose.draw(st.permutations(candidates))[:kept]
+    families += choose.draw(st.lists(st.sampled_from(families), max_size=5))  # repeats
+    families = choose.draw(st.permutations(families))
+    if choose.draw(st.booleans()):  # sizes adjacent, shuffled within a size
+        families.sort(key=len)
+    calls = []  # sets per bincount
+    real = nalearn.data._available_counts
+
+    def recording(rows, index, size):
+        calls.append(len(rows))
+        return real(rows, index, size)
+
+    with mock.patch.object(nalearn.data, "CHUNK_BUDGET", budget), \
+            mock.patch.object(nalearn.data, "_available_counts", recording):
+        counts = []
+        for n_ikj, widths in count_families(data, node, families):
+            counts += np.split(n_ikj, np.cumsum(widths)[:-1], axis=1)
+    assert len(counts) == len(families) == sum(calls)
+    for parents, got in zip(families, counts):
+        want = count_sufficient_stats(data, node, parents).n_ikj
+        np.testing.assert_array_equal(got, _batch_columns(want, parents, cards))
+    per_chunk = []  # of each family, by the largest cube of its run of one size
+    for _, level in groupby(families, key=len):
+        level = list(level)
+        largest = max(math.prod(data.radix[[node, *f]].tolist()) for f in level)
+        per_chunk += [max(1, budget // max(n, largest))] * len(level)
+    start = 0
+    for size in calls:
+        assert size <= per_chunk[start]
+        assert len({f[:-1] for f in families[start:start + size]}) == 1
+        start += size
 
 
 def test_oversized_count_table_is_refused_before_it_is_allocated():

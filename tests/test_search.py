@@ -420,7 +420,7 @@ def test_batched_family_scores_equal_per_call_scores(case):
     data, space, chunk = case
     candidates = {i: space.candidate_parent_sets(i) for i in range(space.num_nodes)}
     budget = nalearn.data.CHUNK_BUDGET
-    if chunk is not None:  # 1: each set on its own; 3: groups split across chunks
+    if chunk is not None:  # 1: each set on its own; 3: a group in slices of 3 sets
         cubes = [math.prod(data.radix[[i, *ps]].tolist())
                  for i, sets in candidates.items() for ps in sets[1:]]
         budget = chunk * max(data.num_records, min(cubes, default=1))
