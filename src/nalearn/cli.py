@@ -261,6 +261,9 @@ def main(argv=None) -> int:
     except (NalearnError, OSError) as exc:  # OSError: a missing file, a directory, ...
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # numpy names the array it could not allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

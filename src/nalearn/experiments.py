@@ -30,6 +30,12 @@ from .sampling import (
 from .scoring import Penalty, lambda_value, node_nal_from_counts, parse_penalty
 from .search import SearchSpace, learn_structure
 
+# Replicates of one run, cells × replicates, above which monte_carlo refuses
+# it before listing a task. A listed replicate took about 230 bytes and 15 us
+# before it ran (a million, under tracemalloc), so a run at the cap holds some
+# 240 MiB of tasks; the paper's table at R = 1000 is 20,000 replicates.
+REPLICATE_CAP = 1 << 20
+
 
 @dataclass
 class ExperimentConfig:
@@ -140,14 +146,19 @@ def monte_carlo(net: BayesNet, cells, replicates: int, statistic, families: int)
 
     A cell is (n, missing, cell_seed); its replicate r draws at derive_seed(cell_seed, r).
     families is the number of (node, parent set) families statistic counts in
-    a replicate; pool_map weighs the work as families × the records of every
-    replicate, and one pool, if any, serves every cell of the call.
+    a replicate, and a replicate of n records costs pool_map families × n, so
+    the largest cells' replicates go out first. Every runner makes one call,
+    and one pool, if any, serves every cell of it. More than REPLICATE_CAP
+    replicates in all are refused before any is listed.
     """
+    if len(cells) * replicates > REPLICATE_CAP:
+        raise ConfigError(f"the run has {len(cells)} cells of {replicates} replicates, above the "
+                          f"cap of {REPLICATE_CAP} replicates in all; lower replicates or the grid")
     tasks = [(n, missing, derive_seed(cell_seed, r))
              for n, missing, cell_seed in cells for r in range(replicates)]
     shared = net, statistic
-    work = families * replicates * sum(n for n, _, _ in cells)
-    results = pool_map(_replicate, shared, tasks, work) or [_replicate(shared, t) for t in tasks]
+    costs = [families * n for n, _, _ in tasks]
+    results = pool_map(_replicate, shared, tasks, costs) or [_replicate(shared, t) for t in tasks]
     return [results[i:i + replicates] for i in range(0, len(results), replicates)]
 
 
@@ -166,38 +177,50 @@ def spurious_edge_gain(data: Dataset) -> float:
     return nal_chain - nal_empty
 
 
-def two_node_wrong_fraction(
-    beta: float, n: int, penalties: Sequence[Penalty], replicates: int, seed: int
-) -> list[float]:
-    """Fraction of replicates where the spurious edge wins, per penalty.
+def _two_node_cell(beta: float, n: int, seed: int) -> tuple:
+    """The monte_carlo cell of the table at (beta, n): X1 observed at rate beta."""
+    return n, Bernoulli((beta, 1.0)) if beta < 1.0 else None, seed
+
+
+def _wrong_fractions(gains: list[float], n: int, penalties: Sequence[Penalty]) -> list[float]:
+    """Fraction of gains above lambda_n, per penalty.
 
     The one-edge and independence models differ by one parameter, so the edge
     wins exactly when its gain exceeds lambda_n; ties count as correct.
     """
-    mask = Bernoulli((beta, 1.0)) if beta < 1.0 else None
-    [gains] = monte_carlo(two_node_net(), [(n, mask, seed)], replicates, spurious_edge_gain, 2)
     lams = [lambda_value(pen, n) for pen in penalties]
-    return [sum(gain > lam for gain in gains) / replicates for lam in lams]
+    return [sum(gain > lam for gain in gains) / len(gains) for lam in lams]
+
+
+def two_node_wrong_fraction(
+    beta: float, n: int, penalties: Sequence[Penalty], replicates: int, seed: int
+) -> list[float]:
+    """Fraction of replicates where the spurious edge wins, per penalty: one
+    cell of run_two_node's table, drawn at the cell seed seed."""
+    cell = _two_node_cell(beta, n, seed)
+    [gains] = monte_carlo(two_node_net(), [cell], replicates, spurious_edge_gain, 2)
+    return _wrong_fractions(gains, n, penalties)
 
 
 def run_two_node(config: ExperimentConfig) -> list[dict]:
-    """Wrong-selection percentages over the (beta, n, penalty) grid; each
-    cell's replicates may run in a process pool of their own."""
+    """Wrong-selection percentages over the (beta, n, penalty) grid, from one
+    monte_carlo call over every (beta, n) cell."""
     config.validate()
     if config.net != "two-node" or tuple(config.missingness) != ("none",):  # betas mask X1
         raise ConfigError("the two-node table runs on the two-node net without missingness, got "
                           f"{config.net!r} and {list(config.missingness)}")
     penalties = [parse_penalty(p, 2) for p in config.penalties]
     labels = _distinct_labels([p.label(2) for p in penalties], "penalties")
+    keys = [(beta, n) for beta in config.betas for n in config.sample_sizes]
+    cells = [_two_node_cell(beta, n, derive_seed(config.seed, splitmix64(bi * 1009 + ni)))
+             for bi, beta in enumerate(config.betas) for ni, n in enumerate(config.sample_sizes)]
+    per_cell = monte_carlo(two_node_net(), cells, config.replicates, spurious_edge_gain, 2)
     rows = []
-    for bi, beta in enumerate(config.betas):
-        for ni, n in enumerate(config.sample_sizes):
-            cell_seed = derive_seed(config.seed, splitmix64(bi * 1009 + ni))
-            fractions = two_node_wrong_fraction(beta, n, penalties, config.replicates, cell_seed)
-            for label, frac in zip(labels, fractions):
-                se = math.sqrt(max(frac * (1 - frac), 0.0) / config.replicates)
-                rows.append({"beta": beta, "n": n, "penalty": label,
-                             "wrong_pct": 100.0 * frac, "mc_se": 100.0 * se})
+    for (beta, n), gains in zip(keys, per_cell):
+        for label, frac in zip(labels, _wrong_fractions(gains, n, penalties)):
+            se = math.sqrt(max(frac * (1 - frac), 0.0) / config.replicates)
+            rows.append({"beta": beta, "n": n, "penalty": label,
+                         "wrong_pct": 100.0 * frac, "mc_se": 100.0 * se})
     return rows
 
 
@@ -316,7 +339,7 @@ def run_rate_probe(config: ExperimentConfig) -> list[dict]:
     model and the independence model nested in it. A regime that never observes
     X1 and X2 together is refused before sampling, and a cell whose gains are
     not finite or do not vary raises InsufficientGrid instead of writing nan.
-    Each regime's replicates may run in a process pool of their own.
+    One monte_carlo call draws every regime's cells.
     """
     config.validate()
     if len(config.sample_sizes) < 2:
@@ -331,12 +354,14 @@ def run_rate_probe(config: ExperimentConfig) -> list[dict]:
     for missing, label in zip(models, regimes):
         if observation_probability(1, (0,), missing, net.num_nodes) == 0:
             raise ConfigError(f"rate probe: {label} never observes X1 and X2 together")
+    sizes = config.sample_sizes
+    cells = [(n, missing, derive_seed(config.seed, splitmix64(ri * 4001 + ni)))
+             for ri, missing in enumerate(models) for ni, n in enumerate(sizes)]
+    per_cell = monte_carlo(net, cells, config.replicates, spurious_edge_gain, 2)
     rows = []
-    for ri, (missing, label) in enumerate(zip(models, regimes)):
-        cells = [(n, missing, derive_seed(config.seed, splitmix64(ri * 4001 + ni)))
-                 for ni, n in enumerate(config.sample_sizes)]
-        gains = monte_carlo(net, cells, config.replicates, spurious_edge_gain, 2)
-        for n, cell in zip(config.sample_sizes, gains):
+    for ri, label in enumerate(regimes):
+        gains = per_cell[ri * len(sizes):(ri + 1) * len(sizes)]
+        for n, cell in zip(sizes, gains):
             if not all(map(math.isfinite, cell)):
                 raise InsufficientGrid(f"rate probe: under {label} at n = {n} some replicate "
                                        "never observes X1 and X2 together")
@@ -344,10 +369,8 @@ def run_rate_probe(config: ExperimentConfig) -> list[dict]:
                 raise InsufficientGrid(f"rate probe: under {label} at n = {n} the gain does "
                                        "not vary, so its sd is 0")
         sds = [float(np.std(cell, ddof=1)) for cell in gains]
-        slope = float(
-            np.polyfit(np.log(np.asarray(config.sample_sizes, float)), np.log(sds), 1)[0]
-        )
-        for n, sd in zip(config.sample_sizes, sds):
+        slope = float(np.polyfit(np.log(np.asarray(sizes, float)), np.log(sds), 1)[0])
+        for n, sd in zip(sizes, sds):
             rows.append({"regime": label, "n": n, "sd": sd, "slope": slope})
     return rows
 

@@ -121,20 +121,21 @@ def apply_mcar(data: Dataset, model: MissingnessModel, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     N, n = data.codes.shape
     codes = data.codes.copy()
+    missing = (data.radix - 1).astype(codes.dtype)  # each variable's missing code, q
     if isinstance(model, Bernoulli):
         if len(model.observe_probs) != N:
             raise ValueError("one observation probability per variable required")
         u = rng.random((n, N))
         for i, p in enumerate(model.observe_probs):
             if p < 1.0:  # every uniform is < 1, so p = 1 drops nothing
-                np.putmask(codes[i], u[:, i] >= p, data.radix[i] - 1)
+                np.putmask(codes[i], u[:, i] >= p, missing[i])
     else:
         if not 0 <= model.k < N:
             raise ValueError(f"k must satisfy 0 <= k < {N}")
         if model.k > 0 and n > 0:
             keys = rng.random((n, N))
             idx = np.argpartition(keys, model.k - 1, axis=1)[:, : model.k]
-            codes[idx, np.arange(n)[:, None]] = data.radix[idx] - 1
+            codes[idx, np.arange(n)[:, None]] = missing[idx]
     return Dataset.from_codes(data.variables, codes)
 
 

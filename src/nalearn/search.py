@@ -128,15 +128,15 @@ def _table_key(node: int, space: SearchSpace) -> tuple[int, tuple[int, ...], int
 
 
 def fill_family_scores(data: Dataset, space: SearchSpace) -> None:
-    """Build every node's table in data.family_scores through pool_map, largest
-    nodes first, weighing Σ candidates × records of work. The tables equal the
-    search's own bit for bit, whatever the worker count; where no pool runs,
-    the search builds each table as it needs it."""
+    """Build each node's table not yet in data.family_scores through pool_map,
+    a node weighing its candidates × records, so the largest go out first.
+    The tables equal the search's own bit for bit, whatever the worker count;
+    where no pool runs, the search builds each table as it needs it."""
     _check_space(data, space)
-    sizes = {node: space.num_candidates(node) for node in range(space.num_nodes)
-             if _table_key(node, space) not in data.family_scores}
-    nodes = sorted(sizes, key=sizes.get, reverse=True)
-    tables = pool_map(_pooled_table, (data, space), nodes, sum(sizes.values()) * data.num_records)
+    nodes = [node for node in range(space.num_nodes)
+             if _table_key(node, space) not in data.family_scores]
+    costs = [space.num_candidates(node) * data.num_records for node in nodes]
+    tables = pool_map(_pooled_table, (data, space), nodes, costs)
     for node, table in zip(nodes, tables or ()):
         data.family_scores[_table_key(node, space)] = table
 

@@ -346,6 +346,68 @@ def test_population_refuses_an_oversized_order_space_before_listing(
     assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("mode, config", [
+    ("two-node", {}),
+    ("rates", {"missingness": ["none", "bernoulli:0.9,1"]}),
+    ("recovery", {"net": "eight-node"}),
+])
+def test_experiment_refuses_an_oversized_run_before_listing(tmp_path, capsys, monkeypatch,
+                                                            mode, config):
+    cell_seeds = []
+
+    def few_seeds(seed, index):  # the runners derive one seed per cell before monte_carlo
+        cell_seeds.append(index)
+        if len(cell_seeds) > 100:
+            raise AssertionError("listed the replicates of a refused run")
+        return seed ^ index
+
+    monkeypatch.setattr(nalearn.experiments, "derive_seed", few_seeds)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"replicates": 100_000_000_000, **config}))
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, ["experiment", "--config", str(config_path), "--mode", mode,
+                                "--out", str(out_dir)])
+    assert code == 2 and not any(out_dir.iterdir())
+    assert err.startswith("error: the run has ") and "above the cap of 1048576" in err
+    assert err.count("\n") == 1, err
+
+
+def _out_of_memory(message):
+    def sample(net, n, seed):
+        raise MemoryError(message)
+
+    return sample
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 186. GiB for an array with shape (2, 100000000000) and data type uint8",
+     "error: Unable to allocate 186. GiB for an array with shape (2, 100000000000) and data "
+     "type uint8\n"),
+    ("", "error: out of memory\n"),
+])
+def test_sample_out_of_memory_exit_2(two_node_files, tmp_path, capsys, monkeypatch, message,
+                                     line):
+    _, net_path, _ = two_node_files
+    monkeypatch.setattr(nalearn.cli, "forward_sample", _out_of_memory(message))
+    code, _, err = run(capsys, ["sample", "--net", str(net_path), "--n", "100000000000",
+                                "--seed", "1", "--out", str(tmp_path / "data.csv")])
+    assert code == 2 and err == line
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_experiment_out_of_memory_exit_2(tmp_path, capsys, monkeypatch, cpus):
+    # on two CPUs the replicates run in forked workers, which inherit the patch
+    pools = force_pools(monkeypatch, cpus)
+    monkeypatch.setattr(nalearn.experiments, "forward_sample", _out_of_memory("no room"))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"sample_sizes": [100_000_000_000], "betas": [1.0],
+                                       "replicates": 4}))
+    code, _, err = run(capsys, ["experiment", "--config", str(config_path), "--mode", "two-node",
+                                "--out", str(tmp_path / "out")])
+    assert code == 2 and err == "error: no room\n"
+    assert len(pools) == (cpus > 1) and multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("extra", [
     ["--penalty", "bic", "--max-parents", "-1"],
     ["--penalty", "a1.5"],

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nalearn.experiments
 import nalearn.pool
 from nalearn import AIC, BIC, Dataset, Penalty, power_law, two_node_net
 from nalearn.cli import main
@@ -28,7 +29,7 @@ from nalearn.experiments import (
     two_node_wrong_fraction,
     write_rows,
 )
-from nalearn.sampling import Bernoulli, KPerRecord, parse_missingness
+from nalearn.sampling import Bernoulli, KPerRecord, derive_seed, parse_missingness, splitmix64
 from nalearn.scoring import lambda_value, parse_penalty
 
 from util import exit_at_once, fail_to_fork, force_pools
@@ -162,6 +163,20 @@ def test_monte_carlo_runs_each_replicate_at_its_own_seed():
     assert monte_carlo(two_node_net(), cells[1:], 2, spurious_edge_gain, 2) == [per_cell[1][:2]]
 
 
+def test_monte_carlo_refuses_a_run_above_the_cap_before_listing(monkeypatch):
+    monkeypatch.setattr(nalearn.experiments, "REPLICATE_CAP", 5)
+    cells = [(20, None, 3), (30, None, 4)]
+    assert [len(gains) for gains in monte_carlo(two_node_net(), cells[:1], 5,
+                                                spurious_edge_gain, 2)] == [5]
+
+    def no_listing(seed, index):
+        raise AssertionError("listed a replicate of a refused run")
+
+    monkeypatch.setattr(nalearn.experiments, "derive_seed", no_listing)
+    with pytest.raises(ConfigError, match="2 cells of 3 replicates, above the cap of 5"):
+        monte_carlo(two_node_net(), cells, 3, spurious_edge_gain, 2)
+
+
 def test_two_node_wrong_fraction_extremes():
     # alpha = 0.2 with complete data: wrong selections are (near) impossible
     fractions = two_node_wrong_fraction(
@@ -179,6 +194,10 @@ def test_run_two_node_deterministic():
     assert rows1 == rows2
     assert len(rows1) == 2
     assert all(0.0 <= r["wrong_pct"] <= 100.0 for r in rows1)
+    # the one-cell entry point draws the table's cell at its cell seed
+    cell_seed = derive_seed(cfg.seed, splitmix64(1 * 1009 + 0))
+    [fraction] = two_node_wrong_fraction(0.9, 100, [AIC], 40, cell_seed)
+    assert 100.0 * fraction == rows1[1]["wrong_pct"]
 
 
 def test_run_recovery_smoke():
@@ -231,19 +250,19 @@ def test_recovery_opens_one_pool_per_run(opened_pools):
     assert len(rows) == 4 and [kwargs["max_workers"] for kwargs in opened_pools] == [2]
 
 
-@pytest.mark.parametrize("mode, pools", [("two-node", 4), ("rates", 2)])
-def test_table_and_probe_open_a_pool_per_cell_and_regime(opened_pools, tmp_path, mode, pools):
-    # the table opens one pool per (beta, n) cell, the probe one per regime;
-    # the table masks through betas and refuses missingness
+@pytest.mark.parametrize("mode", ["two-node", "rates", "recovery"])
+def test_each_run_opens_one_pool(opened_pools, tmp_path, mode):
+    # one pool serves every (beta, n) cell of the table and every regime of the
+    # probe and of recovery; the table masks through betas and refuses missingness
     config_path = tmp_path / "config.json"
-    regimes = {"missingness": ["none", "bernoulli:0.9,1"]} if mode == "rates" else {}
+    regimes = {"missingness": ["none", "bernoulli:0.9,1"]} if mode != "two-node" else {}
     config_path.write_text(json.dumps({
         "sample_sizes": [50, 100], "betas": [1.0, 0.9], "penalties": ["bic"], "replicates": 3,
         "seed": 3, **regimes,
     }))
     argv = ["experiment", "--config", str(config_path), "--mode", mode, "--out", str(tmp_path)]
     assert main(argv) == 0
-    assert [kwargs["max_workers"] for kwargs in opened_pools] == [2] * pools
+    assert [kwargs["max_workers"] for kwargs in opened_pools] == [2]
 
 
 def test_run_rate_probe_slopes_and_grid():
@@ -397,8 +416,6 @@ _RATES = {"sample_sizes": [50, 200, 800], "replicates": 20, "seed": 5,
           "missingness": ["none", "bernoulli:0.75,1"]}
 
 
-# monte_carlo calls of each mode: one per (beta, n) cell, per regime, per run
-_CALLS = {"two-node": 6, "rates": 2, "recovery": 1}
 _CSV = {"two-node": "table1.csv", "rates": "rates.csv", "recovery": "recovery.csv"}
 
 
@@ -413,8 +430,8 @@ def run_pinned(tmp_path, mode, config) -> str:
 # Taken before the runners shared one replicate driver; a change to the random
 # stream, the seed schedule or the statistics changes them. Every replicate has
 # its own seed, so the worker count leaves the CSV as it is: "jobs1" runs on
-# one usable CPU, serially, and "jobs2" on two with no floor, in a pool of two
-# workers per monte_carlo call.
+# one usable CPU, serially, and "jobs2" on two with no floor, in one pool of
+# two workers per run.
 @pytest.mark.parametrize("mode, workers, config, digest", [
     ("two-node", 1, _TABLE, _TABLE_DIGEST),
     ("rates", 1, _RATES, _RATES_DIGEST),
@@ -429,8 +446,7 @@ def run_pinned(tmp_path, mode, config) -> str:
 def test_harness_outputs_are_pinned(tmp_path, monkeypatch, mode, workers, config, digest):
     pools = force_pools(monkeypatch, workers)
     assert run_pinned(tmp_path, mode, config) == digest
-    assert [kwargs["max_workers"] for kwargs in pools] == ([2] * _CALLS[mode] if workers == 2
-                                                           else [])
+    assert [kwargs["max_workers"] for kwargs in pools] == ([2] if workers == 2 else [])
     assert multiprocessing.active_children() == []
 
 
