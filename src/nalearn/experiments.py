@@ -182,42 +182,44 @@ def _two_node_cell(beta: float, n: int, seed: int) -> tuple:
     return n, Bernoulli((beta, 1.0)) if beta < 1.0 else None, seed
 
 
-def _wrong_fractions(gains: list[float], n: int, penalties: Sequence[Penalty]) -> list[float]:
-    """Fraction of gains above lambda_n, per penalty.
+def two_node_wrong_fraction(
+    beta: float, n: int, penalties: Sequence[Penalty], replicates: int, seed: int,
+    gains: Sequence[float] | None = None,
+) -> list[float]:
+    """Fraction of replicates where the spurious edge wins, per penalty, in the
+    table's cell (beta, n) drawn at the cell seed seed. gains are the cell's
+    replicate gains where they are drawn already: run_two_node draws every
+    cell in one monte_carlo call and passes each cell's gains here.
 
     The one-edge and independence models differ by one parameter, so the edge
     wins exactly when its gain exceeds lambda_n; ties count as correct.
     """
+    if gains is None:
+        cell = _two_node_cell(beta, n, seed)
+        [gains] = monte_carlo(two_node_net(), [cell], replicates, spurious_edge_gain, 2)
     lams = [lambda_value(pen, n) for pen in penalties]
-    return [sum(gain > lam for gain in gains) / len(gains) for lam in lams]
-
-
-def two_node_wrong_fraction(
-    beta: float, n: int, penalties: Sequence[Penalty], replicates: int, seed: int
-) -> list[float]:
-    """Fraction of replicates where the spurious edge wins, per penalty: one
-    cell of run_two_node's table, drawn at the cell seed seed."""
-    cell = _two_node_cell(beta, n, seed)
-    [gains] = monte_carlo(two_node_net(), [cell], replicates, spurious_edge_gain, 2)
-    return _wrong_fractions(gains, n, penalties)
+    return [sum(gain > lam for gain in gains) / replicates for lam in lams]
 
 
 def run_two_node(config: ExperimentConfig) -> list[dict]:
-    """Wrong-selection percentages over the (beta, n, penalty) grid, from one
-    monte_carlo call over every (beta, n) cell."""
+    """Wrong-selection percentages over the (beta, n, penalty) grid: one
+    monte_carlo call draws every (beta, n) cell, then two_node_wrong_fraction
+    scores each cell's gains."""
     config.validate()
     if config.net != "two-node" or tuple(config.missingness) != ("none",):  # betas mask X1
         raise ConfigError("the two-node table runs on the two-node net without missingness, got "
                           f"{config.net!r} and {list(config.missingness)}")
     penalties = [parse_penalty(p, 2) for p in config.penalties]
     labels = _distinct_labels([p.label(2) for p in penalties], "penalties")
-    keys = [(beta, n) for beta in config.betas for n in config.sample_sizes]
-    cells = [_two_node_cell(beta, n, derive_seed(config.seed, splitmix64(bi * 1009 + ni)))
-             for bi, beta in enumerate(config.betas) for ni, n in enumerate(config.sample_sizes)]
+    keys = [(beta, n, derive_seed(config.seed, splitmix64(bi * 1009 + ni)))
+            for bi, beta in enumerate(config.betas) for ni, n in enumerate(config.sample_sizes)]
+    cells = [_two_node_cell(*key) for key in keys]
     per_cell = monte_carlo(two_node_net(), cells, config.replicates, spurious_edge_gain, 2)
     rows = []
-    for (beta, n), gains in zip(keys, per_cell):
-        for label, frac in zip(labels, _wrong_fractions(gains, n, penalties)):
+    for (beta, n, cell_seed), gains in zip(keys, per_cell):
+        fractions = two_node_wrong_fraction(beta, n, penalties, config.replicates, cell_seed,
+                                            gains)
+        for label, frac in zip(labels, fractions):
             se = math.sqrt(max(frac * (1 - frac), 0.0) / config.replicates)
             rows.append({"beta": beta, "n": n, "penalty": label,
                          "wrong_pct": 100.0 * frac, "mc_se": 100.0 * se})
@@ -354,14 +356,13 @@ def run_rate_probe(config: ExperimentConfig) -> list[dict]:
     for missing, label in zip(models, regimes):
         if observation_probability(1, (0,), missing, net.num_nodes) == 0:
             raise ConfigError(f"rate probe: {label} never observes X1 and X2 together")
-    sizes = config.sample_sizes
     cells = [(n, missing, derive_seed(config.seed, splitmix64(ri * 4001 + ni)))
-             for ri, missing in enumerate(models) for ni, n in enumerate(sizes)]
+             for ri, missing in enumerate(models) for ni, n in enumerate(config.sample_sizes)]
     per_cell = monte_carlo(net, cells, config.replicates, spurious_edge_gain, 2)
     rows = []
     for ri, label in enumerate(regimes):
-        gains = per_cell[ri * len(sizes):(ri + 1) * len(sizes)]
-        for n, cell in zip(sizes, gains):
+        gains = per_cell[ri * len(config.sample_sizes):(ri + 1) * len(config.sample_sizes)]
+        for n, cell in zip(config.sample_sizes, gains):
             if not all(map(math.isfinite, cell)):
                 raise InsufficientGrid(f"rate probe: under {label} at n = {n} some replicate "
                                        "never observes X1 and X2 together")
@@ -369,8 +370,10 @@ def run_rate_probe(config: ExperimentConfig) -> list[dict]:
                 raise InsufficientGrid(f"rate probe: under {label} at n = {n} the gain does "
                                        "not vary, so its sd is 0")
         sds = [float(np.std(cell, ddof=1)) for cell in gains]
-        slope = float(np.polyfit(np.log(np.asarray(sizes, float)), np.log(sds), 1)[0])
-        for n, sd in zip(sizes, sds):
+        slope = float(
+            np.polyfit(np.log(np.asarray(config.sample_sizes, float)), np.log(sds), 1)[0]
+        )
+        for n, sd in zip(config.sample_sizes, sds):
             rows.append({"regime": label, "n": n, "sd": sd, "slope": slope})
     return rows
 

@@ -39,8 +39,8 @@ def pool_map(function, shared, items: list, costs: list[int]) -> list | None:
     start or its workers die. An exception that function raises reaches the
     caller."""
     workers = min(_usable_cpus(), len(items))
-    forks = "fork" in multiprocessing.get_all_start_methods()
-    if workers < 2 or sum(costs) < POOL_FLOOR or not forks:
+    if (workers < 2 or sum(costs) < POOL_FLOOR
+            or "fork" not in multiprocessing.get_all_start_methods()):
         return None
     order = sorted(range(len(items)), key=costs.__getitem__, reverse=True)  # stable
     batch = max(1, len(items) // (workers * BATCHES_PER_WORKER))

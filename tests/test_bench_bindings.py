@@ -54,6 +54,8 @@ def test_traced_two_node_command_fills_the_sampling_metrics(tmp_path, capsys):
                  "data.count_sufficient_stats.calls"):
         assert metrics[name] is not None and metrics[name] > 0, name
     assert metrics["sampling.records"] == prepared.work
+    # the probe reads the replicates of each cell's two_node_wrong_fraction call
+    assert metrics["experiments.replicates"] == prepared.sizes["replicates"]
 
 
 def _matches_the_reference_digest(name, seed, tmp_path, capsys) -> bool:
