@@ -6,23 +6,33 @@ holds 0..q, a missing cell coded as one extra state q; the constructor and
 parent set) pair use available-case analysis: a record contributes only when
 the node and every parent in the candidate set are all observed in it.
 
-The mixed-radix code of the node and its parents, formed in int64, indexes a
-cube of shape (q_i + 1, q_p1 + 1, ...), and one ``bincount`` over all n
-records fills it. A record with any missing coordinate lands in some last
-index q, so the cells [:q_i, :q_p1, ...], taken with one gather, keep exactly
-the records where all are observed: they are the available-case n_ikj, with
-no row mask. This relies on every code lying in [0, q], which the
-constructor checks.
+Counts come from one of two sources, with equal results. When the cube of
+every variable's states, sentinels included, has at most min(n,
+STATE_SPACE_CAP) cells, ``Dataset.histogram`` counts every joint state with
+one ``bincount`` of the joint code, and a family's available-case n_ikj is
+its marginal: the sum over the other variables, the family's sentinel
+states left out. A family then costs a sum over the cube, whatever n is.
+Otherwise, as on the 37-node structure, the records are counted as follows.
 
-``count_families`` counts many parent sets of one node. Sets that share a
-prefix (all but their last parent) share one cube: the prefix's cube times
-one wide last digit, on which each last parent has its own q + 1 states. A
-group, a run of such sets whose last parents lie side by side on the digit,
-builds its prefix code once; one ``bincount`` then counts the group, or each
-slice of at most CHUNK_BUDGET // max(n, cells) of its sets, where cells is
-the largest cube of one set of the size. One gather through the slice's
-observed cells gives each family's available-case n_ikj. Counts are yielded
-in runs of at least RUN_CELLS cells, so that one-set slices are scored
+The mixed-radix code of the node and its parents, formed in the narrowest
+unsigned dtype that holds their cube, indexes a cube of shape (q_i + 1,
+q_p1 + 1, ...), and one ``bincount`` over all n records fills it. A record
+with any missing coordinate lands in some last index q, so the cells [:q_i,
+:q_p1, ...], taken with one gather, keep exactly the records where all are
+observed: they are the available-case n_ikj, with no row mask. This relies
+on every code lying in [0, q], which the constructor checks.
+
+``count_families`` counts many parent sets of one node. Read off the
+histogram, each set is one marginal. Counted from the records, sets that
+share a prefix (all but their last parent) share one cube: the prefix's
+cube, its code formed in int64, times one wide last digit, on which each
+last parent has its own q + 1 states. A group, a run of such sets whose
+last parents lie side by side on the digit, builds its prefix code once;
+one ``bincount`` then counts the group, or each slice of at most
+CHUNK_BUDGET // max(n, cells) of its sets, where cells is the largest cube
+of one set of the size. One gather through the slice's observed cells
+gives each family's available-case n_ikj. Counts are yielded in runs of at
+least RUN_CELLS cells, so that one-set slices and marginals are scored
 together too. No family's cube may exceed STATE_SPACE_CAP cells, in either
 function.
 """
@@ -114,6 +124,21 @@ class Dataset:
         return np.array([v.cardinality + 1 for v in self.variables], dtype=np.int64)
 
     @cached_property
+    def histogram(self) -> np.ndarray | None:
+        """Read-only int64 count of every sentinel-coded joint state, of shape
+        (q_1 + 1, ..., q_N + 1), from one bincount of the joint code; None
+        when that cube has more cells than min(n, STATE_SPACE_CAP), where
+        counting the records is the cheaper and smaller source."""
+        shape = tuple([v.cardinality + 1 for v in self.variables])
+        cells = math.prod(shape)
+        if not shape or cells > min(self.num_records, STATE_SPACE_CAP):
+            return None
+        code = _mixed_radix(self, 0, range(1, len(shape)), np.min_scalar_type(cells - 1))
+        histogram = np.bincount(code, minlength=cells).reshape(shape)
+        histogram.setflags(write=False)
+        return histogram
+
+    @cached_property
     def family_scores(
         self,
     ) -> dict[tuple[int, tuple[int, ...], int], tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -163,7 +188,7 @@ def count_sufficient_stats(
 
     n_ikj = _family_counts(data, node, parents)
     n_ij = n_ikj.sum(axis=0)
-    n_i = int(n_ij.sum())
+    n_i = sum(n_ij.tolist())
     return SufficientCounts(node, parents, data.num_records, n_i, n_ij, n_ikj)
 
 
@@ -178,8 +203,11 @@ def count_families(
     widths) pairs over runs of consecutive sets, each run's counts at least
     RUN_CELLS cells (but the last): n_ikj has shape (q_i, columns) and holds
     the run's families side by side, each over its q_pa = widths[f] columns.
-    A family's columns are its parent configurations with the last parent
-    slowest; the order of the configurations changes no score.
+    A family's columns are its parent configurations: counted from the
+    records, the last parent slowest; read off Dataset.histogram, the last
+    parent fastest, as in count_sufficient_stats. The order changes no NAL,
+    not even in its last bit, since ``scoring.stacked_nal`` ends each family
+    in one ``math.fsum``.
     """
     if not 0 <= node < data.num_variables:
         raise IndexOutOfRange(f"node {node}")
@@ -191,21 +219,16 @@ def count_families(
         _check_level(data, node, levels[-1])
     if not levels:
         return
-    # every last parent in its own range of one wide digit, last[x] after the
-    # states of last[:x]; observed holds the digit's cells but the sentinels,
-    # so last[x]'s observed states start at observed[digit_ends[x] - x]
-    last = np.unique(np.concatenate([sets[:, -1] for sets in levels]))
-    digit_ends = np.concatenate(([0], np.cumsum(data.radix[last])))
-    wide = data.codes[last] + digit_ends[:-1, None]  # row x: last[x] on its own states
-    observed = np.delete(np.arange(digit_ends[-1]), digit_ends[1:] - 1)
+    histogram = data.histogram
+    chunks = (_record_chunks(data, node, levels) if histogram is None
+              else _marginal_chunks(histogram, node, levels))
     run, run_cells = [], 0  # chunks not yet yielded, and their cells of counts
-    for sets in levels:
-        for chunk in _count_level(data, node, sets, last, digit_ends, wide, observed):
-            run.append(chunk)
-            run_cells += chunk[0].size
-            if run_cells >= RUN_CELLS:
-                yield _joined(run)
-                run, run_cells = [], 0
+    for chunk in chunks:
+        run.append(chunk)
+        run_cells += chunk[0].size
+        if run_cells >= RUN_CELLS:
+            yield _joined(run)
+            run, run_cells = [], 0
     if run:
         yield _joined(run)
 
@@ -229,6 +252,31 @@ def _check_level(data: Dataset, node: int, sets: np.ndarray) -> None:
     if big.size:
         parents = sets[big[0]].tolist()
         _check_cube_size(node, parents, math.prod(data.radix[[node, *parents]].tolist()))
+
+
+def _record_chunks(
+    data: Dataset, node: int, levels: list[np.ndarray]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """count_families' chunks counted from the records, level by level."""
+    # every last parent in its own range of one wide digit, last[x] after the
+    # states of last[:x]; observed holds the digit's cells but the sentinels,
+    # so last[x]'s observed states start at observed[digit_ends[x] - x]
+    last = np.unique(np.concatenate([sets[:, -1] for sets in levels]))
+    digit_ends = np.concatenate(([0], np.cumsum(data.radix[last])))
+    wide = data.codes[last] + digit_ends[:-1, None]  # row x: last[x] on its own states
+    observed = np.delete(np.arange(digit_ends[-1]), digit_ends[1:] - 1)
+    for sets in levels:
+        yield from _count_level(data, node, sets, last, digit_ends, wide, observed)
+
+
+def _marginal_chunks(
+    histogram: np.ndarray, node: int, levels: list[np.ndarray]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """count_families' chunks read off the histogram, one family each."""
+    for sets in levels:
+        for parents in map(tuple, sets.tolist()):
+            n_ikj = _marginal(histogram, node, parents)
+            yield n_ikj, np.array(n_ikj.shape[1:])
 
 
 def _count_level(
@@ -265,7 +313,7 @@ def _count_level(
         prefix = sets[head, :-1].tolist()
         shape = (q_i + 1, *data.radix[prefix].tolist())
         cells = _observed_cells(shape)
-        code = _mixed_radix(data, node, prefix, prefix_code)
+        code = _mixed_radix(data, node, prefix, np.int64, prefix_code)
         for start in range(head, end, per_chunk):
             stop = min(start + per_chunk, end)
             x0, x1 = pos[start], pos[start] + stop - start
@@ -284,23 +332,52 @@ def _count_level(
 
 def _family_counts(data: Dataset, node: int, parents: Sequence[int]) -> np.ndarray:
     """n_ikj of one family: the node and sorted, checked parents."""
+    histogram = data.histogram
+    if histogram is not None:
+        return _marginal(histogram, node, parents)
     # last parent varies fastest
     shape = tuple(data.variables[i].cardinality + 1 for i in (node, *parents))
     size = math.prod(shape)
     _check_cube_size(node, parents, size)
-    return _available_counts(_mixed_radix(data, node, parents), _observed_cells(shape), size)
+    code = _mixed_radix(data, node, parents, np.min_scalar_type(size - 1))
+    return _available_counts(code, _observed_cells(shape), size)
+
+
+def _marginal(histogram: np.ndarray, node: int, parents: tuple[int, ...]) -> np.ndarray:
+    """n_ikj of one family, the node and sorted parents, summed out of the
+    histogram: the same (q_i, q_pa) layout as a count of the records, the last
+    parent fastest."""
+    others, cells = _marginal_cells(histogram.shape, node, parents)
+    return (np.add.reduce(histogram, axis=others) if others else histogram).take(cells)
+
+
+@lru_cache(maxsize=256)
+def _marginal_cells(
+    shape: tuple[int, ...], node: int, parents: tuple[int, ...]
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """The axes of a histogram of this shape that a family's marginal sums
+    out, and the (q_i, q_pa) flat indices, into that sum, of the family's
+    cells whose every coordinate is below its sentinel. Read-only, as every
+    histogram of one shape shares the array."""
+    family = sorted((node, *parents))
+    cube = np.arange(math.prod(shape[i] for i in family)).reshape([shape[i] for i in family])
+    cube = cube.transpose([family.index(i) for i in (node, *parents)])
+    cells = cube.ravel()[_observed_cells(cube.shape)]
+    cells.setflags(write=False)
+    return tuple(i for i in range(len(shape)) if i not in family), cells
 
 
 def _mixed_radix(
-    data: Dataset, node: int, parents: Sequence[int], out: np.ndarray | None = None
+    data: Dataset, node: int, parents: Sequence[int], dtype, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Codes of the node then the parents, the last parent fastest, built in
-    place in out (a new array when None); the node's own codes when there
-    are no parents."""
+    """Codes of the node then the parents, the last parent fastest, formed in
+    dtype, which must hold the family's cube, in place in out (a new array
+    when None); the node's own codes when there are no parents. Every ufunc
+    names its dtype, so no promotion rule can narrow the code and wrap it."""
     code = data.codes[node]
     for p in parents:
-        code = out = np.multiply(code, data.radix[p], out=out, dtype=np.int64)
-        code += data.codes[p]
+        code = out = np.multiply(code, data.variables[p].cardinality + 1, out=out, dtype=dtype)
+        np.add(code, data.codes[p], out=code, dtype=dtype)
     return code
 
 

@@ -146,8 +146,11 @@ def monte_carlo(net: BayesNet, cells, replicates: int, statistic, families: int)
 
     A cell is (n, missing, cell_seed); its replicate r draws at derive_seed(cell_seed, r).
     families is the number of (node, parent set) families statistic counts in
-    a replicate, and a replicate of n records costs pool_map families × n, so
-    the largest cells' replicates go out first. Every runner makes one call,
+    a replicate, and pool_map weighs a replicate of n records as families × n.
+    That weight orders the replicates, the largest cells' first; it no longer
+    measures their cost, since a dataset whose joint cube has at most n cells
+    counts every family off one histogram (data.Dataset.histogram), and
+    sampling and masking then dominate. Every runner makes one call,
     and one pool, if any, serves every cell of it. More than REPLICATE_CAP
     replicates in all are refused before any is listed.
     """

@@ -13,8 +13,10 @@ from concurrent.futures.process import BrokenProcessPool
 # 37 trivial tasks and shut down; spawn took 455 ms and forkserver 123 ms,
 # hence fork. Serial tables cost 13-15 ns per family-row, so two workers save
 # about 7 ns a row and pay for the pool from about 3e6 rows; 2^22 is 4.2e6.
-# A replicate costs about 9 ns per family-row (1.85 ms for the two-node
-# table's 2 families at n = 1e5), so the floor serves both.
+# A replicate costs about 9.5 ns per family-row (1.9 ms for the two-node
+# table's 2 families at n = 1e5, median of 40 in-process runs; 1.6 ms of it
+# sampling and masking, 0.3 ms counting off the histogram), so the floor
+# serves both.
 POOL_FLOOR = 1 << 22
 
 

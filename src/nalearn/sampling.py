@@ -116,7 +116,9 @@ def apply_mcar(data: Dataset, model: MissingnessModel, seed: int) -> Dataset:
 
     Either model draws one ``rng.random((n, N))`` block, record-major like
     forward_sample's. Bernoulli drops cell (r, i) when its uniform is >=
-    p_i; k-per-record drops the k cells of smallest uniform in each record.
+    p_i, by taking the maximum of the cell's code and q: the sentinel q is
+    the largest code. k-per-record drops the k cells of smallest uniform in
+    each record.
     """
     rng = np.random.default_rng(seed)
     N, n = data.codes.shape
@@ -128,7 +130,8 @@ def apply_mcar(data: Dataset, model: MissingnessModel, seed: int) -> Dataset:
         u = rng.random((n, N))
         for i, p in enumerate(model.observe_probs):
             if p < 1.0:  # every uniform is < 1, so p = 1 drops nothing
-                np.putmask(codes[i], u[:, i] >= p, missing[i])
+                dropped = np.multiply(u[:, i] >= p, missing[i], dtype=codes.dtype)  # q or 0
+                np.maximum(codes[i], dropped, out=codes[i])
     else:
         if not 0 <= model.k < N:
             raise ValueError(f"k must satisfy 0 <= k < {N}")

@@ -16,6 +16,7 @@ from nalearn import (
     MISSING,
     Bernoulli,
     Dataset,
+    KPerRecord,
     Variable,
     apply_mcar,
     count_sufficient_stats,
@@ -26,13 +27,13 @@ from nalearn import (
 )
 from nalearn.data import STATE_SPACE_CAP, count_families
 from nalearn.errors import IndexOutOfRange, SchemaMismatch, StateSpaceTooLarge
-from nalearn.experiments import spurious_edge_gain
+from nalearn.experiments import _replicate, spurious_edge_gain
 from nalearn.networks import benchmark_structure_37, eight_node_net
 from nalearn.population import FamilyTables, induced_theta_mcar
-from nalearn.scoring import NEG_INFINITY, node_nal_from_counts
-from nalearn.search import SearchSpace, fill_family_scores
+from nalearn.scoring import BIC, NEG_INFINITY, node_nal_from_counts, stacked_nal
+from nalearn.search import SearchSpace, fill_family_scores, learn_structure
 
-from util import random_dataset
+from util import on_records, random_dataset
 
 BIN2 = [Variable("X1", 2), Variable("X2", 2)]
 FOUR = Dataset(BIN2, [(0, 0), (0, 1), (1, 1), (1, 1)])
@@ -137,10 +138,11 @@ def test_count_families_counts_any_list_one_prefix_per_bincount(seed, cards, n, 
         return real(rows, index, size)
 
     with mock.patch.object(nalearn.data, "CHUNK_BUDGET", budget), \
-            mock.patch.object(nalearn.data, "_available_counts", recording):
+            mock.patch.object(nalearn.data, "_available_counts", recording), on_records():
         counts = []
         for n_ikj, widths in count_families(data, node, families):
             counts += np.split(n_ikj, np.cumsum(widths)[:-1], axis=1)
+    assert calls
     assert len(counts) == len(families) == sum(calls)
     for parents, got in zip(families, counts):
         want = count_sufficient_stats(data, node, parents).n_ikj
@@ -155,6 +157,90 @@ def test_count_families_counts_any_list_one_prefix_per_bincount(seed, cards, n, 
         assert size <= per_chunk[start]
         assert len({f[:-1] for f in families[start:start + size]}) == 1
         start += size
+
+
+def _family_chunks(data, node, families):
+    """count_families' counts, split per family, and its NALs."""
+    counts, nals = [], []
+    for n_ikj, widths in count_families(data, node, families):
+        counts += np.split(n_ikj, np.cumsum(widths)[:-1], axis=1)
+        nals += stacked_nal(n_ikj, widths)[0].tolist()
+    return counts, nals
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_histogram_counts_equal_record_counts(draw):
+    """Every family's counts, read off the histogram, equal a count of the
+    records exactly, through both counting functions, and every NAL is equal
+    bit for bit: -inf for an unobservable family, nan for the gain when X2 is
+    never observed. The histogram exists exactly when its cube has at most n
+    cells; n is drawn around that size."""
+    cards = draw.draw(st.lists(st.integers(2, 4), min_size=1, max_size=5))
+    cells = math.prod(q + 1 for q in cards)
+    n = draw.draw(st.sampled_from([0, cells - 1, cells, cells + 1, 2 * cells, 7 * cells]))
+    rate = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    rates = draw.draw(st.lists(rate, min_size=len(cards), max_size=len(cards)))
+    rng = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1)))
+    variables = [Variable(f"X{i}", q) for i, q in enumerate(cards)]
+    values = np.stack([rng.integers(0, q, size=n) for q in cards], axis=1)
+    values[rng.random(values.shape) < np.array(rates)] = MISSING
+    data = Dataset(variables, values)
+    assert (data.histogram is not None) == (cells <= n)
+    for node in range(len(cards)):
+        others = [i for i in range(len(cards)) if i != node]
+        families = [tuple(p for b, p in enumerate(others) if bits >> b & 1)
+                    for bits in range(1, 1 << len(others))]
+        for parents in [(), *families]:
+            got = count_sufficient_stats(data, node, parents)
+            with on_records():
+                want = count_sufficient_stats(data, node, parents)
+            assert got.n_ikj.dtype == want.n_ikj.dtype == np.int64
+            np.testing.assert_array_equal(got.n_ikj, want.n_ikj)
+            np.testing.assert_array_equal(got.n_ij, want.n_ij)
+            assert got.n_i == want.n_i
+            nal = node_nal_from_counts(got)
+            assert nal == node_nal_from_counts(want)  # -inf == -inf
+            assert got.n_i > 0 or nal == NEG_INFINITY
+        if not families:
+            continue
+        got, got_nals = _family_chunks(data, node, families)
+        with on_records():
+            want, want_nals = _family_chunks(data, node, families)
+        assert len(got) == len(want) == len(families)
+        for parents, a, b in zip(families, got, want):
+            # the histogram's columns put the last parent fastest, as one call does
+            one = count_sufficient_stats(data, node, parents).n_ikj
+            np.testing.assert_array_equal(a, one if data.histogram is not None
+                                          else _batch_columns(one, parents, cards))
+            np.testing.assert_array_equal(b, _batch_columns(one, parents, cards))
+        assert np.array(got_nals).tobytes() == np.array(want_nals).tobytes()
+    if len(cards) >= 2:
+        gain = spurious_edge_gain(data)
+        with on_records():
+            again = spurious_edge_gain(data)
+        assert np.array(gain).tobytes() == np.array(again).tobytes()  # nan too
+
+
+def test_a_two_node_replicate_counts_with_one_bincount():
+    """Its two families are two marginals of one histogram."""
+    task = (1000, Bernoulli((0.9, 1.0)), 3)
+    with mock.patch("numpy.bincount", wraps=np.bincount) as bincount:
+        gain = _replicate((two_node_net(), spurious_edge_gain), task)
+    assert bincount.call_count == 1
+    with on_records():
+        assert _replicate((two_node_net(), spurious_edge_gain), task) == gain
+
+
+def test_a_dataset_whose_cube_exceeds_its_records_counts_the_records():
+    """learn37_kper2's input: 37 variables, 1,000 records, two cells missing in
+    each. Its cube has far more cells than records, so no histogram is built."""
+    variables, _ = benchmark_structure_37()
+    data = apply_mcar(random_dataset(variables, 1000, np.random.default_rng(7)), KPerRecord(2), 8)
+    assert math.prod(data.radix.tolist()) > data.num_records
+    with mock.patch.object(nalearn.data, "_marginal", side_effect=AssertionError):
+        learn_structure(data, SearchSpace(list(range(len(variables))), 1), BIC)
+    assert data.__dict__["histogram"] is None
 
 
 def test_oversized_count_table_is_refused_before_it_is_allocated():
@@ -234,8 +320,9 @@ def test_counts_of_a_cube_wider_than_a_byte_match_row_loop():
     data = random_dataset(variables, 400, rng, 0.1)
     assert data.codes.dtype == np.uint8
     parents = [1, 2, 3, 4]
-    np.testing.assert_array_equal(count_sufficient_stats(data, 0, parents).n_ikj,
-                                  brute_force_counts(data, 0, parents))
+    with on_records():
+        n_ikj = count_sufficient_stats(data, 0, parents).n_ikj
+    np.testing.assert_array_equal(n_ikj, brute_force_counts(data, 0, parents))
 
 
 def test_codes_map_missing_to_extra_state():

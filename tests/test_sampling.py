@@ -117,6 +117,22 @@ def test_apply_mcar_composes():
     assert np.all((out.values == MISSING)[before])
 
 
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+def test_bernoulli_mask_equals_putmask_over_missing_cells(p):
+    """The mask takes each dropped cell's maximum with q; writing q with
+    putmask where the uniform is >= p gives the same codes."""
+    variables = [Variable(f"X{i}", q) for i, q in enumerate([2, 3, 5, 4])]
+    data = random_dataset(variables, 300, np.random.default_rng(4), missing_frac=0.3)
+    assert (data.codes == data.radix[:, None] - 1).any()
+    out = apply_mcar(data, Bernoulli([p] * 4), seed=6)
+    expect = data.codes.copy()
+    u = np.random.default_rng(6).random((300, 4))
+    for i in range(4):
+        np.putmask(expect[i], u[:, i] >= p, data.radix[i] - 1)
+    assert out.codes.dtype == expect.dtype
+    np.testing.assert_array_equal(out.codes, expect)
+
+
 def test_subset_observation_probability_paper_values():
     assert math.isclose(subset_observation_probability(37, 1, 3), 34 / 37)
     assert abs(subset_observation_probability(37, 2, 3) - 0.8423) < 5e-4

@@ -37,7 +37,7 @@ from nalearn.model import df_complexity, node_df
 from nalearn.scoring import node_nal, node_nal_from_counts, score_node
 
 from oracles import is_compatible_with_order
-from util import random_dataset, random_net
+from util import on_records, random_dataset, random_net
 
 
 def brute_force_learn(data, space, penalty):
@@ -432,12 +432,13 @@ def test_batched_family_scores_equal_per_call_scores(case):
         return real(rows, index, size)
 
     with mock.patch.object(nalearn.data, "CHUNK_BUDGET", budget), \
-            mock.patch.object(nalearn.data, "_available_counts", recording):
+            mock.patch.object(nalearn.data, "_available_counts", recording), on_records():
         for node in range(space.num_nodes):
             try:
                 best_parent_set(data, node, space, BIC)
             except AllCandidatesUnobservable:
                 pass  # the node's table is filled before the search gives up
+    assert sizes
     if chunk is not None:
         assert max(sizes) <= chunk
     for node, sets in candidates.items():

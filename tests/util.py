@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import os
 from itertools import product
+from unittest import mock
 
 import numpy as np
 
@@ -77,6 +78,12 @@ def net_to_dict(net: BayesNet) -> dict:
 
 def save_net(net: BayesNet, path) -> None:
     write_json(net_to_dict(net), path)
+
+
+def on_records():
+    """A context in which every count reads the records, never a histogram:
+    Dataset.histogram reads None, even on a dataset that has built one."""
+    return mock.patch.object(Dataset, "histogram", property(lambda self: None))
 
 
 def force_pools(monkeypatch, cpus: int = 2) -> list[dict]:
