@@ -12,6 +12,7 @@ STATE_SPACE_CAP) cells, ``Dataset.histogram`` counts every joint state with
 one ``bincount`` of the joint code, and a family's available-case n_ikj is
 its marginal: the sum over the other variables, the family's sentinel
 states left out. A family then costs a sum over the cube, whatever n is.
+``marginal`` reads it, and reads the population's tables off the true joint.
 Otherwise, as on the 37-node structure, the records are counted as follows.
 
 The mixed-radix code of the node and its parents, formed in the narrowest
@@ -275,7 +276,7 @@ def _marginal_chunks(
     """count_families' chunks read off the histogram, one family each."""
     for sets in levels:
         for parents in map(tuple, sets.tolist()):
-            n_ikj = _marginal(histogram, node, parents)
+            n_ikj = marginal(histogram, node, parents)
             yield n_ikj, np.array(n_ikj.shape[1:])
 
 
@@ -334,7 +335,7 @@ def _family_counts(data: Dataset, node: int, parents: Sequence[int]) -> np.ndarr
     """n_ikj of one family: the node and sorted, checked parents."""
     histogram = data.histogram
     if histogram is not None:
-        return _marginal(histogram, node, parents)
+        return marginal(histogram, node, parents)
     # last parent varies fastest
     shape = tuple(data.variables[i].cardinality + 1 for i in (node, *parents))
     size = math.prod(shape)
@@ -343,26 +344,30 @@ def _family_counts(data: Dataset, node: int, parents: Sequence[int]) -> np.ndarr
     return _available_counts(code, _observed_cells(shape), size)
 
 
-def _marginal(histogram: np.ndarray, node: int, parents: tuple[int, ...]) -> np.ndarray:
-    """n_ikj of one family, the node and sorted parents, summed out of the
-    histogram: the same (q_i, q_pa) layout as a count of the records, the last
-    parent fastest."""
-    others, cells = _marginal_cells(histogram.shape, node, parents)
-    return (np.add.reduce(histogram, axis=others) if others else histogram).take(cells)
+def marginal(cube: np.ndarray, node: int, parents: tuple[int, ...],
+             sentinels: bool = True) -> np.ndarray:
+    """The (q_i, q_pa) table of the node and sorted parents, summed out of a
+    cube over every variable, the last parent fastest, as the records count.
+    With sentinels each axis ends in a missing state whose cells are left out,
+    so a histogram gives the available-case n_ikj; without, as on the true
+    joint, every state is kept."""
+    others, cells = _marginal_cells(cube.shape, node, parents, sentinels)
+    return (np.add.reduce(cube, axis=others) if others else cube).take(cells)
 
 
 @lru_cache(maxsize=256)
 def _marginal_cells(
-    shape: tuple[int, ...], node: int, parents: tuple[int, ...]
+    shape: tuple[int, ...], node: int, parents: tuple[int, ...], sentinels: bool
 ) -> tuple[tuple[int, ...], np.ndarray]:
-    """The axes of a histogram of this shape that a family's marginal sums
-    out, and the (q_i, q_pa) flat indices, into that sum, of the family's
-    cells whose every coordinate is below its sentinel. Read-only, as every
-    histogram of one shape shares the array."""
+    """The axes of a cube of this shape that a family's marginal sums out, and
+    the (q_i, q_pa) flat indices, into that sum, of the family's cells: with
+    sentinels, those whose every coordinate is below its sentinel. Read-only,
+    as every cube of one shape shares the array."""
     family = sorted((node, *parents))
     cube = np.arange(math.prod(shape[i] for i in family)).reshape([shape[i] for i in family])
     cube = cube.transpose([family.index(i) for i in (node, *parents)])
-    cells = cube.ravel()[_observed_cells(cube.shape)]
+    cells = (cube.ravel()[_observed_cells(cube.shape)] if sentinels
+             else cube.reshape(cube.shape[0], -1))
     cells.setflags(write=False)
     return tuple(i for i in range(len(shape)) if i not in family), cells
 

@@ -159,9 +159,7 @@ def monte_carlo(net: BayesNet, cells, replicates: int, statistic, families: int)
                           f"cap of {REPLICATE_CAP} replicates in all; lower replicates or the grid")
     tasks = [(n, missing, derive_seed(cell_seed, r))
              for n, missing, cell_seed in cells for r in range(replicates)]
-    shared = net, statistic
-    costs = [families * n for n, _, _ in tasks]
-    results = pool_map(_replicate, shared, tasks, costs) or [_replicate(shared, t) for t in tasks]
+    results = pool_map(_replicate, (net, statistic), tasks, [families * n for n, _, _ in tasks])
     return [results[i:i + replicates] for i in range(0, len(results), replicates)]
 
 

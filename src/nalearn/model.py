@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -148,6 +149,14 @@ class Cpt:
             a.setflags(write=False)
             frozen.append(a)
         object.__setattr__(self, "tables", tuple(frozen))
+
+    @cached_property
+    def bounds(self) -> tuple[np.ndarray, ...]:
+        """Read-only cumulative sums of each table's rows: forward_sample's bounds."""
+        bounds = tuple(np.cumsum(t, axis=1) for t in self.tables)
+        for b in bounds:
+            b.setflags(write=False)
+        return bounds
 
 
 @dataclass(frozen=True)

@@ -30,34 +30,32 @@ POOL_FLOOR = 1 << 22
 BATCHES_PER_WORKER = 16
 
 
-def pool_map(function, shared, items: list, costs: list[int]) -> list | None:
-    """[function(shared, item) for item in items] in forked workers, one per
+def pool_map(function, shared, items: list, costs: list[int]) -> list:
+    """[function(shared, item) for item in items], in forked workers, one per
     usable CPU and at most one per item; each worker gets shared once, through
     the pool's initializer. costs[i] weighs items[i] in candidate parent sets
     × records: the items go out heaviest first (equal costs in item order), in
     batches of len(items) // (workers × BATCHES_PER_WORKER), at least 1, and
-    the results come back in item order. None, for the caller to do the work,
-    on one CPU, below POOL_FLOOR in all, without fork, or when the pool cannot
-    start or its workers die. An exception that function raises reaches the
-    caller."""
+    the results come back in item order. The calling process does the work
+    itself on one CPU, below POOL_FLOOR in all, without fork, or when the pool
+    cannot start or its workers die. An exception that function raises
+    reaches the caller."""
     workers = min(_usable_cpus(), len(items))
-    if (workers < 2 or sum(costs) < POOL_FLOOR
-            or "fork" not in multiprocessing.get_all_start_methods()):
-        return None
-    order = sorted(range(len(items)), key=costs.__getitem__, reverse=True)  # stable
-    batch = max(1, len(items) // (workers * BATCHES_PER_WORKER))
-    results = [None] * len(items)
-    try:
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_start_worker, initargs=(function, shared),
-        ) as pool:
-            done = pool.map(_run, [items[i] for i in order], chunksize=batch)
-            for i, result in zip(order, done):
-                results[i] = result
-    except (OSError, BrokenProcessPool):
-        return None
-    return results
+    if (workers >= 2 and sum(costs) >= POOL_FLOOR
+            and "fork" in multiprocessing.get_all_start_methods()):
+        order = sorted(range(len(items)), key=costs.__getitem__, reverse=True)  # stable
+        batch = max(1, len(items) // (workers * BATCHES_PER_WORKER))
+        try:
+            with ProcessPoolExecutor(
+                max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_start_worker, initargs=(function, shared),
+            ) as pool:
+                done = pool.map(_run, [items[i] for i in order], chunksize=batch)
+                results = dict(zip(order, done))
+            return [results[i] for i in range(len(items))]
+        except (OSError, BrokenProcessPool):  # no pool started, or its workers died
+            pass
+    return [function(shared, item) for item in items]
 
 
 def _usable_cpus() -> int:

@@ -2,7 +2,8 @@
 
 All computations marginalize the exact joint distribution of the generating
 network, so they are limited to at most STATE_SPACE_CAP joint states. A
-family's marginal of the joint is scored by the same kernel as its sample
+family's table is read off the joint by ``data.marginal``, which reads its
+sample counts off a histogram, and scored by the same kernel as those
 counts, ``scoring.stacked_nal``. Under MCAR the records where a family is
 observed follow that marginal whatever the chance theta_i of observing it
 (observation_probability), so missingness enters only through beta.
@@ -17,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import STATE_SPACE_CAP
+from .data import STATE_SPACE_CAP, marginal
 from .errors import NodeCountMismatch, StateSpaceTooLarge
 from .model import BayesNet, Dag, df_complexity, validate_dag
 from .sampling import Bernoulli, MissingnessModel, subset_observation_probability
@@ -82,16 +83,6 @@ def observation_probability(
     return subset_observation_probability(N, missing.k, len(parents) + 1)
 
 
-def _family_marginal(joint: np.ndarray, node: int, parents: tuple[int, ...]) -> np.ndarray:
-    """The (q_i, q_pa) marginal of node and parents, j row-major over the parents."""
-    other = tuple(ax for ax in range(joint.ndim) if ax != node and ax not in parents)
-    marg = joint.sum(axis=other)  # axes: sorted(parents + node)
-    child_pos = sorted((*parents, node)).index(node)
-    marginal = np.moveaxis(marg, child_pos, 0).reshape(joint.shape[node], -1)
-    marginal.flags.writeable = False  # tables are shared through FamilyTables
-    return marginal
-
-
 class FamilyTables:
     """Memoizes the NodeTable per (node, parents) for one true net.
 
@@ -109,8 +100,9 @@ class FamilyTables:
         key = (node, parents)
         hit = self._memo.get(key)
         if hit is None:
-            hit = self._memo[key] = NodeTable(
-                node, parents, _family_marginal(self.joint, node, parents))
+            table = marginal(self.joint, node, parents, sentinels=False)
+            table.flags.writeable = False  # tables are shared through FamilyTables
+            hit = self._memo[key] = NodeTable(node, parents, table)
         return hit
 
 

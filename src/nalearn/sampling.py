@@ -102,12 +102,11 @@ def forward_sample(net: BayesNet, n: int, seed: int) -> Dataset:
     codes = np.zeros((net.num_nodes, n), dtype=code_dtype(net.variables))
     u = rng.random((n, net.num_nodes))
     for i in net.dag.topological_order():
-        bounds = np.cumsum(net.cpt.tables[i], axis=1)  # (q_pa, q_i)
         j = np.intp(0)  # parent configuration, the last parent varying fastest
         for p in net.dag.parents[i]:
             j = np.add(j * net.variables[p].cardinality, codes[p], dtype=np.intp)
         for k in range(net.variables[i].cardinality - 1):
-            codes[i] += u[:, i] >= bounds[:, k][j]
+            codes[i] += u[:, i] >= net.cpt.bounds[i][:, k][j]
     return Dataset.from_codes(net.variables, codes)
 
 

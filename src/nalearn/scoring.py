@@ -114,13 +114,15 @@ def node_nal_from_counts(counts: SufficientCounts) -> float:
     if counts.n_i == 0:
         return NEG_INFINITY
     n_ij = counts.n_ij
-    return neg_conditional_entropy(n_ij / counts.n_i, counts.n_ikj / np.maximum(n_ij, 1))[0]
+    return neg_conditional_entropy(n_ij / counts.n_i, counts.n_ikj / np.maximum(n_ij, 1),
+                                   [n_ij.size])[0]
 
 
 def stacked_nal(n_ikj: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(NAL, n_i) of families whose n_ikj stand side by side, family f over
     widths[f] columns, as ``data.count_families`` yields them. n_ikj holds
-    counts or a probability marginal P(X_i = k, Pa_i = j); empty columns and
+    counts or a probability marginal P(X_i = k, Pa_i = j), either one as
+    ``data.marginal`` reads it off a histogram or the joint; empty columns and
     families are divided by 1, never by their zero total. On counts each NAL
     equals ``node_nal_from_counts`` of the family's own counts, bit for bit."""
     n_ij = n_ikj.sum(axis=0)
@@ -134,20 +136,18 @@ def stacked_nal(n_ikj: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def neg_conditional_entropy(
-    weights: np.ndarray, theta: np.ndarray, ends: Sequence[int] | None = None
+    weights: np.ndarray, theta: np.ndarray, ends: Sequence[int]
 ) -> list[float]:
     """sum_j weights_j sum_k theta_kj ln theta_kj per family, theta of shape (q_i, columns).
 
     Families stand side by side: family f owns columns ends[f-1]:ends[f] (from
-    0 for the first); None means one family over every column. 0 ln 0 = 0;
-    the sum over k runs down each column in child-state order, and fsum makes
-    each family's total independent of its configuration order, so a
-    family's value does not depend on its neighbours.
+    0 for the first), so one family over every column has ends [columns].
+    0 ln 0 = 0; the sum over k runs down each column in child-state order, and
+    fsum makes each family's total independent of its configuration order, so
+    a family's value does not depend on its neighbours.
     """
     terms = theta * np.log(np.where(theta > 0, theta, 1.0))
     values = (weights * terms.sum(axis=0)).tolist()
-    if ends is None:
-        return [math.fsum(values)]
     return [math.fsum(values[s:e]) for s, e in zip([0, *ends[:-1]], ends)]
 
 

@@ -130,14 +130,12 @@ def _table_key(node: int, space: SearchSpace) -> tuple[int, tuple[int, ...], int
 def fill_family_scores(data: Dataset, space: SearchSpace) -> None:
     """Build each node's table not yet in data.family_scores through pool_map,
     a node weighing its candidates × records, so the largest go out first.
-    The tables equal the search's own bit for bit, whatever the worker count;
-    where no pool runs, the search builds each table as it needs it."""
+    The tables equal the search's own bit for bit, whatever the worker count."""
     _check_space(data, space)
     nodes = [node for node in range(space.num_nodes)
              if _table_key(node, space) not in data.family_scores]
     costs = [space.num_candidates(node) * data.num_records for node in nodes]
-    tables = pool_map(_pooled_table, (data, space), nodes, costs)
-    for node, table in zip(nodes, tables or ()):
+    for node, table in zip(nodes, pool_map(_pooled_table, (data, space), nodes, costs)):
         data.family_scores[_table_key(node, space)] = table
 
 

@@ -10,9 +10,10 @@ part of the package:
   log-likelihood;
 * the standard sample-average log-likelihood, which equals the NAL on
   complete data;
-* the conditional tables of a family's joint marginal, the joint
-  distribution a candidate DAG induces from a true net through them, and the
-  subgraph and order-compatibility relations between DAGs.
+* a family's marginal of the true joint, summed out and moved into its
+  (q_i, q_pa) layout with numpy's own axis tools, its conditional tables,
+  the joint distribution a candidate DAG induces from a true net through
+  them, and the subgraph and order-compatibility relations between DAGs.
 
 Only public package names are used here.
 """
@@ -148,6 +149,14 @@ def standard_avg_loglik(data: Dataset, dag: Dag) -> float:
 # ---------------------------------------------------------------------------
 # Induced joints and relations between DAGs
 # ---------------------------------------------------------------------------
+
+def family_marginal(joint: np.ndarray, node: int, parents: tuple[int, ...]) -> np.ndarray:
+    """The (q_i, q_pa) marginal of node and sorted parents, j row-major over the parents."""
+    other = tuple(ax for ax in range(joint.ndim) if ax != node and ax not in parents)
+    marg = joint.sum(axis=other)  # axes: sorted(parents + node)
+    child_pos = sorted((*parents, node)).index(node)
+    return np.moveaxis(marg, child_pos, 0).reshape(joint.shape[node], -1)
+
 
 def conditional(marginal: np.ndarray) -> np.ndarray:
     """P(X_i = k | Pa_i = j) from a (q_i, q_pa) marginal P(X_i = k, Pa_i = j);

@@ -238,7 +238,7 @@ def test_a_dataset_whose_cube_exceeds_its_records_counts_the_records():
     variables, _ = benchmark_structure_37()
     data = apply_mcar(random_dataset(variables, 1000, np.random.default_rng(7)), KPerRecord(2), 8)
     assert math.prod(data.radix.tolist()) > data.num_records
-    with mock.patch.object(nalearn.data, "_marginal", side_effect=AssertionError):
+    with mock.patch.object(nalearn.data, "marginal", side_effect=AssertionError):
         learn_structure(data, SearchSpace(list(range(len(variables))), 1), BIC)
     assert data.__dict__["histogram"] is None
 

@@ -1,15 +1,20 @@
 """pool_map: item order, heaviest-first batches, the floor and the fallbacks."""
 
 import multiprocessing
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
 
 import nalearn.pool
+import nalearn.search
+from nalearn import Dataset, SearchSpace, Variable
 from nalearn.pool import POOL_FLOOR, pool_map
+from nalearn.search import fill_family_scores
 
-from util import exit_at_once, fail_to_fork, force_pools
+from util import exit_at_once, fail_to_fork, force_pools, random_dataset, record_pools
 
 
 def _scaled(shared, item):
@@ -63,18 +68,55 @@ def test_an_exception_in_a_batch_reaches_the_caller(sent):
     assert multiprocessing.active_children() == []
 
 
+def _in_process(shared, item):
+    return os.getpid(), shared * item
+
+
 def test_the_floor_weighs_the_sum_of_the_costs(monkeypatch):
     monkeypatch.setattr(nalearn.pool, "_usable_cpus", lambda: 2)
-    assert pool_map(_scaled, 1, [1, 2], [POOL_FLOOR // 2, POOL_FLOOR // 2 - 1]) is None
+    opened = record_pools(monkeypatch)
+    assert pool_map(_scaled, 1, [1, 2], [POOL_FLOOR // 2, POOL_FLOOR // 2 - 1]) == [1, 2]
+    assert opened == []  # one short of the floor: the caller did the work
     assert pool_map(_scaled, 1, [1, 2], [POOL_FLOOR // 2, POOL_FLOOR // 2]) == [1, 2]
+    assert len(opened) == 1
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("failure", ["no pool", "workers die"])
-def test_a_pool_that_fails_returns_none(monkeypatch, failure):
+def test_a_pool_that_fails_leaves_the_work_to_the_caller(monkeypatch, failure):
     force_pools(monkeypatch)
     if failure == "no pool":  # OSError
         monkeypatch.setattr(nalearn.pool, "ProcessPoolExecutor", fail_to_fork)
     else:  # every worker exits in its initializer: BrokenProcessPool
         monkeypatch.setattr(nalearn.pool, "_start_worker", exit_at_once)
-    assert pool_map(_scaled, 1, [1, 2, 3], [1, 1, 1]) is None
+    results = pool_map(_in_process, 2, [1, 2, 3], [1, 1, 1])
+    assert results == [(os.getpid(), 2), (os.getpid(), 4), (os.getpid(), 6)]
     assert multiprocessing.active_children() == []
+
+
+def test_below_the_floor_fill_family_scores_builds_every_table_in_the_caller(monkeypatch):
+    """In node order, each table equal to the one the search builds lazily."""
+    monkeypatch.setattr(nalearn.pool, "_usable_cpus", lambda: 2)
+    opened = record_pools(monkeypatch)
+    built = []
+    real = nalearn.search._node_table
+
+    def recording(data, node, space, candidates):
+        built.append((os.getpid(), node))
+        return real(data, node, space, candidates)
+
+    monkeypatch.setattr(nalearn.search, "_node_table", recording)
+    variables = [Variable(f"X{i}", q) for i, q in enumerate([2, 3, 2, 4, 3])]
+    data = random_dataset(variables, 200, np.random.default_rng(17), 0.2)
+    space = SearchSpace([3, 0, 4, 1, 2], 2)
+    assert sum(map(space.num_candidates, range(5))) * data.num_records < POOL_FLOOR
+    fill_family_scores(data, space)
+    assert opened == []
+    assert built == [(os.getpid(), node) for node in range(5)]
+    fresh = Dataset(variables, data.values)
+    for node in range(5):
+        key = (node, tuple(sorted(space.predecessors(node))), space.max_parents)
+        lazy = real(fresh, node, space, space.candidate_parent_sets(node))
+        assert [(a.dtype, a.tobytes()) for a in data.family_scores[key]] == [
+            (a.dtype, a.tobytes()) for a in lazy]
+    assert len(data.family_scores) == 5

@@ -1,9 +1,12 @@
 """Exact population quantities: joints, induced tables, NAL, identifiability."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nalearn import (
     BayesNet,
@@ -29,7 +32,7 @@ from nalearn.population import observation_probability
 from nalearn.scoring import node_nal_from_counts
 from nalearn.search import SearchSpace
 
-from oracles import conditional, induced_joint, is_subgraph
+from oracles import conditional, family_marginal, induced_joint, is_subgraph
 from util import all_dags, random_net
 
 
@@ -169,6 +172,23 @@ def test_every_eight_node_family_nal_matches_the_conditional_entropy():
         want = kernel_free_nal(table.marginal)
         assert abs(table.nal - want) <= 1e-15, (node, parents)
         assert f"{table.nal:.12g}" == f"{want:.12g}", (node, parents)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(num=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_family_tables_equal_the_oracle_marginal_bit_for_bit(num, seed):
+    """Random nets of 1-5 variables of cardinality 2-4; every family of up to 3 parents."""
+    net = random_net(num, np.random.default_rng(seed), max_card=4)
+    tables = FamilyTables(net)
+    for node in range(num):
+        others = [i for i in range(num) if i != node]
+        for parents in (ps for m in range(min(3, len(others)) + 1)
+                        for ps in combinations(others, m)):
+            got = tables.node_table(node, parents).marginal
+            want = family_marginal(tables.joint, node, parents)
+            assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype,
+                                                              want.tobytes()), (node, parents)
+            assert not got.flags.writeable
 
 
 def test_law_of_large_numbers():
