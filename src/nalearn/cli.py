@@ -20,7 +20,7 @@ from .model import Dag, dags_from_json, load_net, load_structure, read_json, sav
 from .population import beta_of_collection, check_identifiability
 from .sampling import apply_mcar, forward_sample, parse_missingness
 from .scoring import parse_penalty, score_decomposable, score_global
-from .search import SearchSpace, complexity_profile, fill_family_scores, learn_structure
+from .search import SearchSpace, complexity_profile, learn_structure
 from .equivalence import dags_equivalent, edge_precision_recall, edge_f_score
 
 
@@ -132,7 +132,6 @@ def cmd_learn(args) -> int:
     space = _space_from_args(args, variables)
     penalty = parse_penalty(args.penalty, len(variables))
     data = read_csv(args.data, variables)
-    fill_family_scores(data, space)
     learned = learn_structure(data, space, penalty)
     save_structure(learned, variables, args.out)
     if args.profile:

@@ -143,7 +143,7 @@ class Dataset:
     def family_scores(
         self,
     ) -> dict[tuple[int, tuple[int, ...], int], tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per-node score tables, filled in by the search.
+        """Per-node score tables, read and filled only by search._tables.
 
         The key is (node, sorted predecessors, max_parents) and the value is
         three arrays, NAL (float64), n_i and df (int64), with one entry per

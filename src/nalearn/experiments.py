@@ -45,7 +45,7 @@ class ExperimentConfig:
     sample_sizes: tuple[int, ...] = (100, 1000, 10000, 100000)
     betas: tuple[float, ...] = (1.0, 0.99, 0.95, 0.90, 0.75)  # two-node masking
     missingness: tuple[str, ...] = ("none",)  # recovery and rate-probe masking specs
-    penalties: tuple = ("aic", "bic")  # specs, or Penalty objects
+    penalties: tuple[str, ...] = ("aic", "bic")  # specs
     replicates: int = 1000
     seed: int = 20240901
     max_parents: int = 3
@@ -178,26 +178,16 @@ def spurious_edge_gain(data: Dataset) -> float:
     return nal_chain - nal_empty
 
 
-def _two_node_cell(beta: float, n: int, seed: int) -> tuple:
-    """The monte_carlo cell of the table at (beta, n): X1 observed at rate beta."""
-    return n, Bernoulli((beta, 1.0)) if beta < 1.0 else None, seed
-
-
 def two_node_wrong_fraction(
-    beta: float, n: int, penalties: Sequence[Penalty], replicates: int, seed: int,
-    gains: Sequence[float] | None = None,
+    gains: Sequence[float], n: int, penalties: Sequence[Penalty], replicates: int
 ) -> list[float]:
-    """Fraction of replicates where the spurious edge wins, per penalty, in the
-    table's cell (beta, n) drawn at the cell seed seed. gains are the cell's
-    replicate gains where they are drawn already: run_two_node draws every
-    cell in one monte_carlo call and passes each cell's gains here.
+    """Per penalty, the fraction of a cell's replicates in which the spurious
+    edge wins: gains holds the gain of each of the cell's replicates, each
+    drawn at n records.
 
     The one-edge and independence models differ by one parameter, so the edge
     wins exactly when its gain exceeds lambda_n; ties count as correct.
     """
-    if gains is None:
-        cell = _two_node_cell(beta, n, seed)
-        [gains] = monte_carlo(two_node_net(), [cell], replicates, spurious_edge_gain, 2)
     lams = [lambda_value(pen, n) for pen in penalties]
     return [sum(gain > lam for gain in gains) / replicates for lam in lams]
 
@@ -214,12 +204,12 @@ def run_two_node(config: ExperimentConfig) -> list[dict]:
     labels = _distinct_labels([p.label(2) for p in penalties], "penalties")
     keys = [(beta, n, derive_seed(config.seed, splitmix64(bi * 1009 + ni)))
             for bi, beta in enumerate(config.betas) for ni, n in enumerate(config.sample_sizes)]
-    cells = [_two_node_cell(*key) for key in keys]
+    cells = [(n, Bernoulli((beta, 1.0)) if beta < 1.0 else None, seed)  # X1 observed at beta
+             for beta, n, seed in keys]
     per_cell = monte_carlo(two_node_net(), cells, config.replicates, spurious_edge_gain, 2)
     rows = []
-    for (beta, n, cell_seed), gains in zip(keys, per_cell):
-        fractions = two_node_wrong_fraction(beta, n, penalties, config.replicates, cell_seed,
-                                            gains)
+    for (beta, n, _), gains in zip(keys, per_cell):
+        fractions = two_node_wrong_fraction(gains, n, penalties, config.replicates)
         for label, frac in zip(labels, fractions):
             se = math.sqrt(max(frac * (1 - frac), 0.0) / config.replicates)
             rows.append({"beta": beta, "n": n, "penalty": label,

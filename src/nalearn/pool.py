@@ -1,7 +1,7 @@
-"""The one process-pool policy: learn's node tables and the Monte Carlo
+"""The one process-pool policy: the search's node tables and the Monte Carlo
 replicates both run through pool_map, which sizes the pool from the work and
-the machine, never from an option. The library functions the work calls open
-no pool, so pools never nest."""
+the machine, never from an option. Called inside a worker, pool_map runs the
+work there, so pools never nest."""
 
 import multiprocessing
 import os
@@ -37,11 +37,11 @@ def pool_map(function, shared, items: list, costs: list[int]) -> list:
     × records: the items go out heaviest first (equal costs in item order), in
     batches of len(items) // (workers × BATCHES_PER_WORKER), at least 1, and
     the results come back in item order. The calling process does the work
-    itself on one CPU, below POOL_FLOOR in all, without fork, or when the pool
-    cannot start or its workers die. An exception that function raises
-    reaches the caller."""
+    itself inside a worker of another pool_map (whatever the costs), on one
+    CPU, below POOL_FLOOR in all, without fork, or when the pool cannot start
+    or its workers die. An exception that function raises reaches the caller."""
     workers = min(_usable_cpus(), len(items))
-    if (workers >= 2 and sum(costs) >= POOL_FLOOR
+    if (_worker_job is None and workers >= 2 and sum(costs) >= POOL_FLOOR
             and "fork" in multiprocessing.get_all_start_methods()):
         order = sorted(range(len(items)), key=costs.__getitem__, reverse=True)  # stable
         batch = max(1, len(items) // (workers * BATCHES_PER_WORKER))
@@ -65,7 +65,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# a worker's function and shared argument, set by its initializer; never set in the caller
+# a worker's function and shared argument, set by its initializer; None outside a worker
 _worker_job = None
 
 

@@ -136,12 +136,10 @@ class CandidateReport:
 class IdentifiabilityReport:
     """Population-level identifiability analysis over a candidate set."""
 
-    true_dag: Dag
     true_nal: float
     candidates: tuple[CandidateReport, ...]
     minimal_maximizers: tuple[Dag, ...]
     identifiable: bool  # the distinct minimal maximizers are exactly {true dag}
-    tolerance: float
 
 
 def _edge_mask(g: Dag) -> int:
@@ -196,12 +194,10 @@ def check_identifiability(
             )
         )
     return IdentifiabilityReport(
-        true_dag=net0.dag,
         true_nal=true_nal,
         candidates=tuple(reports),
         minimal_maximizers=tuple(minimal),
         identifiable=minimal_masks == {true_mask},  # repeated candidates share a mask
-        tolerance=tol,
     )
 
 

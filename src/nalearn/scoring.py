@@ -62,13 +62,10 @@ def power_law(coefficient: float, alpha: float) -> Penalty:
 
 
 def parse_penalty(spec, num_vars: int) -> Penalty:
-    """Penalty from "aic" | "bic" | "none" | "a<alpha>" | "a<alpha>c<coef>", or
-    a Penalty, passed through. The power-law coefficient defaults to
-    1/num_vars. Penalty.label writes this grammar. Raises ConfigError quoting
-    `spec`, which must be a string unless it is a Penalty.
+    """Penalty from "aic" | "bic" | "none" | "a<alpha>" | "a<alpha>c<coef>".
+    The power-law coefficient defaults to 1/num_vars. Penalty.label writes
+    this grammar. Raises ConfigError quoting `spec`, which must be a string.
     """
-    if isinstance(spec, Penalty):
-        return spec
     if spec in ("aic", "bic", "none"):
         return Penalty(spec)
     if not (isinstance(spec, str) and spec.startswith("a")):

@@ -95,65 +95,52 @@ class ProfilePoint:
     dag: Dag
 
 
-def _node_table(
-    data: Dataset, node: int, space: SearchSpace, candidates: list[tuple[int, ...]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(nal, n_i, df) arrays over the node's candidates, memoized in data.family_scores.
+def _node_table(shared: tuple[Dataset, SearchSpace], node: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(nal, n_i, df) arrays over the node's candidates, in the order of
+    space.candidate_parent_sets(node), for shared = (data, space).
 
-    candidates is space.candidate_parent_sets(node), whose order the arrays
-    follow. The first, the empty set, is scored on its own; every larger set
+    The first candidate, the empty set, is scored on its own; every larger set
     extends a prefix and is scored in chunks by count_families.
     """
-    key = _table_key(node, space)
-    table = data.family_scores.get(key)
-    if table is None:
-        root = count_sufficient_stats(data, node, candidates[0])
-        nal = [np.array([node_nal_from_counts(root)])]
-        n_i = [np.array([root.n_i])]
-        df = [np.array([node_df(node, root.parents, data.variables)])]
-        q_i = data.variables[node].cardinality
-        for n_ikj, widths in count_families(data, node, candidates[1:]):
-            chunk_nal, chunk_n_i = stacked_nal(n_ikj, widths)
-            nal.append(chunk_nal)
-            n_i.append(chunk_n_i)
-            df.append(widths * (q_i - 1))
-        table = data.family_scores[key] = (
-            np.concatenate(nal), np.concatenate(n_i), np.concatenate(df)
-        )
-    return table
-
-
-def _table_key(node: int, space: SearchSpace) -> tuple[int, tuple[int, ...], int]:
-    return node, tuple(sorted(space.predecessors(node))), space.max_parents
-
-
-def fill_family_scores(data: Dataset, space: SearchSpace) -> None:
-    """Build each node's table not yet in data.family_scores through pool_map,
-    a node weighing its candidates × records, so the largest go out first.
-    The tables equal the search's own bit for bit, whatever the worker count."""
-    _check_space(data, space)
-    nodes = [node for node in range(space.num_nodes)
-             if _table_key(node, space) not in data.family_scores]
-    costs = [space.num_candidates(node) * data.num_records for node in nodes]
-    for node, table in zip(nodes, pool_map(_pooled_table, (data, space), nodes, costs)):
-        data.family_scores[_table_key(node, space)] = table
-
-
-def _pooled_table(shared, node: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     data, space = shared
-    return _node_table(data, node, space, space.candidate_parent_sets(node))
+    candidates = space.candidate_parent_sets(node)
+    root = count_sufficient_stats(data, node, candidates[0])
+    nal = [np.array([node_nal_from_counts(root)])]
+    n_i = [np.array([root.n_i])]
+    df = [np.array([node_df(node, root.parents, data.variables)])]
+    q_i = data.variables[node].cardinality
+    for n_ikj, widths in count_families(data, node, candidates[1:]):
+        chunk_nal, chunk_n_i = stacked_nal(n_ikj, widths)
+        nal.append(chunk_nal)
+        n_i.append(chunk_n_i)
+        df.append(widths * (q_i - 1))
+    return np.concatenate(nal), np.concatenate(n_i), np.concatenate(df)
 
 
-def _check_space(data: Dataset, space: SearchSpace) -> None:
+def _tables(data: Dataset, space: SearchSpace, nodes: Sequence[int]
+            ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The nodes' (nal, n_i, df) tables, memoized in data.family_scores under
+    (node, sorted predecessors, max_parents).
+
+    The missing tables are built through pool_map, a node weighing its
+    candidates × records, so the largest go out first; the tables equal a
+    serial build's bit for bit, whatever the worker count.
+    """
     if space.num_nodes != data.num_variables:
         raise SchemaMismatch("search space and data disagree on node count")
+    keys = [(node, tuple(sorted(space.predecessors(node))), space.max_parents) for node in nodes]
+    missing = [key for key in keys if key not in data.family_scores]
+    costs = [space.num_candidates(node) * data.num_records for node, _, _ in missing]
+    data.family_scores.update(zip(missing, pool_map(
+        _node_table, (data, space), [node for node, _, _ in missing], costs)))
+    return [data.family_scores[key] for key in keys]
 
 
 def best_parent_set(data: Dataset, node: int, space: SearchSpace, penalty: Penalty) -> NodeScore:
     """Exhaustive per-node winner under the decomposable score."""
-    _check_space(data, space)
+    [(nal, n_i, df)] = _tables(data, space, [node])
     candidates = space.candidate_parent_sets(node)
-    nal, n_i, df = _node_table(data, node, space, candidates)
     # lambda once per distinct n_i > 0; an unobservable family (n_i = 0) keeps -inf
     sizes, which = np.unique(n_i, return_inverse=True)
     lam = np.array([lambda_value(penalty, int(m)) if m > 0 else 0.0 for m in sizes])
@@ -168,8 +155,9 @@ def best_parent_set(data: Dataset, node: int, space: SearchSpace, penalty: Penal
 
 
 def learn_structure(data: Dataset, space: SearchSpace, penalty: Penalty) -> Dag:
-    """Argmax of the decomposable score over the order-compatible space."""
-    _check_space(data, space)
+    """Argmax of the decomposable score over the order-compatible space; the
+    node tables are built first, in one pool_map call."""
+    _tables(data, space, range(space.num_nodes))
     return Dag(best_parent_set(data, i, space, penalty).parents for i in range(space.num_nodes))
 
 
@@ -183,8 +171,8 @@ def _node_frontier(
     a larger parent set that fails to improve the NAL is dominated and drops
     out (the minimal-complexity convention).
     """
+    [(nal, _, df)] = _tables(data, space, [node])
     candidates = space.candidate_parent_sets(node)
-    nal, _, df = _node_table(data, node, space, candidates)
     observed = np.flatnonzero(nal != NEG_INFINITY)
     if observed.size == 0:
         raise AllCandidatesUnobservable(f"node {node}: every candidate has n_i = 0")
@@ -219,7 +207,7 @@ def complexity_profile(data: Dataset, space: SearchSpace) -> list[ProfilePoint]:
     and the frontier entry each state took; the kept points are traced back
     through them at once.
     """
-    _check_space(data, space)
+    _tables(data, space, range(space.num_nodes))
     t = np.zeros(1, dtype=np.int64)
     score = np.zeros(1)
     steps = []  # per node: (its frontier's df and parents, t after it, entry each state took)

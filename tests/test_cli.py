@@ -265,8 +265,9 @@ def test_learn_falls_back_to_the_search_when_the_pool_fails(tmp_path, capsys, mo
 
 
 def test_recovery_workers_open_no_pool(tmp_path, capsys, monkeypatch):
-    """The recovery harness learns through the library, which never opens a
-    pool, so the workers of its own pool nest none, even with no floor."""
+    """A recovery worker's learn_structure builds its tables through pool_map,
+    which runs them in that worker, so the workers nest no pool, even with no
+    floor."""
     pools = force_pools(monkeypatch)
     parent, counting = os.getpid(), nalearn.pool.ProcessPoolExecutor
 

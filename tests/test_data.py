@@ -31,7 +31,7 @@ from nalearn.experiments import _replicate, spurious_edge_gain
 from nalearn.networks import benchmark_structure_37, eight_node_net
 from nalearn.population import FamilyTables, induced_theta_mcar
 from nalearn.scoring import BIC, NEG_INFINITY, node_nal_from_counts, stacked_nal
-from nalearn.search import SearchSpace, fill_family_scores, learn_structure
+from nalearn.search import SearchSpace, learn_structure
 
 from util import on_records, random_dataset
 
@@ -344,9 +344,9 @@ def test_values_of_32768_and_above_keep_their_state(tmp_path):
     assert read_csv(path, variables).values.tolist() == [[35000, 1]]
 
 
-def test_dataset_holds_one_array_from_sampling_and_reading_to_scores(tmp_path):
+def test_dataset_holds_one_array_from_sampling_and_reading_to_learning(tmp_path):
     """A two-node replicate (sample, mask, gain) and learn's read_csv and
-    fill_family_scores work on codes alone: nothing builds values."""
+    learn_structure work on codes alone: nothing builds values."""
     data = apply_mcar(forward_sample(two_node_net(), 200, 1), Bernoulli((0.9, 1.0)), 2)
     spurious_edge_gain(data)
     assert data.codes.dtype == np.uint8 and "values" not in data.__dict__
@@ -355,7 +355,7 @@ def test_dataset_holds_one_array_from_sampling_and_reading_to_scores(tmp_path):
     path = tmp_path / "data.csv"
     write_csv(random_dataset(variables, 50, np.random.default_rng(5), 0.1), path)
     data = read_csv(path, variables)
-    fill_family_scores(data, SearchSpace(list(range(len(variables))), 1))
+    learn_structure(data, SearchSpace(list(range(len(variables))), 1), BIC)
     assert data.codes.dtype == np.uint8 and "values" not in data.__dict__
 
 

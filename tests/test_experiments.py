@@ -74,11 +74,10 @@ def test_parse_penalty_variants():
     assert parse_penalty("a0.4c0.25", 2) == power_law(0.25, 0.4)
     assert parse_penalty("a0.4", 4) == power_law(0.25, 0.4)
     assert parse_penalty("bic", 2) == BIC
-    assert parse_penalty(AIC, 2) is AIC
-    # a spec is a string: the dict spellings, a number or a boolean are refused
+    # a spec is a string: the dict spellings, a Penalty, a number or a boolean are refused
     for bad in ["mdl", "a0.x", "a1.5", "power", "a0.3c", "a0.3cx", "ac0.3", "a0.3c0",
                 "a0.3c-3", "bica0.3", "aicc2", "nonea0.5", {"kind": "power", "alpha": 0.3},
-                {"alpha": 0.3}, {"kind": "bic"}, 0.3, True, None]:
+                {"alpha": 0.3}, {"kind": "bic"}, AIC, 0.3, True, None]:
         with pytest.raises(ConfigError, match="penalty spec"):
             parse_penalty(bad, 2)
 
@@ -86,12 +85,14 @@ def test_parse_penalty_variants():
 def test_penalty_labels():
     # a label is written from the parsed penalty, so every spelling of one penalty shares it
     for spec, label in [("a0.3", "a0.3"), ("bic", "bic"), ("a0.30", "a0.3"),
-                        ("a0.50", "a0.5"), ("a0.3c0.5", "a0.3"), (power_law(0.5, 0.3), "a0.3"),
+                        ("a0.50", "a0.5"), ("a0.3c0.5", "a0.3"),
                         ("a0.3c0.010", "a0.3c0.01"), ("a0.3c1e-05", "a0.3c1e-05"),
-                        ("a0.3c10.0", "a0.3c10"),
-                        (power_law(1 / 3, 0.3), "a0.3c0.3333333333333333")]:
+                        ("a0.3c10.0", "a0.3c10")]:
         assert parse_penalty(spec, 2).label(2) == label, spec
         assert parse_penalty(label, 2) == parse_penalty(spec, 2), spec
+    for penalty, label in [(power_law(0.5, 0.3), "a0.3"),
+                           (power_law(1 / 3, 0.3), "a0.3c0.3333333333333333")]:
+        assert penalty.label(2) == label and parse_penalty(label, 2) == penalty
     assert power_law(0.125, 0.3).label(8) == "a0.3"
     assert power_law(0.5, 0.3).label(8) == "a0.3c0.5"
 
@@ -179,9 +180,8 @@ def test_monte_carlo_refuses_a_run_above_the_cap_before_listing(monkeypatch):
 
 def test_two_node_wrong_fraction_extremes():
     # alpha = 0.2 with complete data: wrong selections are (near) impossible
-    fractions = two_node_wrong_fraction(
-        1.0, 1000, [parse_penalty("a0.2", 2)], replicates=50, seed=11
-    )
+    [gains] = monte_carlo(two_node_net(), [(1000, None, 11)], 50, spurious_edge_gain, 2)
+    fractions = two_node_wrong_fraction(gains, 1000, [parse_penalty("a0.2", 2)], replicates=50)
     assert fractions[0] <= 0.005 + 1e-12
 
 
@@ -194,9 +194,11 @@ def test_run_two_node_deterministic():
     assert rows1 == rows2
     assert len(rows1) == 2
     assert all(0.0 <= r["wrong_pct"] <= 100.0 for r in rows1)
-    # the one-cell entry point draws the table's cell at its cell seed
+    # the table's cell (0.9, 100), drawn alone at its cell seed, scores the same
     cell_seed = derive_seed(cfg.seed, splitmix64(1 * 1009 + 0))
-    [fraction] = two_node_wrong_fraction(0.9, 100, [AIC], 40, cell_seed)
+    cell = (100, Bernoulli((0.9, 1.0)), cell_seed)
+    [gains] = monte_carlo(two_node_net(), [cell], 40, spurious_edge_gain, 2)
+    [fraction] = two_node_wrong_fraction(gains, 100, [AIC], 40)
     assert 100.0 * fraction == rows1[1]["wrong_pct"]
 
 
@@ -349,7 +351,7 @@ def test_check_two_node_accepts_reference_itself():
     from nalearn.experiments import TWO_NODE_REFERENCE
 
     rows = [
-        {"beta": beta, "n": n, "penalty": pen, "wrong_pct": pct, "mc_se": 0.0}
+        {"beta": beta, "n": n, "penalty": pen.label(2), "wrong_pct": pct, "mc_se": 0.0}
         for (beta, n, pen), pct in TWO_NODE_REFERENCE.items()
     ]
     assert check_two_node(rows) == []
@@ -372,14 +374,6 @@ def test_check_two_node_matches_rows_by_penalty():
     with pytest.raises(ConfigError):  # every label a runner writes parses
         check_two_node([{"beta": 1.0, "n": 100, "penalty": "power(c=0.5,a=0.8)",
                          "wrong_pct": 90.0, "mc_se": 1.0}])
-
-
-def test_penalty_object_is_labelled_and_checked_like_its_spec():
-    cfg = ExperimentConfig(sample_sizes=(100,), betas=(1.0,), replicates=5, seed=1,
-                           penalties=(power_law(0.5, 0.8),))
-    [row] = run_two_node(cfg)
-    assert row["penalty"] == "a0.8"
-    assert len(check_two_node([{**row, "wrong_pct": 90.0}])) == 1
 
 
 def test_write_rows_format(tmp_path):

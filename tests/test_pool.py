@@ -1,4 +1,5 @@
-"""pool_map: item order, heaviest-first batches, the floor and the fallbacks."""
+"""pool_map: item order, heaviest-first batches, the floor, the fallbacks and
+no nesting."""
 
 import multiprocessing
 import os
@@ -10,9 +11,9 @@ import pytest
 
 import nalearn.pool
 import nalearn.search
-from nalearn import Dataset, SearchSpace, Variable
+from nalearn import BIC, Dataset, SearchSpace, Variable
 from nalearn.pool import POOL_FLOOR, pool_map
-from nalearn.search import fill_family_scores
+from nalearn.search import complexity_profile, learn_structure
 
 from util import exit_at_once, fail_to_fork, force_pools, random_dataset, record_pools
 
@@ -94,29 +95,65 @@ def test_a_pool_that_fails_leaves_the_work_to_the_caller(monkeypatch, failure):
     assert multiprocessing.active_children() == []
 
 
-def test_below_the_floor_fill_family_scores_builds_every_table_in_the_caller(monkeypatch):
-    """In node order, each table equal to the one the search builds lazily."""
+def _nested(shared, item):
+    """The pid of the process that runs it, and a pool_map of two items run from there."""
+    return os.getpid(), pool_map(_in_process, shared, [item, item + 1], [1, 1])
+
+
+def test_a_pool_map_inside_a_worker_runs_in_that_worker(monkeypatch):
+    opened = force_pools(monkeypatch)
+    outer = pool_map(_nested, 2, [1, 3], [1, 1])
+    for (worker, inner), item in zip(outer, [1, 3]):
+        assert worker != os.getpid()
+        assert inner == [(worker, 2 * item), (worker, 2 * item + 2)]
+    assert len(opened) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_learn_structure_above_the_floor_opens_the_one_pool_the_profile_reuses(monkeypatch):
+    """The tables equal a one-CPU run's bit for bit."""
+    variables = [Variable(f"X{i}", q) for i, q in enumerate([2, 3, 2, 4, 3])]
+    data = random_dataset(variables, 200, np.random.default_rng(23), 0.2)
+    space = SearchSpace([3, 0, 4, 1, 2], 2)
+    opened = force_pools(monkeypatch)
+    learned = learn_structure(data, space, BIC)
+    assert [kwargs["max_workers"] for kwargs in opened] == [2]
+    profile = complexity_profile(data, space)
+    assert len(opened) == 1 and multiprocessing.active_children() == []
+    monkeypatch.setattr(nalearn.pool, "_usable_cpus", lambda: 1)
+    serial = Dataset(variables, data.values)
+    assert learn_structure(serial, space, BIC) == learned
+    assert complexity_profile(serial, space) == profile
+    assert len(opened) == 1
+    assert sorted(serial.family_scores) == sorted(data.family_scores)
+    for key, table in serial.family_scores.items():
+        assert [(a.dtype, a.tobytes()) for a in data.family_scores[key]] == [
+            (a.dtype, a.tobytes()) for a in table]
+
+
+def test_below_the_floor_learn_structure_builds_every_table_in_the_caller(monkeypatch):
+    """In node order, each table equal to the one the builder makes alone."""
     monkeypatch.setattr(nalearn.pool, "_usable_cpus", lambda: 2)
     opened = record_pools(monkeypatch)
     built = []
     real = nalearn.search._node_table
 
-    def recording(data, node, space, candidates):
+    def recording(shared, node):
         built.append((os.getpid(), node))
-        return real(data, node, space, candidates)
+        return real(shared, node)
 
     monkeypatch.setattr(nalearn.search, "_node_table", recording)
     variables = [Variable(f"X{i}", q) for i, q in enumerate([2, 3, 2, 4, 3])]
     data = random_dataset(variables, 200, np.random.default_rng(17), 0.2)
     space = SearchSpace([3, 0, 4, 1, 2], 2)
     assert sum(map(space.num_candidates, range(5))) * data.num_records < POOL_FLOOR
-    fill_family_scores(data, space)
+    learn_structure(data, space, BIC)
     assert opened == []
     assert built == [(os.getpid(), node) for node in range(5)]
     fresh = Dataset(variables, data.values)
     for node in range(5):
         key = (node, tuple(sorted(space.predecessors(node))), space.max_parents)
-        lazy = real(fresh, node, space, space.candidate_parent_sets(node))
+        alone = real((fresh, space), node)
         assert [(a.dtype, a.tobytes()) for a in data.family_scores[key]] == [
-            (a.dtype, a.tobytes()) for a in lazy]
+            (a.dtype, a.tobytes()) for a in alone]
     assert len(data.family_scores) == 5
