@@ -34,12 +34,13 @@ chain = two_node_chain_dag()
 print("l(empty) =", population_nal_of(empty, net))
 print("l(chain) =", population_nal_of(chain, net))
 
-report = check_identifiability(net, [empty, chain])
+report = check_identifiability(net, [empty.parents, chain.parents])
 print("identifiable:", report.identifiable)
 print("minimal maximizers:", [g.parents for g in report.minimal_maximizers])
 
 # beta: the smallest observation probability of any (node, parents) block
-beta = beta_of_collection([empty, chain], Bernoulli((0.75, 1.0)), 2)
+# among the report's distinct families
+beta = beta_of_collection(report.families, Bernoulli((0.75, 1.0)), 2)
 print("beta under Bernoulli(0.75, 1.0):", beta)
 
 # the k-per-record scheme on a 37-column dataset: chance that a 3-cell
@@ -56,9 +57,10 @@ dropped[7] = [4]  # forget the 6 -> 8 edge
 superset = [list(ps) for ps in bench.dag.parents]
 superset[3] = [0, 1]  # an extra, uninformative parent
 rivals = [bench.dag, Dag([[]] * 8), Dag(dropped), Dag(superset)]
-report = check_identifiability(bench, rivals)
-for name, cand in zip(["truth", "empty", "dropped", "superset"], report.candidates):
-    print(f"{name:>9}: df={cand.df:3d} l={cand.nal:.6f} maximizer={cand.is_maximizer}")
+report = check_identifiability(bench, [g.parents for g in rivals])
+rows = zip(report.df.tolist(), report.nal.tolist(), report.is_maximizer.tolist())
+for name, (df, nal, maximizer) in zip(["truth", "empty", "dropped", "superset"], rows):
+    print(f"{name:>9}: df={df:3d} l={nal:.6f} maximizer={maximizer}")
 print("minimal maximizers == {truth}:", report.identifiable)
 print("beta under KPerRecord(k=2):",
-      round(beta_of_collection(rivals, KPerRecord(2), 8), 4))
+      round(beta_of_collection(report.families, KPerRecord(2), 8), 4))

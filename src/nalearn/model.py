@@ -242,16 +242,65 @@ def json_list(value) -> list:
     return value
 
 
-def dags_from_json(candidates) -> list[Dag]:
-    """Dags from a non-empty JSON list of DAGs, each a list of parent lists; any
-    other shape, or a parent that is not an integer, is a ValueError."""
+def parent_lists_from_json(candidates) -> list:
+    """Parent lists from a non-empty JSON list of DAGs, each a list of parent lists;
+    any other shape, or a parent that is not an integer, is a ValueError."""
     # type passes in C: a candidate file can list thousands of DAGs
     if not (type(candidates) is list and candidates and set(map(type, candidates)) <= {list}
             and set(map(type, chain.from_iterable(candidates))) <= {list}):
         raise ValueError("expected a non-empty list of DAGs, each a list of parent lists")
     if not set(map(type, chain.from_iterable(chain.from_iterable(candidates)))) <= {int}:
         candidates = [[[json_int(p) for p in ps] for ps in parents] for parents in candidates]
-    return [Dag(parents) for parents in candidates]
+    return candidates
+
+
+def _check_candidate(parents: Sequence[Sequence[int]], num_nodes: int) -> None:
+    if len(parents) != num_nodes:
+        raise NodeCountMismatch(f"candidate has {len(parents)} nodes, the net {num_nodes}")
+    validate_dag(Dag(parents))
+
+
+def parent_masks(candidates: Sequence[Sequence[Sequence[int]]], num_nodes: int) -> np.ndarray:
+    """The (D, N) int64 parent bitmasks of D candidate DAGs given as parent lists:
+    entry [g, i] has bit p set when p is a parent of node i in candidate g.
+
+    Every candidate is checked as validate_dag checks a Dag, and for the first
+    malformed one in input order the same error is raised, or NodeCountMismatch
+    when it has other than num_nodes nodes. num_nodes must be below 63.
+    """
+    D, N = len(candidates), num_nodes
+    nodes = np.fromiter(map(len, candidates), np.int32, D)
+    F = int(nodes.sum())
+    sizes = np.fromiter(map(len, chain.from_iterable(candidates)), np.int32, F)
+    try:
+        bits = np.fromiter(chain.from_iterable(chain.from_iterable(candidates)), np.int64,
+                           int(sizes.sum()))
+    except OverflowError:  # a parent beyond int64 is out of range: check one by one
+        for g in candidates:
+            _check_candidate(g, N)
+        raise
+    starts = np.repeat((np.cumsum(nodes) - nodes).astype(np.int32), nodes)
+    node = np.arange(F, dtype=np.int32) - starts  # the node of each family
+    owner = np.repeat(np.arange(F, dtype=np.int32), sizes)  # the family of each parent
+    # a negative, out-of-range or self parent sets bit N
+    bits[(bits < 0) | (bits >= N) | (bits == node[owner])] = N
+    np.left_shift(1, bits, out=bits)
+    masks = np.zeros(F, np.int64)
+    np.bitwise_or.at(masks, owner, bits)
+    total = np.zeros(F, np.int64)
+    np.add.at(total, owner, bits)  # above the mask where a parent repeats
+    del bits, owner
+    bad_family = (total != masks) | (masks >> N != 0)
+    candidate = np.repeat(np.arange(D, dtype=np.int32), nodes)  # the candidate of each family
+    bad = (nodes != N) | (np.bincount(candidate, bad_family, D) > 0)
+    first_bad = int(np.argmax(bad)) if bad.any() else D
+    # a candidate whose every parent precedes its child is acyclic
+    late = np.bincount(candidate, masks >> (node + 1) != 0, D) > 0
+    for g in np.flatnonzero(late[:first_bad]).tolist():
+        _check_candidate(candidates[g], N)
+    if first_bad < D:
+        _check_candidate(candidates[first_bad], N)
+    return masks.reshape(D, N)
 
 
 def write_json(obj, path) -> None:
@@ -274,7 +323,8 @@ def structure_from_dict(obj: dict) -> tuple[list[Variable], Dag]:
     variables = [Variable(d["name"], json_int(d["cardinality"])) for d in obj["variables"]]
     if not (type(obj["parents"]) is list and set(map(type, obj["parents"])) <= {list}):
         raise ValueError('"parents": expected a list of parent lists')
-    (dag,) = dags_from_json([obj["parents"]])
+    (parents,) = parent_lists_from_json([obj["parents"]])
+    dag = Dag(parents)
     validate_dag(dag)
     if dag.num_nodes != len(variables):
         raise NodeCountMismatch("variables vs parents length")

@@ -14,13 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .data import STATE_SPACE_CAP, marginal
-from .errors import NodeCountMismatch, StateSpaceTooLarge
-from .model import BayesNet, Dag, df_complexity, validate_dag
+from .errors import StateSpaceTooLarge
+from .model import BayesNet, Dag, node_df, parent_masks
 from .sampling import Bernoulli, MissingnessModel, subset_observation_probability
 from .scoring import stacked_nal
 
@@ -122,89 +122,84 @@ def population_nal_of(g: Dag, net0: BayesNet) -> float:
     return population_nal(induced_theta_mcar(g, FamilyTables(net0)))
 
 
-@dataclass(frozen=True)
-class CandidateReport:
-    dag: Dag
-    df: int
-    nal: float
-    is_superset_of_true: bool
-    is_maximizer: bool
-    is_minimal_maximizer: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value to compare by
 class IdentifiabilityReport:
-    """Population-level identifiability analysis over a candidate set."""
+    """Population-level identifiability analysis over a candidate set.
+
+    The arrays hold one entry per candidate, in input order.
+    """
 
     true_nal: float
-    candidates: tuple[CandidateReport, ...]
-    minimal_maximizers: tuple[Dag, ...]
+    df: np.ndarray  # int64
+    nal: np.ndarray  # float64, l(G | G0)
+    is_superset_of_true: np.ndarray  # bool
+    is_maximizer: np.ndarray  # bool: nal within tol of the best
+    is_minimal_maximizer: np.ndarray  # bool: no other maximizer's edges lie inside g's
+    minimal_maximizers: tuple[Dag, ...]  # in candidate order, repeats kept
     identifiable: bool  # the distinct minimal maximizers are exactly {true dag}
+    families: tuple[tuple[int, tuple[int, ...]], ...]  # the distinct (node, parents)
 
 
-def _edge_mask(g: Dag) -> int:
-    """Edge set of g as a bitmask: bit child * N + parent."""
-    N = g.num_nodes
-    return sum(1 << (i * N + p) for i, ps in enumerate(g.parents) for p in ps)
+def _parents_of(mask: int) -> tuple[int, ...]:
+    return tuple(p for p in range(mask.bit_length()) if mask >> p & 1)
 
 
 def check_identifiability(
     net0: BayesNet,
-    candidates: Sequence[Dag],
+    candidates: Sequence[Sequence[Sequence[int]]],
     tol: float = 1e-9,
 ) -> IdentifiabilityReport:
-    """Evaluate l(G|G0) over candidates and locate the minimal maximizers.
+    """Evaluate l(G|G0) over candidates, each a list of parent lists (a Dag's
+    parents), and locate the minimal maximizers.
 
-    MCAR missingness leaves the population NAL, hence the report, unchanged.
+    NAL and df are sums over families, so each distinct (node, parent set)
+    family is scored once. MCAR missingness leaves the population NAL, hence
+    the report, unchanged.
     """
     N = net0.num_nodes
-    for g in candidates:
-        if g.num_nodes != N:
-            raise NodeCountMismatch(f"candidate has {g.num_nodes} nodes, the net {N}")
-        validate_dag(g)
-    tables = FamilyTables(net0)
-
-    def nal_of(g: Dag) -> float:
-        return population_nal(induced_theta_mcar(g, tables))
-
-    true_nal = nal_of(net0.dag)
-    values = [nal_of(g) for g in candidates]
-    best = max(values) if values else true_nal
-    maximizer_flags = [abs(v - best) <= tol for v in values]
-    masks = [_edge_mask(g) for g in candidates]
-    # g is minimal unless another maximizer's edges are a proper subset of g's.
-    # In edge-count order only the minimal masks found so far need comparing:
-    # a maximizer above another one also lies above a minimal one.
-    minimal_masks: set[int] = set()
-    for m in sorted({m for m, f in zip(masks, maximizer_flags) if f}, key=int.bit_count):
-        if not any(h & ~m == 0 for h in minimal_masks):
-            minimal_masks.add(m)
-    minimal = [g for g, m in zip(candidates, masks) if m in minimal_masks]
-    reports = []
-    true_mask = _edge_mask(net0.dag)
-    for g, v, f, m in zip(candidates, values, maximizer_flags, masks):
-        reports.append(
-            CandidateReport(
-                dag=g,
-                df=df_complexity(g, net0.variables),
-                nal=v,
-                is_superset_of_true=true_mask & ~m == 0,
-                is_maximizer=f,
-                is_minimal_maximizer=m in minimal_masks,
-            )
-        )
+    tables = FamilyTables(net0)  # refuses N above 24, so every key below fits int64
+    true_nal = population_nal(induced_theta_mcar(net0.dag, tables))
+    masks = parent_masks(candidates, N)
+    del candidates  # the parsed lists go before scoring
+    keys, owner = np.unique((np.arange(N, dtype=np.int64) << N) | masks, return_inverse=True)
+    owner = owner.reshape(masks.shape).astype(np.int32)
+    families = tuple((key >> N, _parents_of(key & ((1 << N) - 1))) for key in keys.tolist())
+    family_nal = np.array([tables.node_table(i, ps).nal for i, ps in families])
+    family_df = np.array([node_df(i, ps, net0.variables) for i, ps in families], np.int64)
+    # the floats population_nal sums, so each candidate's NAL is bit-identical to it
+    nal = np.fromiter(map(math.fsum, family_nal[owner].tolist()), np.float64, len(owner))
+    best = nal.max() if len(nal) else true_nal
+    is_maximizer = np.abs(nal - best) <= tol
+    # g is minimal unless another maximizer's edges lie inside g's. The
+    # maximizer with the fewest edges is minimal; drop everything above it
+    # and repeat on the rest.
+    edges = np.array([len(ps) for _, ps in families], np.int32)[owner].sum(axis=1)
+    minimal = np.zeros(len(masks), bool)
+    rest = np.flatnonzero(is_maximizer)
+    while len(rest):
+        low = masks[rest[np.argmin(edges[rest])]]
+        minimal[rest[(masks[rest] == low).all(axis=1)]] = True
+        rest = rest[((low & ~masks[rest]) != 0).any(axis=1)]
+    (true_mask,) = parent_masks([net0.dag.parents], N)
     return IdentifiabilityReport(
         true_nal=true_nal,
-        candidates=tuple(reports),
-        minimal_maximizers=tuple(minimal),
-        identifiable=minimal_masks == {true_mask},  # repeated candidates share a mask
+        df=family_df[owner].sum(axis=1),
+        nal=nal,
+        is_superset_of_true=((true_mask & ~masks) == 0).all(axis=1),
+        is_maximizer=is_maximizer,
+        is_minimal_maximizer=minimal,
+        minimal_maximizers=tuple(Dag(map(_parents_of, masks[g].tolist()))
+                                 for g in np.flatnonzero(minimal)),
+        identifiable=bool(minimal.any()) and bool((masks[minimal] == true_mask).all()),
+        families=families,
     )
 
 
 def beta_of_collection(
-    candidates: Sequence[Dag], missing: MissingnessModel | None, num_vars: int
+    families: Iterable[tuple[int, Sequence[int]]], missing: MissingnessModel | None,
+    num_vars: int
 ) -> float:
-    """Minimum positive observation probability over candidates and nodes."""
-    families = {(i, parents) for g in candidates for i, parents in enumerate(g.parents)}
-    probs = [observation_probability(i, ps, missing, num_vars) for i, ps in families]
+    """Minimum positive observation probability over (node, parents) families,
+    such as an IdentifiabilityReport's distinct families."""
+    probs = (observation_probability(i, ps, missing, num_vars) for i, ps in families)
     return min((p for p in probs if p > 0), default=1.0)

@@ -13,7 +13,10 @@ part of the package:
 * a family's marginal of the true joint, summed out and moved into its
   (q_i, q_pa) layout with numpy's own axis tools, its conditional tables,
   the joint distribution a candidate DAG induces from a true net through
-  them, and the subgraph and order-compatibility relations between DAGs.
+  them, and the subgraph and order-compatibility relations between DAGs;
+* the identifiability report and beta built one candidate DAG at a time,
+  each candidate's NAL summed over its own families and its df counted by
+  df_complexity.
 
 Only public package names are used here.
 """
@@ -27,7 +30,15 @@ from typing import Sequence
 import numpy as np
 
 from nalearn import BayesNet, Cpt, Dag, Dataset, SufficientCounts, count_sufficient_stats
-from nalearn import FamilyTables, induced_theta_mcar, joint_distribution
+from nalearn import (
+    FamilyTables,
+    df_complexity,
+    induced_theta_mcar,
+    joint_distribution,
+    observation_probability,
+    population_nal,
+    validate_dag,
+)
 from nalearn.errors import NalearnError, NodeCountMismatch, SchemaMismatch
 from nalearn.scoring import NEG_INFINITY
 
@@ -184,3 +195,73 @@ def is_compatible_with_order(dag: Dag, order: Sequence[int]) -> bool:
     """True iff every parent precedes its child in the given node order."""
     rank = {node: r for r, node in enumerate(order)}
     return all(rank[p] < rank[i] for i, ps in enumerate(dag.parents) for p in ps)
+
+
+# ---------------------------------------------------------------------------
+# The identifiability report, one candidate DAG at a time
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CandidateReport:
+    dag: Dag
+    df: int
+    nal: float
+    is_superset_of_true: bool
+    is_maximizer: bool
+    is_minimal_maximizer: bool
+
+
+@dataclass(frozen=True)
+class IdentifiabilityReport:
+    true_nal: float
+    candidates: tuple[CandidateReport, ...]
+    minimal_maximizers: tuple[Dag, ...]
+    identifiable: bool  # the distinct minimal maximizers are exactly {true dag}
+
+
+def _edge_mask(g: Dag) -> int:
+    """Edge set of g as a bitmask: bit child * N + parent."""
+    N = g.num_nodes
+    return sum(1 << (i * N + p) for i, ps in enumerate(g.parents) for p in ps)
+
+
+def check_identifiability(net0: BayesNet, candidates: Sequence[Dag],
+                          tol: float = 1e-9) -> IdentifiabilityReport:
+    """l(G|G0) of each candidate Dag and the minimal maximizers, by a pairwise scan."""
+    N = net0.num_nodes
+    for g in candidates:
+        if g.num_nodes != N:
+            raise NodeCountMismatch(f"candidate has {g.num_nodes} nodes, the net {N}")
+        validate_dag(g)
+    tables = FamilyTables(net0)
+
+    def nal_of(g: Dag) -> float:
+        return population_nal(induced_theta_mcar(g, tables))
+
+    true_nal = nal_of(net0.dag)
+    values = [nal_of(g) for g in candidates]
+    best = max(values) if values else true_nal
+    maximizer_flags = [abs(v - best) <= tol for v in values]
+    masks = [_edge_mask(g) for g in candidates]
+    maximizer_masks = {m for m, f in zip(masks, maximizer_flags) if f}
+    minimal_masks = {m for m in maximizer_masks
+                     if not any(h != m and h & ~m == 0 for h in maximizer_masks)}
+    true_mask = _edge_mask(net0.dag)
+    reports = tuple(
+        CandidateReport(dag=g, df=df_complexity(g, net0.variables), nal=v,
+                        is_superset_of_true=true_mask & ~m == 0, is_maximizer=f,
+                        is_minimal_maximizer=m in minimal_masks)
+        for g, v, f, m in zip(candidates, values, maximizer_flags, masks))
+    return IdentifiabilityReport(
+        true_nal=true_nal,
+        candidates=reports,
+        minimal_maximizers=tuple(g for g, m in zip(candidates, masks) if m in minimal_masks),
+        identifiable=minimal_masks == {true_mask},
+    )
+
+
+def beta_of_collection(candidates: Sequence[Dag], missing, num_vars: int) -> float:
+    """Minimum positive observation probability over every candidate's every family."""
+    probs = [observation_probability(i, ps, missing, num_vars)
+             for g in candidates for i, ps in enumerate(g.parents)]
+    return min((p for p in probs if p > 0), default=1.0)

@@ -560,6 +560,14 @@ _CHECK_WITHOUT_REFERENCE = [
     *[(_SAMPLE_FROM, {**_NET_DICT, "cpt": [table, _NET_DICT["cpt"][1]]})
       for table in [[["0.4", "0.6"]], [[True, False]]]],
     (_SAMPLE_FROM, {**_NET_DICT, "cpt": "ab"}),
+    # candidates the bulk check must refuse: a parent beyond int64 and a negative
+    # one, a self-loop, a three-node cycle, and a node-count mismatch in the
+    # second candidate
+    *[(_CANDIDATES, [[[], [parent]], [[], []]]) for parent in [2**70, -1]],
+    (_CANDIDATES, [[[0], []]]),
+    (["population", "--net", "{net8}", "--candidates", "{config}"],
+     [[[2], [0], [1], [], [], [], [], []]]),
+    (_CANDIDATES, [[[], []], [[]]]),
 ])
 def test_malformed_spec_exit_2(two_node_files, tmp_path, capsys, argv, config):
     _, net_path, _ = two_node_files
@@ -574,6 +582,37 @@ def test_malformed_spec_exit_2(two_node_files, tmp_path, capsys, argv, config):
     code, _, err = run(capsys, [arg.format(**paths) for arg in argv])
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def population_of(capsys, net_path, path, candidates):
+    path.write_text(json.dumps(candidates))
+    return run(capsys, ["population", "--net", str(net_path), "--candidates", str(path)])
+
+
+def test_the_first_bad_candidate_names_its_own_error(two_node_files, tmp_path, capsys):
+    # candidate 1 repeats a parent, but candidate 0's cycle comes first
+    _, net_path, _ = two_node_files
+    code, out, err = population_of(capsys, net_path, tmp_path / "candidates.json",
+                                   [[[1], [0]], [[], [0, 0]]])
+    assert (code, out, err) == (2, "", "error: directed cycle through nodes [0, 1]\n")
+
+
+def test_integral_float_parents_print_the_rows_of_ints(two_node_files, tmp_path, capsys):
+    _, net_path, _ = two_node_files
+    floats = population_of(capsys, net_path, tmp_path / "floats.json",
+                           [[[], [0.0]], [[1.0], []], [[], []]])
+    ints = population_of(capsys, net_path, tmp_path / "ints.json", [[[], [0]], [[1], []], [[], []]])
+    assert floats == ints and ints[0] == 0
+
+
+def test_a_candidate_outside_the_identity_order_prints_its_row(two_node_files, tmp_path,
+                                                               capsys):
+    # X2 -> X1 is acyclic and a maximizer, but not the (empty) true DAG
+    _, net_path, _ = two_node_files
+    code, out, _ = population_of(capsys, net_path, tmp_path / "candidates.json", [[[1], []]])
+    assert code == 0
+    assert out == ("dag,df,population_nal,is_superset_of_true,maximizer\n"
+                   "0,3,-1.28387596906,1,1\n# beta = 1\n# identifiable = False\n")
 
 
 @pytest.mark.parametrize("argv, doc, shape", [

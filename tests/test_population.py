@@ -29,11 +29,18 @@ from nalearn import (
 from nalearn.errors import CycleDetected, MalformedParents, NodeCountMismatch, StateSpaceTooLarge
 from nalearn.networks import eight_node_net
 from nalearn.population import observation_probability
+from nalearn.sampling import parse_missingness
 from nalearn.scoring import node_nal_from_counts
 from nalearn.search import SearchSpace
 
+import oracles
 from oracles import conditional, family_marginal, induced_joint, is_subgraph
 from util import all_dags, random_net
+
+
+def families(*dags):
+    """The distinct (node, parents) families of dags."""
+    return {(i, ps) for g in dags for i, ps in enumerate(g.parents)}
 
 
 def entropy(ps):
@@ -127,7 +134,8 @@ def test_induced_theta_bernoulli_observation_probability():
     assert observation_probability(1, (0,), missing, 2) == pytest.approx(0.75)
     assert observation_probability(0, (), missing, 2) == pytest.approx(0.75)
     assert observation_probability(1, (), missing, 2) == 1.0
-    assert beta_of_collection([two_node_chain_dag()], missing, 2) == pytest.approx(0.75)
+    assert beta_of_collection(enumerate(two_node_chain_dag().parents), missing, 2) == \
+        pytest.approx(0.75)
     with pytest.raises(TypeError):  # the tables take no missingness: MCAR leaves them unchanged
         induced_theta_mcar(two_node_chain_dag(), FamilyTables(two_node_net()), missing)
 
@@ -203,10 +211,10 @@ def test_law_of_large_numbers():
 
 def test_identifiability_two_node_independent():
     net = two_node_net()
-    report = check_identifiability(net, [Dag([[], []]), two_node_chain_dag()])
+    report = check_identifiability(net, [Dag([[], []]).parents, two_node_chain_dag().parents])
     assert report.identifiable
     assert report.minimal_maximizers == (Dag([[], []]),)
-    assert all(c.is_maximizer for c in report.candidates)
+    assert report.is_maximizer.all()
 
 
 def test_identifiability_order_compatible_three_node():
@@ -216,7 +224,7 @@ def test_identifiability_order_compatible_three_node():
     ]
     for trial in range(10):
         net = random_net(3, rng)
-        report = check_identifiability(net, order_compatible)
+        report = check_identifiability(net, [g.parents for g in order_compatible])
         assert net.dag in report.minimal_maximizers
         for g in report.minimal_maximizers:
             assert population_nal_of(g, net) == pytest.approx(report.true_nal, abs=1e-9)
@@ -224,26 +232,26 @@ def test_identifiability_order_compatible_three_node():
 
 def test_identifiability_candidate_set_missing_truth():
     net = dependent_two_node()
-    report = check_identifiability(net, [Dag([[], []])])
+    report = check_identifiability(net, [Dag([[], []]).parents])
     assert not report.identifiable
-    assert report.candidates[0].nal < report.true_nal - 1e-6
+    assert report.nal[0] < report.true_nal - 1e-6
 
 
 def test_beta_complete_is_one():
-    assert beta_of_collection([Dag([[], []])], None, 2) == 1.0
+    assert beta_of_collection(enumerate(Dag([[], []]).parents), None, 2) == 1.0
 
 
 def test_beta_bernoulli():
     beta = beta_of_collection(
-        [Dag([[], []]), two_node_chain_dag()], Bernoulli((0.75, 1.0)), 2
+        families(Dag([[], []]), two_node_chain_dag()), Bernoulli((0.75, 1.0)), 2
     )
     assert beta == pytest.approx(0.75)
 
 
 def test_beta_kper_matches_paper():
     # any candidate with a (node + 2 parents) block gives the s = 3 value
-    candidates = [Dag([[0, 1] if i == 2 else [] for i in range(37)])]
-    beta = beta_of_collection(candidates, KPerRecord(2), 37)
+    candidate = Dag([[0, 1] if i == 2 else [] for i in range(37)])
+    beta = beta_of_collection(enumerate(candidate.parents), KPerRecord(2), 37)
     assert abs(beta - 0.8423) < 5e-4
 
 
@@ -276,17 +284,17 @@ def test_identifiability_nal_equals_population_nal_of():
     net8 = eight_node_net()
     nets.append((net8, one_toggle_neighbourhood(net8.dag)))
     for net, candidates in nets:
-        report = check_identifiability(net, candidates)
+        report = check_identifiability(net, [g.parents for g in candidates])
         assert report.true_nal == population_nal_of(net.dag, net)
-        for g, cand in zip(candidates, report.candidates):
-            assert cand.dag == g
-            assert cand.nal == population_nal_of(g, net)
-            assert cand.is_superset_of_true == is_subgraph(net.dag, g)
+        assert len(report.nal) == len(candidates)
+        for k, g in enumerate(candidates):
+            assert report.nal[k] == population_nal_of(g, net)
+            assert report.is_superset_of_true[k] == is_subgraph(net.dag, g)
 
 
-def pairwise_minimal_maximizers(report):
+def pairwise_minimal_maximizers(candidates, report):
     """The pairwise is_subgraph scan over the maximizers (the reference)."""
-    maximizers = [c.dag for c in report.candidates if c.is_maximizer]
+    maximizers = [g for g, f in zip(candidates, report.is_maximizer) if f]
     return tuple(
         g for g in maximizers if not any(h != g and is_subgraph(h, g) for h in maximizers)
     )
@@ -300,13 +308,11 @@ def test_minimal_maximizers_match_pairwise_scan(tol):
         net = random_net(3, rng)
         candidates = dags + [dags[i] for i in rng.choice(len(dags), size=6)]  # duplicates
         candidates = [candidates[i] for i in rng.permutation(len(candidates))]
-        report = check_identifiability(net, candidates, tol=tol)
-        minimal = pairwise_minimal_maximizers(report)
+        report = check_identifiability(net, [g.parents for g in candidates], tol=tol)
+        minimal = pairwise_minimal_maximizers(candidates, report)
         assert report.minimal_maximizers == minimal
-        assert [c.is_minimal_maximizer for c in report.candidates] == [
-            c.dag in minimal for c in report.candidates
-        ]
-    report = check_identifiability(two_node_net(), [Dag([[], []])] * 2, tol=tol)
+        assert report.is_minimal_maximizer.tolist() == [g in minimal for g in candidates]
+    report = check_identifiability(two_node_net(), [Dag([[], []]).parents] * 2, tol=tol)
     assert report.minimal_maximizers == (Dag([[], []]),) * 2
     assert report.identifiable  # the repeated true DAG is one minimal maximizer
 
@@ -315,19 +321,19 @@ def test_identifiability_with_the_true_dag_repeated():
     net = eight_node_net()
     superset = Dag(ps + (0,) if i == 3 else ps for i, ps in enumerate(net.dag.parents))
     candidates = [net.dag, superset, net.dag, Dag([[]] * 8)]
-    report = check_identifiability(net, candidates)
-    assert [c.is_maximizer for c in report.candidates] == [True, True, True, False]
+    report = check_identifiability(net, [g.parents for g in candidates])
+    assert report.is_maximizer.tolist() == [True, True, True, False]
     assert report.minimal_maximizers == (net.dag, net.dag)
     assert report.identifiable
     # a repeated DAG that is not the truth still leaves the net unidentified
     chain = two_node_chain_dag()
-    assert not check_identifiability(two_node_net(), [chain, chain]).identifiable
+    assert not check_identifiability(two_node_net(), [chain.parents] * 2).identifiable
 
 
 def test_identifiability_empty_candidate_list():
     net = dependent_two_node()
     report = check_identifiability(net, [])
-    assert report.candidates == ()
+    assert len(report.nal) == len(report.df) == len(report.is_maximizer) == 0
     assert report.minimal_maximizers == ()
     assert not report.identifiable
     assert report.true_nal == population_nal_of(net.dag, net)
@@ -336,7 +342,7 @@ def test_identifiability_empty_candidate_list():
 def test_identifiability_rejects_a_candidate_of_another_size():
     for candidate in (Dag([[]]), Dag([[], [0], [1]])):
         with pytest.raises(NodeCountMismatch):
-            check_identifiability(dependent_two_node(), [Dag([[], []]), candidate])
+            check_identifiability(dependent_two_node(), [[[], []], candidate.parents])
 
 
 @pytest.mark.parametrize("parents, error", [
@@ -346,7 +352,7 @@ def test_identifiability_rejects_a_candidate_of_another_size():
 ])
 def test_identifiability_validates_every_candidate(parents, error):
     with pytest.raises(error):
-        check_identifiability(dependent_two_node(), [Dag([[], []]), Dag(parents)])
+        check_identifiability(dependent_two_node(), [[[], []], parents])
 
 
 def test_identifiability_builds_the_joint_once(monkeypatch):
@@ -360,7 +366,7 @@ def test_identifiability_builds_the_joint_once(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(nalearn.population, "_joint_array", counted)
-    check_identifiability(dependent_two_node(), all_dags(2) * 3)
+    check_identifiability(dependent_two_node(), [g.parents for g in all_dags(2) * 3])
     assert len(calls) == 1
     population_nal_of(Dag([[], []]), dependent_two_node())  # no tables: one per call
     assert len(calls) == 2
@@ -374,7 +380,8 @@ def test_family_tables_share_read_only_node_tables():
     assert chain[0] is empty[0]  # family (0, ()) is marginalized once
     again = induced_theta_mcar(two_node_chain_dag(), tables)
     assert again[1] is chain[1]  # under any masking, whose theta_i is beta's alone
-    assert beta_of_collection([two_node_chain_dag()], Bernoulli((0.75, 1.0)), 2) == 0.75
+    assert beta_of_collection(enumerate(two_node_chain_dag().parents), Bernoulli((0.75, 1.0)),
+                              2) == 0.75
     for entry in chain + empty:
         with pytest.raises(ValueError):
             entry.marginal[0, 0] = 0.5
@@ -387,12 +394,56 @@ def test_beta_visits_each_family_once(monkeypatch):
 
     original = nalearn.population.observation_probability
     dags = all_dags(3) * 2
+    report = check_identifiability(random_net(3, np.random.default_rng(71)),
+                                   [g.parents for g in dags])
     for missing in (None, KPerRecord(1), Bernoulli((0.5, 0.0, 0.9)), Bernoulli((0.0,) * 3)):
-        # the per-candidate, per-node loop (the reference)
-        probs = [original(i, ps, missing, 3) for g in dags for i, ps in enumerate(g.parents)]
-        expect = min((p for p in probs if p > 0), default=1.0)
+        expect = oracles.beta_of_collection(dags, missing, 3)  # per candidate, per node
         calls = []
         monkeypatch.setattr(nalearn.population, "observation_probability",
                             lambda *args: calls.append(args) or original(*args))
-        assert beta_of_collection(dags, missing, 3) == expect
+        assert beta_of_collection(report.families, missing, 3) == expect
         assert len(calls) == len(set(calls)) == 3 * 4  # 3 nodes x 4 parent sets each
+
+
+def random_candidates(net, size, rng):
+    """size DAGs as parent lists in shuffled order: repeats, the truth, supersets
+    of it and DAGs compatible with a random node order."""
+    num = net.num_nodes
+    candidates = []
+    for _ in range(size):
+        kind = int(rng.integers(4))
+        if kind == 0 and candidates:
+            candidates.append(candidates[int(rng.integers(len(candidates)))])
+            continue
+        rank = rng.permutation(num) if kind == 1 else np.arange(num)
+        parents = [{p for p in range(num) if rank[p] < rank[i] and rng.random() < 0.3}
+                   for i in range(num)]
+        if kind >= 2:  # the truth, or a superset of it
+            parents = [set(ps) | s if kind == 2 else set(ps)
+                       for ps, s in zip(net.dag.parents, parents)]
+        candidates.append([rng.permutation(sorted(ps)).tolist() for ps in parents])
+    return candidates
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(num=st.integers(1, 5), size=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       tol=st.sampled_from([1e-9, 0.0]))
+def test_the_array_report_equals_the_per_candidate_oracle(num, size, seed, tol):
+    rng = np.random.default_rng(seed)
+    net = random_net(num, rng, max_card=3)
+    candidates = random_candidates(net, size, rng)
+    report = check_identifiability(net, candidates, tol=tol)
+    dags = [Dag(c) for c in candidates]
+    want = oracles.check_identifiability(net, dags, tol=tol)
+    assert report.true_nal == want.true_nal
+    assert report.nal.tobytes() == np.array([c.nal for c in want.candidates]).tobytes()
+    assert report.df.tolist() == [c.df for c in want.candidates]
+    for flag in ("is_superset_of_true", "is_maximizer", "is_minimal_maximizer"):
+        assert getattr(report, flag).tolist() == [getattr(c, flag) for c in want.candidates]
+    assert report.minimal_maximizers == want.minimal_maximizers
+    assert report.identifiable == want.identifiable
+    probs = ",".join(str(p) for p in rng.choice([0.0, 0.3, 0.75, 1.0], size=num))
+    for spec in ("none", f"bernoulli:{probs}", f"kper:{int(rng.integers(num))}"):
+        missing = parse_missingness(spec, num)
+        assert beta_of_collection(report.families, missing, num) == \
+            oracles.beta_of_collection(dags, missing, num), spec
