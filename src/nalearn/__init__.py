@@ -20,7 +20,6 @@ from .model import (
     validate_dag,
 )
 from .population import (
-    FamilyTables,
     beta_of_collection,
     check_identifiability,
     induced_theta_mcar,

@@ -84,9 +84,13 @@ def cmd_score(args) -> int:
 def _population_candidates(args, net):
     """The candidates of `population` as parent lists: the order-compatible space or a file."""
     if args.candidates != "order":
+        if args.max_parents is not None:
+            raise ConfigError("--max-parents bounds --candidates order only; a candidate "
+                              "file lists its own parents")
         return read_json(args.candidates, parent_lists_from_json)
-    _require_nonnegative(max_parents=args.max_parents)
-    space = SearchSpace(net.dag.topological_order(), args.max_parents)
+    max_parents = 3 if args.max_parents is None else args.max_parents
+    _require_nonnegative(max_parents=max_parents)
+    space = SearchSpace(net.dag.topological_order(), max_parents)
     total = math.prod(map(space.num_candidates, range(net.num_nodes)))
     if total > ORDER_DAG_CAP:
         raise StateSpaceTooLarge(
@@ -222,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--net", required=True)
     p.add_argument("--candidates", required=True, help='"order" or a JSON list file')
     p.add_argument("--missing", default="none", help="none | bernoulli:p,... | kper:k")
-    p.add_argument("--max-parents", type=int, default=3)
+    p.add_argument("--max-parents", type=int, default=None,
+                   help="in-degree bound of --candidates order (default 3)")
     p.set_defaults(func=cmd_population)
 
     p = subs.add_parser("learn", help="learn a structure from data")

@@ -2,10 +2,12 @@
 
 All computations marginalize the exact joint distribution of the generating
 network, so they are limited to at most STATE_SPACE_CAP joint states. A
-family's table is read off the joint by ``data.marginal``, which reads its
-sample counts off a histogram, and scored by the same kernel as those
-counts, ``scoring.stacked_nal``. Under MCAR the records where a family is
-observed follow that marginal whatever the chance theta_i of observing it
+family's table is the plain array ``data.marginal`` reads off the joint, as
+it reads sample counts off a histogram, and it is scored by the same kernel
+as those counts, ``scoring.stacked_nal``: check_identifiability scores each
+node's distinct families side by side in one call, as search does with each
+node's counts. Under MCAR the records where a family is observed follow
+that marginal whatever the chance theta_i of observing it
 (observation_probability), so missingness enters only through beta.
 """
 
@@ -13,13 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .data import STATE_SPACE_CAP, marginal
-from .errors import StateSpaceTooLarge
+from .errors import ConfigError, StateSpaceTooLarge
 from .model import BayesNet, Dag, node_df, parent_masks
 from .sampling import Bernoulli, MissingnessModel, subset_observation_probability
 from .scoring import stacked_nal
@@ -55,20 +58,6 @@ def joint_distribution(net: BayesNet) -> np.ndarray:
     return _joint_array(net).ravel()
 
 
-@dataclass(frozen=True)
-class NodeTable:
-    """The true joint's marginal of one (node, parent set) family."""
-
-    node: int
-    parents: tuple[int, ...]
-    marginal: np.ndarray  # P(X_i = k, Pa_i = j), shape (q_i, q_pa), canonical j order
-
-    @cached_property
-    def nal(self) -> float:
-        """Population negative conditional entropy of the node given its parents."""
-        return float(stacked_nal(self.marginal, [self.marginal.shape[1]])[0][0])
-
-
 def observation_probability(
     node: int, parents: Sequence[int], missing: MissingnessModel | None, N: int
 ) -> float:
@@ -83,43 +72,21 @@ def observation_probability(
     return subset_observation_probability(N, missing.k, len(parents) + 1)
 
 
-class FamilyTables:
-    """Memoizes the NodeTable per (node, parents) for one true net.
-
-    The joint is built once. Pass one instance to every induced_theta_mcar
-    call over the same net so that each family is marginalized, and its
-    NAL evaluated, once however many candidates share it.
-    """
-
-    def __init__(self, net0: BayesNet):
-        self.joint = _joint_array(net0)
-        self.joint.flags.writeable = False
-        self._memo: dict[tuple[int, tuple[int, ...]], NodeTable] = {}
-
-    def node_table(self, node: int, parents: tuple[int, ...]) -> NodeTable:
-        key = (node, parents)
-        hit = self._memo.get(key)
-        if hit is None:
-            table = marginal(self.joint, node, parents, sentinels=False)
-            table.flags.writeable = False  # tables are shared through FamilyTables
-            hit = self._memo[key] = NodeTable(node, parents, table)
-        return hit
+def induced_theta_mcar(g: Dag, joint: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The marginals P(X_i = k, Pa_i = j), of shape (q_i, q_pa), of g's families
+    in node order, read off the true net's joint as _joint_array builds it:
+    the population tables theta(G | G0), the same under every MCAR missingness."""
+    return tuple(marginal(joint, i, ps, sentinels=False) for i, ps in enumerate(g.parents))
 
 
-def induced_theta_mcar(g: Dag, tables: FamilyTables) -> tuple[NodeTable, ...]:
-    """The true net's marginals of g's families, in node order: the population
-    tables theta(G | G0), the same under every MCAR missingness."""
-    return tuple(tables.node_table(i, ps) for i, ps in enumerate(g.parents))
-
-
-def population_nal(tables: Sequence[NodeTable]) -> float:
-    """Population NAL l(G | G0) from the family tables of G."""
-    return math.fsum(t.nal for t in tables)
+def population_nal(tables: Sequence[np.ndarray]) -> float:
+    """Population NAL l(G | G0) from the family marginals of G."""
+    return math.fsum(stacked_nal(t, [t.shape[1]])[0][0] for t in tables)
 
 
 def population_nal_of(g: Dag, net0: BayesNet) -> float:
     """l(G | G0), building the joint of net0 for this call alone."""
-    return population_nal(induced_theta_mcar(g, FamilyTables(net0)))
+    return population_nal(induced_theta_mcar(g, _joint_array(net0)))
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value to compare by
@@ -144,6 +111,17 @@ def _parents_of(mask: int) -> tuple[int, ...]:
     return tuple(p for p in range(mask.bit_length()) if mask >> p & 1)
 
 
+def _family_nals(joint: np.ndarray, families: Sequence[tuple[int, tuple[int, ...]]]
+                 ) -> np.ndarray:
+    """The population NAL of each family, the families sorted node-major: each
+    node's marginals stand side by side in one stacked_nal call."""
+    nal = [np.empty(0)]
+    for node, group in groupby(families, itemgetter(0)):
+        tables = [marginal(joint, node, ps, sentinels=False) for _, ps in group]
+        nal.append(stacked_nal(np.hstack(tables), [t.shape[1] for t in tables])[0])
+    return np.concatenate(nal)
+
+
 def check_identifiability(
     net0: BayesNet,
     candidates: Sequence[Sequence[Sequence[int]]],
@@ -153,18 +131,18 @@ def check_identifiability(
     parents), and locate the minimal maximizers.
 
     NAL and df are sums over families, so each distinct (node, parent set)
-    family is scored once. MCAR missingness leaves the population NAL, hence
-    the report, unchanged.
+    family is scored once, in one stacked_nal call per node. MCAR missingness
+    leaves the population NAL, hence the report, unchanged.
     """
     N = net0.num_nodes
-    tables = FamilyTables(net0)  # refuses N above 24, so every key below fits int64
-    true_nal = population_nal(induced_theta_mcar(net0.dag, tables))
+    joint = _joint_array(net0)  # refuses N above 24, so every key below fits int64
+    true_nal = population_nal(induced_theta_mcar(net0.dag, joint))
     masks = parent_masks(candidates, N)
     del candidates  # the parsed lists go before scoring
     keys, owner = np.unique((np.arange(N, dtype=np.int64) << N) | masks, return_inverse=True)
     owner = owner.reshape(masks.shape).astype(np.int32)
     families = tuple((key >> N, _parents_of(key & ((1 << N) - 1))) for key in keys.tolist())
-    family_nal = np.array([tables.node_table(i, ps).nal for i, ps in families])
+    family_nal = _family_nals(joint, families)
     family_df = np.array([node_df(i, ps, net0.variables) for i, ps in families], np.int64)
     # the floats population_nal sums, so each candidate's NAL is bit-identical to it
     nal = np.fromiter(map(math.fsum, family_nal[owner].tolist()), np.float64, len(owner))
@@ -199,7 +177,14 @@ def beta_of_collection(
     families: Iterable[tuple[int, Sequence[int]]], missing: MissingnessModel | None,
     num_vars: int
 ) -> float:
-    """Minimum positive observation probability over (node, parents) families,
-    such as an IdentifiabilityReport's distinct families."""
-    probs = (observation_probability(i, ps, missing, num_vars) for i, ps in families)
-    return min((p for p in probs if p > 0), default=1.0)
+    """Minimum observation probability over (node, parents) families, such as an
+    IdentifiabilityReport's distinct families; 1 over none. A family that is
+    never observed has no available-case estimate, so it is refused."""
+    beta = 1.0
+    for i, ps in families:
+        prob = observation_probability(i, ps, missing, num_vars)
+        if prob == 0:
+            raise ConfigError(f"node {i} with parents {list(ps)} is never observed "
+                              "under this missingness")
+        beta = min(beta, prob)
+    return beta

@@ -116,12 +116,13 @@ def node_nal_from_counts(counts: SufficientCounts) -> float:
 
 
 def stacked_nal(n_ikj: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(NAL, n_i) of families whose n_ikj stand side by side, family f over
-    widths[f] columns, as ``data.count_families`` yields them. n_ikj holds
-    counts or a probability marginal P(X_i = k, Pa_i = j), either one as
-    ``data.marginal`` reads it off a histogram or the joint; empty columns and
-    families are divided by 1, never by their zero total. On counts each NAL
-    equals ``node_nal_from_counts`` of the family's own counts, bit for bit."""
+    """(NAL, n_i) of one node's families whose n_ikj stand side by side, family
+    f over widths[f] columns: the counts ``data.count_families`` yields, or the
+    probability marginals P(X_i = k, Pa_i = j) that ``data.marginal`` reads
+    off the true joint, one call per node in population.check_identifiability.
+    Empty columns and families are divided by 1, never by their zero total.
+    Each NAL equals this kernel's on the family's table alone, bit for bit,
+    and on counts ``node_nal_from_counts`` of them."""
     n_ij = n_ikj.sum(axis=0)
     ends = np.cumsum(widths)
     n_i = np.add.reduceat(n_ij, ends - widths)

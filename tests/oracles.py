@@ -31,7 +31,6 @@ import numpy as np
 
 from nalearn import BayesNet, Cpt, Dag, Dataset, SufficientCounts, count_sufficient_stats
 from nalearn import (
-    FamilyTables,
     df_complexity,
     induced_theta_mcar,
     joint_distribution,
@@ -39,7 +38,7 @@ from nalearn import (
     population_nal,
     validate_dag,
 )
-from nalearn.errors import NalearnError, NodeCountMismatch, SchemaMismatch
+from nalearn.errors import ConfigError, NalearnError, NodeCountMismatch, SchemaMismatch
 from nalearn.scoring import NEG_INFINITY
 
 _NORM_TOL = 1e-9
@@ -161,6 +160,11 @@ def standard_avg_loglik(data: Dataset, dag: Dag) -> float:
 # Induced joints and relations between DAGs
 # ---------------------------------------------------------------------------
 
+def joint_cube(net0: BayesNet) -> np.ndarray:
+    """The joint of net0 with one axis per variable, node 0 first."""
+    return joint_distribution(net0).reshape([v.cardinality for v in net0.variables])
+
+
 def family_marginal(joint: np.ndarray, node: int, parents: tuple[int, ...]) -> np.ndarray:
     """The (q_i, q_pa) marginal of node and sorted parents, j row-major over the parents."""
     other = tuple(ax for ax in range(joint.ndim) if ax != node and ax not in parents)
@@ -179,8 +183,7 @@ def conditional(marginal: np.ndarray) -> np.ndarray:
 
 def induced_joint(g: Dag, net0: BayesNet) -> np.ndarray:
     """Flat joint of the distribution induced by reading net0 through g."""
-    tables = induced_theta_mcar(g, FamilyTables(net0))
-    cpt = Cpt(conditional(t.marginal).T for t in tables)
+    cpt = Cpt(conditional(t).T for t in induced_theta_mcar(g, joint_cube(net0)))
     return joint_distribution(BayesNet(net0.variables, g, cpt))
 
 
@@ -233,10 +236,10 @@ def check_identifiability(net0: BayesNet, candidates: Sequence[Dag],
         if g.num_nodes != N:
             raise NodeCountMismatch(f"candidate has {g.num_nodes} nodes, the net {N}")
         validate_dag(g)
-    tables = FamilyTables(net0)
+    joint = joint_cube(net0)
 
     def nal_of(g: Dag) -> float:
-        return population_nal(induced_theta_mcar(g, tables))
+        return population_nal(induced_theta_mcar(g, joint))
 
     true_nal = nal_of(net0.dag)
     values = [nal_of(g) for g in candidates]
@@ -261,7 +264,12 @@ def check_identifiability(net0: BayesNet, candidates: Sequence[Dag],
 
 
 def beta_of_collection(candidates: Sequence[Dag], missing, num_vars: int) -> float:
-    """Minimum positive observation probability over every candidate's every family."""
-    probs = [observation_probability(i, ps, missing, num_vars)
-             for g in candidates for i, ps in enumerate(g.parents)]
-    return min((p for p in probs if p > 0), default=1.0)
+    """Minimum observation probability over every candidate's every family;
+    ConfigError naming the first that is never observed."""
+    families = [(i, ps) for g in candidates for i, ps in enumerate(g.parents)]
+    probs = [observation_probability(i, ps, missing, num_vars) for i, ps in families]
+    if 0 in probs:
+        i, ps = families[probs.index(0)]
+        raise ConfigError(f"node {i} with parents {list(ps)} is never observed "
+                          "under this missingness")
+    return min(probs, default=1.0)

@@ -14,7 +14,6 @@ from nalearn import (
     BIC,
     Bernoulli,
     Dag,
-    FamilyTables,
     KPerRecord,
     Penalty,
     SearchSpace,
@@ -29,6 +28,7 @@ from nalearn import (
     joint_distribution,
     learn_structure,
     nal,
+    population_nal,
     population_nal_of,
 )
 from nalearn.experiments import (
@@ -39,7 +39,8 @@ from nalearn.experiments import (
     run_two_node,
 )
 
-from oracles import induced_joint, is_subgraph, q_star_at_maximizer, standard_avg_loglik
+from oracles import (induced_joint, is_subgraph, joint_cube, q_star_at_maximizer,
+                     standard_avg_loglik)
 from util import random_dataset, random_net
 from test_search import brute_force_learn, brute_force_profile
 
@@ -216,15 +217,14 @@ def test_criterion_6_population_properties(capsys):
         if not ok:
             break
         # parent-addition monotonicity of the node population NAL
-        tables = FamilyTables(net)
+        joint = joint_cube(net)
         for node in range(3):
             others = [j for j in range(3) if j != node]
             subsets = [(), (others[0],), (others[1],), tuple(sorted(others))]
             vals = {}
             for parents in subsets:
                 dag = Dag([list(parents) if i == node else [] for i in range(3)])
-                table = induced_theta_mcar(dag, tables)
-                vals[parents] = table[node].nal
+                vals[parents] = population_nal([induced_theta_mcar(dag, joint)[node]])
             for small in subsets:
                 for big in subsets:
                     if set(small) <= set(big) and vals[small] > vals[big] + 1e-9:

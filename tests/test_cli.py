@@ -568,6 +568,10 @@ _CHECK_WITHOUT_REFERENCE = [
     (["population", "--net", "{net8}", "--candidates", "{config}"],
      [[[2], [0], [1], [], [], [], [], []]]),
     (_CANDIDATES, [[[], []], [[]]]),
+    # a family that is never observed: beta would be 0
+    *[(["population", *_NET, "--candidates", "order", "--missing", spec], None)
+      for spec in ["bernoulli:0", "bernoulli:0,1", "kper:1"]],
+    ([*_CANDIDATES, "--max-parents", "1"], [[[], []]]),  # a file lists its own parents
 ])
 def test_malformed_spec_exit_2(two_node_files, tmp_path, capsys, argv, config):
     _, net_path, _ = two_node_files

@@ -29,10 +29,11 @@ from nalearn.data import STATE_SPACE_CAP, count_families
 from nalearn.errors import IndexOutOfRange, SchemaMismatch, StateSpaceTooLarge
 from nalearn.experiments import _replicate, spurious_edge_gain
 from nalearn.networks import benchmark_structure_37, eight_node_net
-from nalearn.population import FamilyTables, induced_theta_mcar
+from nalearn.population import induced_theta_mcar
 from nalearn.scoring import BIC, NEG_INFINITY, node_nal_from_counts, stacked_nal
 from nalearn.search import SearchSpace, learn_structure
 
+from oracles import joint_cube
 from util import on_records, random_dataset
 
 BIN2 = [Variable("X1", 2), Variable("X2", 2)]
@@ -370,8 +371,7 @@ def test_counts_deterministic():
 def test_theta_unbiasedness_monte_carlo():
     """Mean of defined theta-hat entries matches the population table (3 MC se)."""
     net = two_node_net()
-    tables = induced_theta_mcar(net.dag, FamilyTables(net))
-    target = tables[1].marginal[:, 0]  # marginal of X2: (0.3, 0.7)
+    target = induced_theta_mcar(net.dag, joint_cube(net))[1][:, 0]  # X2's marginal (0.3, 0.7)
     reps = 2000
     vals = np.zeros((reps, 2))
     for r in range(reps):

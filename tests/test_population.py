@@ -2,6 +2,7 @@
 
 import math
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from nalearn import (
     Bernoulli,
     Cpt,
     Dag,
-    FamilyTables,
     KPerRecord,
     Variable,
     beta_of_collection,
@@ -22,19 +22,23 @@ from nalearn import (
     forward_sample,
     induced_theta_mcar,
     joint_distribution,
+    population_nal,
     population_nal_of,
     two_node_chain_dag,
     two_node_net,
 )
-from nalearn.errors import CycleDetected, MalformedParents, NodeCountMismatch, StateSpaceTooLarge
+import nalearn.population
+from nalearn.data import marginal
+from nalearn.errors import (ConfigError, CycleDetected, MalformedParents, NodeCountMismatch,
+                            StateSpaceTooLarge)
 from nalearn.networks import eight_node_net
 from nalearn.population import observation_probability
 from nalearn.sampling import parse_missingness
-from nalearn.scoring import node_nal_from_counts
+from nalearn.scoring import node_nal_from_counts, stacked_nal
 from nalearn.search import SearchSpace
 
 import oracles
-from oracles import conditional, family_marginal, induced_joint, is_subgraph
+from oracles import conditional, family_marginal, induced_joint, is_subgraph, joint_cube
 from util import all_dags, random_net
 
 
@@ -116,15 +120,15 @@ def test_induced_joint_empty_dag_is_product_of_marginals():
 
 def test_induced_theta_true_dag_matches_cpt():
     net = dependent_two_node()
-    tables = induced_theta_mcar(net.dag, FamilyTables(net))
-    np.testing.assert_allclose(conditional(tables[1].marginal), net.cpt.tables[1].T, atol=1e-12)
+    tables = induced_theta_mcar(net.dag, joint_cube(net))
+    np.testing.assert_allclose(conditional(tables[1]), net.cpt.tables[1].T, atol=1e-12)
     assert observation_probability(0, (), None, 2) == 1.0  # complete data observes every family
 
 
 def test_induced_theta_independent_net_chain_candidate():
     net = two_node_net()
-    tables = induced_theta_mcar(two_node_chain_dag(), FamilyTables(net))
-    theta = conditional(tables[1].marginal)
+    tables = induced_theta_mcar(two_node_chain_dag(), joint_cube(net))
+    theta = conditional(tables[1])
     np.testing.assert_allclose(theta[:, 0], [0.3, 0.7], atol=1e-12)
     np.testing.assert_allclose(theta[:, 1], [0.3, 0.7], atol=1e-12)
 
@@ -137,7 +141,7 @@ def test_induced_theta_bernoulli_observation_probability():
     assert beta_of_collection(enumerate(two_node_chain_dag().parents), missing, 2) == \
         pytest.approx(0.75)
     with pytest.raises(TypeError):  # the tables take no missingness: MCAR leaves them unchanged
-        induced_theta_mcar(two_node_chain_dag(), FamilyTables(two_node_net()), missing)
+        induced_theta_mcar(two_node_chain_dag(), joint_cube(two_node_net()), missing)
 
 
 def test_population_nal_independent_net():
@@ -171,42 +175,57 @@ def test_every_eight_node_family_nal_matches_the_conditional_entropy():
     # all 162 families of the eight-node net's order at max_parents 3; the
     # kernel divides by the joint's total, 1 + 2**-52, which the formula does not
     net = eight_node_net()
-    tables = FamilyTables(net)
+    joint = joint_cube(net)
     space = SearchSpace(list(range(8)), 3)
     families = [(i, ps) for i in range(8) for ps in space.candidate_parent_sets(i)]
     assert len(families) == 162
     for node, parents in families:
-        table = tables.node_table(node, parents)
-        want = kernel_free_nal(table.marginal)
-        assert abs(table.nal - want) <= 1e-15, (node, parents)
-        assert f"{table.nal:.12g}" == f"{want:.12g}", (node, parents)
+        table = marginal(joint, node, parents, sentinels=False)
+        got, want = population_nal([table]), kernel_free_nal(table)
+        assert abs(got - want) <= 1e-15, (node, parents)
+        assert f"{got:.12g}" == f"{want:.12g}", (node, parents)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(num=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
 def test_family_tables_equal_the_oracle_marginal_bit_for_bit(num, seed):
-    """Random nets of 1-5 variables of cardinality 2-4; every family of up to 3 parents."""
+    """Random nets of 1-5 variables of cardinality 2-4; every family of up to 3
+    parents. check_identifiability scores each family among its node's others,
+    bit for bit as stacked_nal scores the family's marginal alone."""
     net = random_net(num, np.random.default_rng(seed), max_card=4)
-    tables = FamilyTables(net)
-    for node in range(num):
-        others = [i for i in range(num) if i != node]
-        for parents in (ps for m in range(min(3, len(others)) + 1)
-                        for ps in combinations(others, m)):
-            got = tables.node_table(node, parents).marginal
-            want = family_marginal(tables.joint, node, parents)
-            assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype,
-                                                              want.tobytes()), (node, parents)
-            assert not got.flags.writeable
+    joint = joint_cube(net)
+    families = [(node, ps) for node in range(num)
+                for others in [[i for i in range(num) if i != node]]
+                for m in range(min(3, len(others)) + 1) for ps in combinations(others, m)]
+    alone = {}
+    for node, parents in families:
+        got = marginal(joint, node, parents, sentinels=False)
+        want = family_marginal(joint, node, parents)
+        assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype,
+                                                          want.tobytes()), (node, parents)
+        alone[node, parents] = stacked_nal(got, [got.shape[1]])[0][0]
+    scored = []
+    real = nalearn.population._family_nals
+
+    def spy(*args):
+        scored.append(real(*args))
+        return scored[-1]
+
+    with mock.patch.object(nalearn.population, "_family_nals", spy):
+        report = check_identifiability(
+            net, [[ps if i == node else () for i in range(num)] for node, ps in families])
+    assert sorted(report.families) == sorted(alone)
+    assert scored[0].tobytes() == np.array([alone[f] for f in report.families]).tobytes()
 
 
 def test_law_of_large_numbers():
     rng = np.random.default_rng(47)
     net = random_net(4, rng)
     data = forward_sample(net, 100_000, seed=501)
-    tables = induced_theta_mcar(net.dag, FamilyTables(net))
+    tables = induced_theta_mcar(net.dag, joint_cube(net))
     for node in range(4):
         c = count_sufficient_stats(data, node, net.dag.parents[node])
-        assert abs(node_nal_from_counts(c) - tables[node].nal) < 0.01
+        assert abs(node_nal_from_counts(c) - population_nal([tables[node]])) < 0.01
 
 
 def test_identifiability_two_node_independent():
@@ -372,37 +391,30 @@ def test_identifiability_builds_the_joint_once(monkeypatch):
     assert len(calls) == 2
 
 
-def test_family_tables_share_read_only_node_tables():
-    net = dependent_two_node()
-    tables = FamilyTables(net)
-    chain = induced_theta_mcar(two_node_chain_dag(), tables)
-    empty = induced_theta_mcar(Dag([[], []]), tables)
-    assert chain[0] is empty[0]  # family (0, ()) is marginalized once
-    again = induced_theta_mcar(two_node_chain_dag(), tables)
-    assert again[1] is chain[1]  # under any masking, whose theta_i is beta's alone
-    assert beta_of_collection(enumerate(two_node_chain_dag().parents), Bernoulli((0.75, 1.0)),
-                              2) == 0.75
-    for entry in chain + empty:
-        with pytest.raises(ValueError):
-            entry.marginal[0, 0] = 0.5
-    with pytest.raises(ValueError):
-        tables.joint[0, 0] = 0.5
+def beta_or_refusal(beta, *args):
+    """beta's value, or "refused" where a family is never observed."""
+    try:
+        return beta(*args)
+    except ConfigError:
+        return "refused"
 
 
 def test_beta_visits_each_family_once(monkeypatch):
-    import nalearn.population
-
     original = nalearn.population.observation_probability
     dags = all_dags(3) * 2
     report = check_identifiability(random_net(3, np.random.default_rng(71)),
                                    [g.parents for g in dags])
-    for missing in (None, KPerRecord(1), Bernoulli((0.5, 0.0, 0.9)), Bernoulli((0.0,) * 3)):
-        expect = oracles.beta_of_collection(dags, missing, 3)  # per candidate, per node
+    for missing in (None, Bernoulli((0.5, 0.3, 0.9)), KPerRecord(1), Bernoulli((0.5, 0.0, 0.9)),
+                    Bernoulli((0.0,) * 3)):
+        # per candidate, per node
+        expect = beta_or_refusal(oracles.beta_of_collection, dags, missing, 3)
         calls = []
         monkeypatch.setattr(nalearn.population, "observation_probability",
                             lambda *args: calls.append(args) or original(*args))
-        assert beta_of_collection(report.families, missing, 3) == expect
-        assert len(calls) == len(set(calls)) == 3 * 4  # 3 nodes x 4 parent sets each
+        assert beta_or_refusal(beta_of_collection, report.families, missing, 3) == expect
+        assert len(calls) == len(set(calls))
+        if expect != "refused":  # the refusal stops at the first unobservable family
+            assert len(calls) == 3 * 4  # 3 nodes x 4 parent sets each
 
 
 def random_candidates(net, size, rng):
@@ -445,5 +457,5 @@ def test_the_array_report_equals_the_per_candidate_oracle(num, size, seed, tol):
     probs = ",".join(str(p) for p in rng.choice([0.0, 0.3, 0.75, 1.0], size=num))
     for spec in ("none", f"bernoulli:{probs}", f"kper:{int(rng.integers(num))}"):
         missing = parse_missingness(spec, num)
-        assert beta_of_collection(report.families, missing, num) == \
-            oracles.beta_of_collection(dags, missing, num), spec
+        assert beta_or_refusal(beta_of_collection, report.families, missing, num) == \
+            beta_or_refusal(oracles.beta_of_collection, dags, missing, num), spec
