@@ -23,19 +23,18 @@ with any missing coordinate lands in some last index q, so the cells [:q_i,
 observed: they are the available-case n_ikj, with no row mask. This relies
 on every code lying in [0, q], which the constructor checks.
 
-``count_families`` counts many parent sets of one node. Read off the
-histogram, each set is one marginal. Counted from the records, sets that
-share a prefix (all but their last parent) share one cube: the prefix's
-cube, its code formed in int64, times one wide last digit, on which each
-last parent has its own q + 1 states. A group, a run of such sets whose
-last parents lie side by side on the digit, builds its prefix code once;
-one ``bincount`` then counts the group, or each slice of at most
-CHUNK_BUDGET // max(n, cells) of its sets, where cells is the largest cube
-of one set of the size. One gather through the slice's observed cells
-gives each family's available-case n_ikj. Counts are yielded in runs of at
-least RUN_CELLS cells, so that one-set slices and marginals are scored
-together too. No family's cube may exceed STATE_SPACE_CAP cells, in either
-function.
+``count_families`` counts every non-empty set of at most max_parents of a
+node's sorted predecessors, in the order of ``model.parent_set_lattice``:
+each set of size m extends a prefix of size m - 1 by a later predecessor.
+Read off the histogram, each set is one marginal. Counted from the records,
+the sets of one prefix share one cube: the prefix's cube, its code formed
+in int64 once, times one wide last digit, on which each predecessor has
+its own q + 1 states. One ``bincount`` counts each slice of at most
+CHUNK_BUDGET // max(n, cells) of the prefix's sets, cells the cube of its
+largest family, and one gather through the slice's observed cells gives
+each family's available-case n_ikj. Counts are yielded in runs of at least
+RUN_CELLS cells, so that one-set slices and marginals are scored together
+too. No family's cube may exceed STATE_SPACE_CAP cells, in either function.
 """
 
 from __future__ import annotations
@@ -43,13 +42,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import groupby
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import IndexOutOfRange, SchemaMismatch, StateSpaceTooLarge
-from .model import Variable
+from .model import Variable, parent_set_lattice
 
 MISSING = -1
 MISSING_TOKEN = "NA"
@@ -175,18 +174,8 @@ def count_sufficient_stats(
     data: Dataset, node: int, parents: Sequence[int]
 ) -> SufficientCounts:
     """Tally available-case counts for (node | parents)."""
-    N = data.num_variables
-    if not 0 <= node < N:
-        raise IndexOutOfRange(f"node {node}")
     parents = tuple(sorted(int(p) for p in parents))
-    for p in parents:
-        if not 0 <= p < N:
-            raise IndexOutOfRange(f"parent {p}")
-        if p == node:
-            raise IndexOutOfRange(f"node {node} cannot be its own parent")
-    if len(set(parents)) < len(parents):  # a repeat would add a parent's states twice
-        raise IndexOutOfRange(f"node {node}: parents {list(parents)} repeat a node")
-
+    _check_family(data, node, parents)
     n_ikj = _family_counts(data, node, parents)
     n_ij = n_ikj.sum(axis=0)
     n_i = sum(n_ij.tolist())
@@ -194,13 +183,14 @@ def count_sufficient_stats(
 
 
 def count_families(
-    data: Dataset, node: int, families: Sequence[tuple[int, ...]]
+    data: Dataset, node: int, predecessors: Sequence[int], max_parents: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Available-case counts for (node | parents) of every parent set in families.
+    """Available-case counts for (node | parents) of every non-empty set of at
+    most max_parents of the node's predecessors, in the order of
+    model.parent_set_lattice: by size, then lexicographically.
 
-    Each set is sorted and non-empty; the sets may come in any order, and a
-    repeated set is counted again. Every set is checked, and every family's
-    cube against STATE_SPACE_CAP, before the first count. Yields (n_ikj,
+    The predecessors, strictly increasing, and every family's cube against
+    STATE_SPACE_CAP are checked before the first count. Yields (n_ikj,
     widths) pairs over runs of consecutive sets, each run's counts at least
     RUN_CELLS cells (but the last): n_ikj has shape (q_i, columns) and holds
     the run's families side by side, each over its q_pa = widths[f] columns.
@@ -210,19 +200,23 @@ def count_families(
     not even in its last bit, since ``scoring.stacked_nal`` ends each family
     in one ``math.fsum``.
     """
-    if not 0 <= node < data.num_variables:
-        raise IndexOutOfRange(f"node {node}")
-    levels = []
-    for m, level in groupby(families, key=len):
-        if m == 0:
-            raise IndexOutOfRange(f"node {node}: count_families takes non-empty parent sets")
-        levels.append(np.array(list(level), dtype=np.int64).reshape(-1, m))
-        _check_level(data, node, levels[-1])
-    if not levels:
+    predecessors = [int(p) for p in predecessors]
+    _check_family(data, node, predecessors)
+    radix = data.radix.tolist()
+    widest = list(accumulate([radix[p] for p in reversed(predecessors)], max))[::-1]
+    walk = []  # (prefix, start, per_chunk) of each prefix, per_chunk by its largest family
+    for prefix, start in parent_set_lattice(predecessors, max_parents):
+        cube = radix[node] * math.prod(radix[p] for p in prefix)
+        if cube * widest[start] > STATE_SPACE_CAP:
+            last = next(p for p in predecessors[start:] if cube * radix[p] > STATE_SPACE_CAP)
+            _check_cube_size(node, (*prefix, last), cube * radix[last])
+        walk.append((prefix, start,
+                     max(1, CHUNK_BUDGET // max(data.num_records, cube * widest[start]))))
+    if not walk:
         return
     histogram = data.histogram
-    chunks = (_record_chunks(data, node, levels) if histogram is None
-              else _marginal_chunks(histogram, node, levels))
+    chunks = (_record_chunks(data, node, predecessors, walk) if histogram is None
+              else _marginal_chunks(histogram, node, predecessors, walk))
     run, run_cells = [], 0  # chunks not yet yielded, and their cells of counts
     for chunk in chunks:
         run.append(chunk)
@@ -234,92 +228,64 @@ def count_families(
         yield _joined(run)
 
 
+def _check_family(data: Dataset, node: int, parents: Sequence[int]) -> None:
+    """Refuse a node or parent out of range, or parents that hold the node or
+    are not strictly increasing: a repeat would add a parent's states twice."""
+    N = data.num_variables
+    if not (0 <= node < N and all(0 <= p < N for p in parents) and node not in parents
+            and list(parents) == sorted(set(parents))):
+        raise IndexOutOfRange(f"node {node}: parents {list(parents)} must be in range, "
+                              "strictly increasing and without the node")
+
+
 def _joined(chunks: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
     if len(chunks) == 1:
         return chunks[0]
     return np.concatenate([c for c, _ in chunks], axis=1), np.concatenate([w for _, w in chunks])
 
 
-def _check_level(data: Dataset, node: int, sets: np.ndarray) -> None:
-    """Refuse parent sets of one size that are out of range, unsorted or
-    repeat a parent, or whose cube exceeds STATE_SPACE_CAP."""
-    if not ((sets >= 0) & (sets < data.num_variables) & (sets != node)).all():
-        raise IndexOutOfRange(f"node {node}: parent sets {sets.tolist()} out of range")
-    if (np.diff(sets, axis=1) <= 0).any():
-        raise IndexOutOfRange(f"node {node}: parent sets {sets.tolist()} are not sorted")
-    # a float product is exact up to 2^53, far above the cap
-    big = np.flatnonzero(data.radix[sets].astype(float).prod(axis=1) * data.radix[node]
-                         > STATE_SPACE_CAP)
-    if big.size:
-        parents = sets[big[0]].tolist()
-        _check_cube_size(node, parents, math.prod(data.radix[[node, *parents]].tolist()))
-
-
-def _record_chunks(
-    data: Dataset, node: int, levels: list[np.ndarray]
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """count_families' chunks counted from the records, level by level."""
-    # every last parent in its own range of one wide digit, last[x] after the
-    # states of last[:x]; observed holds the digit's cells but the sentinels,
-    # so last[x]'s observed states start at observed[digit_ends[x] - x]
-    last = np.unique(np.concatenate([sets[:, -1] for sets in levels]))
-    digit_ends = np.concatenate(([0], np.cumsum(data.radix[last])))
-    wide = data.codes[last] + digit_ends[:-1, None]  # row x: last[x] on its own states
-    observed = np.delete(np.arange(digit_ends[-1]), digit_ends[1:] - 1)
-    for sets in levels:
-        yield from _count_level(data, node, sets, last, digit_ends, wide, observed)
-
-
 def _marginal_chunks(
-    histogram: np.ndarray, node: int, levels: list[np.ndarray]
+    histogram: np.ndarray, node: int, predecessors: list[int], walk: list
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """count_families' chunks read off the histogram, one family each."""
-    for sets in levels:
-        for parents in map(tuple, sets.tolist()):
-            n_ikj = marginal(histogram, node, parents)
+    for prefix, start, _ in walk:
+        for p in predecessors[start:]:
+            n_ikj = marginal(histogram, node, (*prefix, p))
             yield n_ikj, np.array(n_ikj.shape[1:])
 
 
-def _count_level(
-    data: Dataset,
-    node: int,
-    sets: np.ndarray,
-    last: np.ndarray,
-    digit_ends: np.ndarray,
-    wide: np.ndarray,
-    observed: np.ndarray,
+def _record_chunks(
+    data: Dataset, node: int, predecessors: list[int], walk: list
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """count_families over checked sets of one size.
+    """count_families' chunks counted from the records, prefix by prefix.
 
-    A group is a run of sets with one prefix whose last parents are
-    consecutive in last, so its sets' rows of wide are one slice. Its prefix
-    code is built once; each slice of at most per_chunk of its sets then
-    costs one multiply and one add over its rows beside the bincount, where
-    counting a family alone extends the code once per parent. A slice's
-    cube is the prefix cube times the span of its digit ranges, and its
-    codes start at cell low, where the first set's range starts.
+    Row x of wide holds predecessor x on its own range of the wide digit,
+    after the states of predecessors[:x], in the digit's narrowest dtype;
+    observed holds the digit's cells but the sentinels, so x's observed
+    states start at observed[ends[x] - x]. A slice of a prefix's sets costs
+    one multiply and one add over its rows beside the bincount; its cube is
+    the prefix cube times the span of its digit ranges, and its codes start
+    at cell low, where the first set's range starts.
     """
-    largest = int((data.radix[node] * data.radix[sets].prod(axis=1)).max())  # one family's cube
-    per_chunk = max(1, CHUNK_BUDGET // max(data.num_records, largest))
+    ends = np.concatenate(([0], np.cumsum(data.radix[predecessors])))
+    wide = data.codes[predecessors].astype(np.min_scalar_type(ends[-1]), copy=False)
+    wide += ends[:-1, None].astype(wide.dtype)
+    observed = np.delete(np.arange(ends[-1]), ends[1:] - 1)
+    states = data.radix[predecessors] - 1
+    ends, radix, k = ends.tolist(), data.radix.tolist(), len(predecessors)
     q_i = data.variables[node].cardinality
-    pos = np.searchsorted(last, sets[:, -1])
-    new_group = np.ones(len(sets), dtype=bool)
-    new_group[1:] = (sets[1:, :-1] != sets[:-1, :-1]).any(axis=1) | (pos[1:] != pos[:-1] + 1)
-    heads = np.append(np.flatnonzero(new_group), len(sets)).tolist()
-    states = data.radix[sets[:, -1]] - 1
-    pos, ends = pos.tolist(), digit_ends.tolist()
-    row_buffer = np.empty((min(per_chunk, len(last)), data.num_records), dtype=np.int64)
+    # the empty prefix takes the most sets per slice
+    row_buffer = np.empty((max(min(per_chunk, k - start) for _, start, per_chunk in walk),
+                           data.num_records), dtype=np.int64)
     prefix_code = np.empty(data.num_records, dtype=np.int64)
-    for head, end in zip(heads[:-1], heads[1:]):
-        prefix = sets[head, :-1].tolist()
-        shape = (q_i + 1, *data.radix[prefix].tolist())
+    for prefix, start, per_chunk in walk:
+        shape = (q_i + 1, *[radix[p] for p in prefix])
         cells = _observed_cells(shape)
         code = _mixed_radix(data, node, prefix, np.int64, prefix_code)
-        for start in range(head, end, per_chunk):
-            stop = min(start + per_chunk, end)
-            x0, x1 = pos[start], pos[start] + stop - start
+        for x0 in range(start, k, per_chunk):
+            x1 = min(x0 + per_chunk, k)
             low, span = ends[x0], ends[x1] - ends[x0]
-            rows = row_buffer[: stop - start]
+            rows = row_buffer[: x1 - x0]
             np.multiply(code, span, out=rows[0], dtype=np.int64)
             np.add(wide[x0 + 1:x1], rows[0], out=rows[1:])
             rows[0] += wide[x0]
@@ -328,7 +294,7 @@ def _count_level(
             digit = observed[low - x0:ends[x1] - x1]
             index = (cells[:, None, :] * span + digit[:, None]).reshape(q_i, -1)
             yield (_available_counts(rows, index, math.prod(shape) * span + low),
-                   cells.shape[1] * states[start:stop])
+                   cells.shape[1] * states[x0:x1])
 
 
 def _family_counts(data: Dataset, node: int, parents: Sequence[int]) -> np.ndarray:

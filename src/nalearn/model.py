@@ -13,8 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from typing import Iterable, Sequence
+from itertools import chain, combinations
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -122,6 +122,19 @@ def df_complexity(dag: Dag, variables: Sequence[Variable]) -> int:
 def node_df(node: int, parents: Sequence[int], variables: Sequence[Variable]) -> int:
     """Per-node parameter count q(Pa_i) * (q(X_i) - 1)."""
     return parent_config_count(parents, variables) * (variables[node].cardinality - 1)
+
+
+def parent_set_lattice(
+    predecessors: Sequence[int], max_parents: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Non-empty subsets of at most max_parents of the sorted predecessors, by
+    size then lexicographically, as (prefix, start) pairs, each for the sets
+    prefix + (p,), p in predecessors[start:]. The prefixes are the sets one
+    size down, in this order, but those that end in the last predecessor."""
+    after = {p: x + 1 for x, p in enumerate(predecessors)}  # where p's extensions start
+    for m in range(min(max_parents, len(predecessors))):
+        for prefix in combinations(predecessors[:-1], m):
+            yield prefix, after[prefix[-1]] if prefix else 0
 
 
 def parent_config_count(parents: Sequence[int], variables: Sequence[Variable]) -> int:

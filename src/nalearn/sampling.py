@@ -98,6 +98,8 @@ def forward_sample(net: BayesNet, n: int, seed: int) -> Dataset:
     at q_i - 1 when a row sums to just under 1. The rows of an (N, n) array of
     codes are filled one variable at a time, and the Dataset keeps the array.
     """
+    if n > (limit := np.iinfo(np.intp).max // (8 * max(1, net.num_nodes))):  # numpy's largest u
+        raise ConfigError(f"{n} records exceed the limit of {limit} for {net.num_nodes} variables")
     rng = np.random.default_rng(seed)
     codes = np.zeros((net.num_nodes, n), dtype=code_dtype(net.variables))
     u = rng.random((n, net.num_nodes))

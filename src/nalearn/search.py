@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
 from .data import Dataset, count_families, count_sufficient_stats
 from .errors import AllCandidatesUnobservable, SchemaMismatch, StateSpaceTooLarge
-from .model import Dag, node_df
+from .model import Dag, parent_set_lattice
 from .pool import pool_map
 from .scoring import (
     NEG_INFINITY,
@@ -71,8 +70,8 @@ class SearchSpace:
         return len(self.order)
 
     def predecessors(self, node: int) -> tuple[int, ...]:
-        rank = self.order.index(node)
-        return self.order[:rank]
+        """The nodes before node in the order, sorted."""
+        return tuple(sorted(self.order[:self.order.index(node)]))
 
     def num_candidates(self, node: int) -> int:
         """len(candidate_parent_sets(node)), without listing them."""
@@ -80,11 +79,12 @@ class SearchSpace:
         return sum(math.comb(m, k) for k in range(min(self.max_parents, m) + 1))
 
     def candidate_parent_sets(self, node: int) -> list[tuple[int, ...]]:
-        """Subsets of predecessors, by size then lexicographic order."""
-        preds = sorted(self.predecessors(node))
-        out: list[tuple[int, ...]] = []
-        for m in range(min(self.max_parents, len(preds)) + 1):
-            out.extend(combinations(preds, m))
+        """Subsets of predecessors by size, then lexicographically: (), then parent_set_lattice."""
+        preds = self.predecessors(node)
+        singles = [(p,) for p in preds]
+        out: list[tuple[int, ...]] = [()]
+        for prefix, start in parent_set_lattice(preds, self.max_parents):
+            out.extend(map(prefix.__add__, singles[start:]))  # prefix + (p,), p in preds[start:]
         return out
 
 
@@ -104,13 +104,10 @@ def _node_table(shared: tuple[Dataset, SearchSpace], node: int
     extends a prefix and is scored in chunks by count_families.
     """
     data, space = shared
-    candidates = space.candidate_parent_sets(node)
-    root = count_sufficient_stats(data, node, candidates[0])
-    nal = [np.array([node_nal_from_counts(root)])]
-    n_i = [np.array([root.n_i])]
-    df = [np.array([node_df(node, root.parents, data.variables)])]
+    root = count_sufficient_stats(data, node, ())
     q_i = data.variables[node].cardinality
-    for n_ikj, widths in count_families(data, node, candidates[1:]):
+    nal, n_i, df = [[node_nal_from_counts(root)]], [[root.n_i]], [[q_i - 1]]
+    for n_ikj, widths in count_families(data, node, space.predecessors(node), space.max_parents):
         chunk_nal, chunk_n_i = stacked_nal(n_ikj, widths)
         nal.append(chunk_nal)
         n_i.append(chunk_n_i)
@@ -129,7 +126,7 @@ def _tables(data: Dataset, space: SearchSpace, nodes: Sequence[int]
     """
     if space.num_nodes != data.num_variables:
         raise SchemaMismatch("search space and data disagree on node count")
-    keys = [(node, tuple(sorted(space.predecessors(node))), space.max_parents) for node in nodes]
+    keys = [(node, space.predecessors(node), space.max_parents) for node in nodes]
     missing = [key for key in keys if key not in data.family_scores]
     costs = [space.num_candidates(node) * data.num_records for node, _, _ in missing]
     data.family_scores.update(zip(missing, pool_map(

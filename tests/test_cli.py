@@ -146,10 +146,11 @@ def test_learn_and_compare(two_node_files, tmp_path, capsys):
 
 
 def test_learn_profile_counts_each_candidate_once(tmp_path, capsys, monkeypatch):
-    """Each node's empty set is counted on its own, every larger set in a batch."""
+    """Each node's empty set is counted on its own, every larger set in one
+    batch per node."""
     import nalearn.search
 
-    calls = []
+    calls, batches, counted = [], [], {}
     real_one = nalearn.search.count_sufficient_stats
     real_batch = nalearn.search.count_families
 
@@ -157,12 +158,10 @@ def test_learn_profile_counts_each_candidate_once(tmp_path, capsys, monkeypatch)
         calls.append((node, tuple(parents)))
         return real_one(data, node, parents)
 
-    def counting_batch(data, node, families):
-        families = list(families)
-        done = 0
-        for n_ikj, widths in real_batch(data, node, families):
-            calls.extend((node, tuple(ps)) for ps in families[done:done + len(widths)])
-            done += len(widths)
+    def counting_batch(data, node, predecessors, max_parents):
+        batches.append((node, tuple(predecessors), max_parents))
+        for n_ikj, widths in real_batch(data, node, predecessors, max_parents):
+            counted[node] = counted.get(node, 0) + len(widths)
             yield n_ikj, widths
 
     monkeypatch.setattr(nalearn.search, "count_sufficient_stats", counting_one)
@@ -170,9 +169,9 @@ def test_learn_profile_counts_each_candidate_once(tmp_path, capsys, monkeypatch)
     code, _ = learn_eight_node(tmp_path, capsys, 5)
     assert code == 0
     space = SearchSpace(range(8), 3)
-    candidates = [(i, ps) for i in range(8) for ps in space.candidate_parent_sets(i)]
-    assert sorted(calls) == sorted(candidates)
-    assert sorted(c for c in calls if not c[1]) == [(i, ()) for i in range(8)]
+    assert sorted(calls) == [(i, ()) for i in range(8)]
+    assert sorted(batches) == [(i, tuple(range(i)), 3) for i in range(8)]
+    assert counted == {i: space.num_candidates(i) - 1 for i in range(1, 8)}
 
 
 PINNED_PROFILES = [
@@ -572,6 +571,11 @@ _CHECK_WITHOUT_REFERENCE = [
     *[(["population", *_NET, "--candidates", "order", "--missing", spec], None)
       for spec in ["bernoulli:0", "bernoulli:0,1", "kper:1"]],
     ([*_CANDIDATES, "--max-parents", "1"], [[[], []]]),  # a file lists its own parents
+    # more records than numpy can hold
+    pytest.param(["sample", *_NET, "--n", str(10**20), "--seed", "1", "--out", "{out}"], None,
+                 id="sample --n 1e20"),
+    pytest.param(_TWO_NODE, {**_TWO_NODE_CONFIG, "sample_sizes": [1e20]},
+                 id="two-node sample_sizes 1e20"),
 ])
 def test_malformed_spec_exit_2(two_node_files, tmp_path, capsys, argv, config):
     _, net_path, _ = two_node_files

@@ -1,8 +1,9 @@
 """Datasets, sufficient counts and the CSV format."""
 
+import contextlib
 import math
 import tracemalloc
-from itertools import groupby
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -89,12 +90,12 @@ def test_counts_index_errors():
 
 def test_count_families_index_errors():
     data = Dataset([Variable(f"X{i}", 2) for i in range(4)], [(0, 1, 0, 1)] * 3)
-    for node, families in [(4, [(0,)]), (3, [()]), (3, [(0,), (5,)]), (3, [(3,)]),
-                           (3, [(1, 0)]), (3, [(0, 0)])]:
+    for node, predecessors in [(4, [0]), (3, [0, 5]), (3, [-1, 0]), (3, [0, 3]), (3, [1, 0]),
+                               (3, [0, 0])]:
         with pytest.raises(IndexOutOfRange):
-            list(count_families(data, node, families))
-    for families in [[(1,), (0,)], [(0,), (0,)], [(0, 2), (0, 1)]]:  # any order is counted
-        assert sum(len(widths) for _, widths in count_families(data, 3, families)) == 2
+            list(count_families(data, node, predecessors, 2))
+    for predecessors, max_parents in [([], 3), ([0, 1], 0)]:  # an empty lattice
+        assert list(count_families(data, 3, predecessors, max_parents)) == []
 
 
 def _batch_columns(n_ikj, parents, cardinalities):
@@ -104,66 +105,64 @@ def _batch_columns(n_ikj, parents, cardinalities):
     return np.moveaxis(cube, -1, 1).reshape(n_ikj.shape[0], -1)
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    st.integers(0, 2**31),
-    st.lists(st.integers(2, 4), min_size=2, max_size=6),
-    st.sampled_from([0, 1, 5, 40]),
-    st.sampled_from([1, 7, nalearn.data.CHUNK_BUDGET]),
-    st.data(),
-)
-def test_count_families_counts_any_list_one_prefix_per_bincount(seed, cards, n, budget, choose):
-    """Sets shuffled within a size or with sizes interleaved, some repeated and
-    some left out, as the search never lists them: every family's counts
-    equal a call of its own, and no bincount holds more than per_chunk sets
-    or sets of two prefixes."""
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 7, nalearn.data.CHUNK_BUDGET]))
+def test_count_families_walks_the_lattice_one_prefix_per_bincount(seed, budget):
+    """Split by widths, count_families' counts are the node's candidate parent
+    sets but the empty one, in the search's order, each equal to a call of its
+    own, off the histogram and off the records alike, for every max_parents
+    from 0 to beyond the predecessors. Counted from the records, no bincount
+    holds sets of two prefixes or more than per_chunk sets."""
     rng = np.random.default_rng(seed)
+    cards = rng.integers(2, 5, size=rng.integers(1, 7)).tolist()
     variables = [Variable(f"X{i}", q) for i, q in enumerate(cards)]
+    n = [0, 1, 5, 40, math.prod(q + 1 for q in cards)][rng.integers(5)]  # the last has a histogram
     data = random_dataset(variables, n, rng, 0.3)
-    space = SearchSpace(choose.draw(st.permutations(range(len(cards)))), 3)
-    node = choose.draw(st.integers(0, len(cards) - 1))
-    candidates = space.candidate_parent_sets(node)[1:]
-    if not candidates:
-        return
-    kept = choose.draw(st.integers(1, len(candidates)))
-    families = choose.draw(st.permutations(candidates))[:kept]
-    families += choose.draw(st.lists(st.sampled_from(families), max_size=5))  # repeats
-    families = choose.draw(st.permutations(families))
-    if choose.draw(st.booleans()):  # sizes adjacent, shuffled within a size
-        families.sort(key=len)
-    calls = []  # sets per bincount
+    order = rng.permutation(len(cards)).tolist()
+    rank = int(rng.integers(len(cards)))
+    node, space = order[rank], SearchSpace(order, int(rng.integers(rank + 2)))
+    predecessors = space.predecessors(node)
+    families = space.candidate_parent_sets(node)[1:]
+    largest = {}  # of each prefix, the cube of its largest family
+    for f in families:
+        cube = math.prod(data.radix[[node, *f]].tolist())
+        largest[f[:-1]] = max(largest.get(f[:-1], 0), cube)
     real = nalearn.data._available_counts
+    for records in (False, True):
+        calls = []  # sets per bincount
 
-    def recording(rows, index, size):
-        calls.append(len(rows))
-        return real(rows, index, size)
+        def recording(rows, index, size):
+            calls.append(len(rows))
+            return real(rows, index, size)
 
-    with mock.patch.object(nalearn.data, "CHUNK_BUDGET", budget), \
-            mock.patch.object(nalearn.data, "_available_counts", recording), on_records():
-        counts = []
-        for n_ikj, widths in count_families(data, node, families):
-            counts += np.split(n_ikj, np.cumsum(widths)[:-1], axis=1)
-    assert calls
-    assert len(counts) == len(families) == sum(calls)
-    for parents, got in zip(families, counts):
-        want = count_sufficient_stats(data, node, parents).n_ikj
-        np.testing.assert_array_equal(got, _batch_columns(want, parents, cards))
-    per_chunk = []  # of each family, by the largest cube of its run of one size
-    for _, level in groupby(families, key=len):
-        level = list(level)
-        largest = max(math.prod(data.radix[[node, *f]].tolist()) for f in level)
-        per_chunk += [max(1, budget // max(n, largest))] * len(level)
-    start = 0
-    for size in calls:
-        assert size <= per_chunk[start]
-        assert len({f[:-1] for f in families[start:start + size]}) == 1
-        start += size
+        with mock.patch.object(nalearn.data, "CHUNK_BUDGET", budget), \
+                mock.patch.object(nalearn.data, "_available_counts", recording), \
+                on_records() if records else contextlib.nullcontext():
+            histogram = data.histogram
+            counts, widths = [], []
+            for n_ikj, w in count_families(data, node, predecessors, space.max_parents):
+                counts += np.split(n_ikj, np.cumsum(w)[:-1], axis=1)
+                widths += w.tolist()
+        assert len(counts) == len(families)
+        assert widths == [math.prod(cards[p] for p in f) for f in families]
+        for parents, got in zip(families, counts):
+            want = count_sufficient_stats(data, node, parents).n_ikj
+            np.testing.assert_array_equal(
+                got, want if histogram is not None else _batch_columns(want, parents, cards))
+        assert sum(calls) == (len(families) if histogram is None else 0)
+        start = 0
+        for size in calls:
+            prefixes = {f[:-1] for f in families[start:start + size]}
+            assert len(prefixes) == 1
+            assert size <= max(1, budget // max(n, largest[prefixes.pop()]))
+            start += size
 
 
-def _family_chunks(data, node, families):
-    """count_families' counts, split per family, and its NALs."""
+def _family_chunks(data, node, predecessors):
+    """count_families' counts over every subset of predecessors, split per
+    family, and its NALs."""
     counts, nals = [], []
-    for n_ikj, widths in count_families(data, node, families):
+    for n_ikj, widths in count_families(data, node, predecessors, len(predecessors)):
         counts += np.split(n_ikj, np.cumsum(widths)[:-1], axis=1)
         nals += stacked_nal(n_ikj, widths)[0].tolist()
     return counts, nals
@@ -190,8 +189,7 @@ def test_histogram_counts_equal_record_counts(draw):
     assert (data.histogram is not None) == (cells <= n)
     for node in range(len(cards)):
         others = [i for i in range(len(cards)) if i != node]
-        families = [tuple(p for b, p in enumerate(others) if bits >> b & 1)
-                    for bits in range(1, 1 << len(others))]
+        families = [ps for m in range(1, len(others) + 1) for ps in combinations(others, m)]
         for parents in [(), *families]:
             got = count_sufficient_stats(data, node, parents)
             with on_records():
@@ -205,9 +203,9 @@ def test_histogram_counts_equal_record_counts(draw):
             assert got.n_i > 0 or nal == NEG_INFINITY
         if not families:
             continue
-        got, got_nals = _family_chunks(data, node, families)
+        got, got_nals = _family_chunks(data, node, others)
         with on_records():
-            want, want_nals = _family_chunks(data, node, families)
+            want, want_nals = _family_chunks(data, node, others)
         assert len(got) == len(want) == len(families)
         for parents, a, b in zip(families, got, want):
             # the histogram's columns put the last parent fastest, as one call does
@@ -254,12 +252,30 @@ def test_oversized_count_table_is_refused_before_it_is_allocated():
         tracemalloc.reset_peak()
         with pytest.raises(StateSpaceTooLarge, match="exceeds the cap"):
             count_sufficient_stats(data, 2, [0, 1])
-        with pytest.raises(StateSpaceTooLarge, match="exceeds the cap"):
-            next(count_families(data, 2, [(0,), (1,), (0, 1)]))  # before the first chunk
+        # before the first chunk, naming the first family in order above the cap
+        with pytest.raises(StateSpaceTooLarge, match=r"parents \[0, 1\]: .* exceeds the cap"):
+            next(count_families(data, 2, [0, 1], 2))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # the refused table alone would take 218 MB
+
+
+def test_counting_the_records_holds_one_row_of_codes_per_set_of_a_slice():
+    """20 binary variables at n = 2e5: a slice is one set (per_chunk is 1), and
+    the count holds one int64 row of codes for it and one for the prefix code,
+    beside the predecessors' codes on the wide digit, one byte a cell."""
+    n = 200_000
+    data = random_dataset([Variable(f"X{i}", 2) for i in range(20)], n,
+                          np.random.default_rng(5), 0.1)
+    assert data.histogram is None and nalearn.data.CHUNK_BUDGET < n
+    tracemalloc.start()
+    try:
+        assert sum(len(widths) for _, widths in count_families(data, 19, range(19), 2)) == 190
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * n + 19 * n + (1 << 20)  # a row per predecessor would take 30 MB
 
 
 def test_theta_i_is_one_on_complete_data():
