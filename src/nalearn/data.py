@@ -203,6 +203,7 @@ def count_families(
     predecessors = [int(p) for p in predecessors]
     _check_family(data, node, predecessors)
     radix = data.radix.tolist()
+    # widest[x]: the largest q + 1 of predecessors[x:], the last digit of a prefix's largest family
     widest = list(accumulate([radix[p] for p in reversed(predecessors)], max))[::-1]
     walk = []  # (prefix, start, per_chunk) of each prefix, per_chunk by its largest family
     for prefix, start in parent_set_lattice(predecessors, max_parents):
