@@ -137,20 +137,19 @@ def cmd_learn(args) -> int:
     save_structure(learned, variables, args.out)
     if args.profile:
         points = complexity_profile(data, space)  # reuses the search's family scores
-        with open(args.profile, "w", encoding="utf-8", newline="\n") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(["t", "score", "edges"])
-            family_edges: dict[tuple[int, tuple[int, ...]], str] = {}  # formatted once each
-            for pt in points:
-                texts = []
-                for family in enumerate(pt.dag.parents):
-                    text = family_edges.get(family)
+        edges = [{} for _ in variables]  # per node: parent tuple -> its edges, formatted once
+        lines = ["t,score,edges\n"]
+        for pt in points:
+            texts = []
+            for i, parents in enumerate(pt.dag.parents):
+                if parents:
+                    text = edges[i].get(parents)
                     if text is None:
-                        i, parents = family
-                        text = family_edges[family] = ";".join(f"{p}->{i}" for p in parents)
-                    if text:
-                        texts.append(text)
-                writer.writerow([pt.t, f"{pt.best_score:.10g}", ";".join(texts)])
+                        text = edges[i][parents] = ";".join(f"{p}->{i}" for p in parents)
+                    texts.append(text)
+            lines.append(f"{pt.t},{pt.best_score:.10g},{';'.join(texts)}\n")
+        with open(args.profile, "w", encoding="utf-8", newline="\n") as f:
+            f.write("".join(lines))
     return 0
 
 

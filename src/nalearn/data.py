@@ -27,14 +27,18 @@ on every code lying in [0, q], which the constructor checks.
 node's sorted predecessors, in the order of ``model.parent_set_lattice``:
 each set of size m extends a prefix of size m - 1 by a later predecessor.
 Read off the histogram, each set is one marginal. Counted from the records,
-the sets of one prefix share one cube: the prefix's cube, its code formed
-in int64 once, times one wide last digit, on which each predecessor has
-its own q + 1 states. One ``bincount`` counts each slice of at most
-CHUNK_BUDGET // max(n, cells) of the prefix's sets, cells the cube of its
-largest family, and one gather through the slice's observed cells gives
-each family's available-case n_ikj. Counts are yielded in runs of at least
-RUN_CELLS cells, so that one-set slices and marginals are scored together
-too. No family's cube may exceed STATE_SPACE_CAP cells, in either function.
+the sets of one prefix share one cube: the prefix's cube, its int64 code
+formed from its head's (the prefix but its last parent, coded in the
+narrowest dtype and rebuilt only when the head changes), times one wide
+last digit, on which each predecessor has its own q + 1 states. One
+``bincount`` counts each slice of at most CHUNK_BUDGET // max(n, cells) of
+the prefix's sets, cells the cube of its largest family, and one gather
+through the slice's observed cells gives each family's available-case
+n_ikj; a slice's gather index of at most CHUNK_BUDGET cells is built once
+per prefix shape and span of the digit in a call. Counts are yielded in
+runs of at least RUN_CELLS cells, so that one-set slices and marginals are
+scored together too. No family's cube may exceed STATE_SPACE_CAP cells, in
+either function.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
+from operator import getitem
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -266,7 +271,8 @@ def _record_chunks(
     states start at observed[ends[x] - x]. A slice of a prefix's sets costs
     one multiply and one add over its rows beside the bincount; its cube is
     the prefix cube times the span of its digit ranges, and its codes start
-    at cell low, where the first set's range starts.
+    at cell low, where the first set's range starts. The walk lists a size's
+    prefixes lexicographically, so those of one head come together.
     """
     ends = np.concatenate(([0], np.cumsum(data.radix[predecessors])))
     wide = data.codes[predecessors].astype(np.min_scalar_type(ends[-1]), copy=False)
@@ -279,23 +285,48 @@ def _record_chunks(
     row_buffer = np.empty((max(min(per_chunk, k - start) for _, start, per_chunk in walk),
                            data.num_records), dtype=np.int64)
     prefix_code = np.empty(data.num_records, dtype=np.int64)
+    head, head_code = None, None  # prefix[:-1] of the last prefix, and its code
+    slices = {}  # (prefix shape, x0, x1): the slice's gather index, bincount size and widths
     for prefix, start, per_chunk in walk:
         shape = (q_i + 1, *[radix[p] for p in prefix])
-        cells = _observed_cells(shape)
-        code = _mixed_radix(data, node, prefix, np.int64, prefix_code)
+        if not prefix:
+            code = data.codes[node]
+        else:
+            if prefix[:-1] != head:
+                head = prefix[:-1]
+                head_code = _mixed_radix(data, node, head,
+                                         np.min_scalar_type(math.prod(shape[:-1]) - 1))
+            code = np.multiply(head_code, shape[-1], out=prefix_code, dtype=np.int64)
+            np.add(code, data.codes[prefix[-1]], out=code, dtype=np.int64)
         for x0 in range(start, k, per_chunk):
             x1 = min(x0 + per_chunk, k)
-            low, span = ends[x0], ends[x1] - ends[x0]
+            layout = slices.get((shape, x0, x1))
+            if layout is None:
+                layout = _slice_layout(shape, ends[x0], ends[x1] - ends[x0],
+                                       observed[ends[x0] - x0:ends[x1] - x1], states[x0:x1])
+                # a larger index costs little beside its own bincount, and
+                # keeping it would hold its memory for the rest of the call
+                if layout[0].size <= CHUNK_BUDGET:
+                    slices[shape, x0, x1] = layout
+            index, size, widths = layout
             rows = row_buffer[: x1 - x0]
-            np.multiply(code, span, out=rows[0], dtype=np.int64)
+            np.multiply(code, ends[x1] - ends[x0], out=rows[0], dtype=np.int64)
             np.add(wide[x0 + 1:x1], rows[0], out=rows[1:])
             rows[0] += wide[x0]
-            # a set's columns: its last parent's observed states, slowest, by
-            # the prefix's observed configurations
-            digit = observed[low - x0:ends[x1] - x1]
-            index = (cells[:, None, :] * span + digit[:, None]).reshape(q_i, -1)
-            yield (_available_counts(rows, index, math.prod(shape) * span + low),
-                   cells.shape[1] * states[x0:x1])
+            yield _available_counts(rows, index, size), widths
+
+
+def _slice_layout(shape: tuple[int, ...], low: int, span: int, digit: np.ndarray,
+                  states: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """The gather index, bincount size and widths of a slice of a prefix's
+    sets: the prefix's cube of this shape times a span of the wide digit from
+    cell low, digit its observed cells. A set's columns are its last parent's
+    observed states, slowest, by the prefix's observed configurations."""
+    cells = _observed_cells(shape)
+    index = (cells[:, None, :] * span + digit[:, None]).reshape(shape[0] - 1, -1)
+    widths = cells.shape[1] * states
+    widths.setflags(write=False)
+    return index, math.prod(shape) * span + low, widths
 
 
 def _family_counts(data: Dataset, node: int, parents: Sequence[int]) -> np.ndarray:
@@ -339,14 +370,12 @@ def _marginal_cells(
     return tuple(i for i in range(len(shape)) if i not in family), cells
 
 
-def _mixed_radix(
-    data: Dataset, node: int, parents: Sequence[int], dtype, out: np.ndarray | None = None
-) -> np.ndarray:
+def _mixed_radix(data: Dataset, node: int, parents: Sequence[int], dtype) -> np.ndarray:
     """Codes of the node then the parents, the last parent fastest, formed in
-    dtype, which must hold the family's cube, in place in out (a new array
-    when None); the node's own codes when there are no parents. Every ufunc
-    names its dtype, so no promotion rule can narrow the code and wrap it."""
-    code = data.codes[node]
+    dtype, which must hold the family's cube, in one new array; the node's own
+    codes when there are no parents. Every ufunc names its dtype, so no
+    promotion rule can narrow the code and wrap it."""
+    code, out = data.codes[node], None
     for p in parents:
         code = out = np.multiply(code, data.variables[p].cardinality + 1, out=out, dtype=dtype)
         np.add(code, data.codes[p], out=code, dtype=dtype)
@@ -375,7 +404,7 @@ def _observed_cells(shape: tuple[int, ...]) -> np.ndarray:
 def _available_counts(rows: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
     """n_ikj gathered through index from one bincount of rows over size cells:
     the cube (or cubes end to end) the rows' codes index."""
-    return np.bincount(rows.ravel(), minlength=size)[index]
+    return np.bincount(rows.ravel(), minlength=size).take(index)
 
 
 def write_csv(data: Dataset, path) -> None:
@@ -386,8 +415,42 @@ def write_csv(data: Dataset, path) -> None:
             f.write(",".join(MISSING_TOKEN if c == MISSING else str(c) for c in row) + "\n")
 
 
+class _StateTokens(dict):
+    """The tokens write_csv writes for one column of q states, NA and str(0)
+    ... str(q - 1), to their values; a state's token is entered when first
+    read, so a column of many states costs only the tokens its file holds.
+    Any other token is a ValueError that says what the cell holds."""
+
+    def __init__(self, variable: Variable):
+        super().__init__({MISSING_TOKEN: MISSING})
+        self.variable = variable
+        self.top = str(variable.cardinality - 1)
+
+    def __missing__(self, token: str) -> int:
+        # str(s) of 0 <= s < q: ASCII digits without a leading zero, at most q - 1
+        if not (token.isascii() and token.isdigit() and (token == "0" or token[0] != "0")
+                and (len(token), token) <= (len(self.top), self.top)):
+            raise ValueError(self._refusal(token))
+        self[token] = int(token)
+        return self[token]
+
+    def _refusal(self, token: str) -> str:
+        name, top = self.variable.name, self.top
+        try:
+            value = int(token)
+        except ValueError:
+            return f"cells must be integers or {MISSING_TOKEN}"
+        if token == str(value) and value != MISSING:
+            return f"column {name!r} has values outside 0..{top}"
+        return (f"column {name!r} holds {token!r}, written neither as {MISSING_TOKEN} "
+                f"nor as a state 0..{top}")
+
+
 def read_csv(path, variables: Sequence[Variable]) -> Dataset:
-    """Read a CSV written by write_csv; header must match the schema names."""
+    """Read a CSV written by write_csv; header must match the schema names.
+    A cell is NA or a state as write_csv writes it, str(0) ... str(q - 1):
+    any other token is a SchemaMismatch naming its line."""
+    tokens = [_StateTokens(v) for v in variables]
     try:
         with open(path, "r", encoding="utf-8") as f:
             header = f.readline().rstrip("\r\n").split(",")
@@ -405,12 +468,9 @@ def read_csv(path, variables: Sequence[Variable]) -> Dataset:
                         f"CSV line {lineno} has {len(cells)} cells, expected {len(names)}"
                     )
                 try:
-                    rows.append([MISSING if c == MISSING_TOKEN else int(c) for c in cells])
-                except ValueError:
-                    raise SchemaMismatch(
-                        f"CSV line {lineno}: cells must be integers or {MISSING_TOKEN}"
-                    ) from None
+                    rows.append(list(map(getitem, tokens, cells)))
+                except ValueError as exc:
+                    raise SchemaMismatch(f"CSV line {lineno}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise SchemaMismatch(f"{path}: not UTF-8 text: {exc}") from None
-    # the Dataset range check rejects cells too large for a category code
     return Dataset(variables, rows)

@@ -15,14 +15,16 @@ but need not be the lexicographically smallest DAG that does.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import combinations
 
 import numpy as np
 
 from .data import Dataset, count_families, count_sufficient_stats
 from .errors import AllCandidatesUnobservable, SchemaMismatch, StateSpaceTooLarge
-from .model import Dag, parent_set_lattice
+from .model import Dag
 from .pool import pool_map
 from .scoring import (
     NEG_INFINITY,
@@ -78,14 +80,51 @@ class SearchSpace:
         m = len(self.predecessors(node))
         return sum(math.comb(m, k) for k in range(min(self.max_parents, m) + 1))
 
-    def candidate_parent_sets(self, node: int) -> list[tuple[int, ...]]:
-        """Subsets of predecessors by size, then lexicographically: (), then parent_set_lattice."""
-        preds = self.predecessors(node)
-        singles = [(p,) for p in preds]
-        out: list[tuple[int, ...]] = [()]
-        for prefix, start in parent_set_lattice(preds, self.max_parents):
-            out.extend(map(prefix.__add__, singles[start:]))  # prefix + (p,), p in preds[start:]
-        return out
+    def candidate_parent_sets(self, node: int) -> CandidateSets:
+        """Subsets of predecessors by size, then lexicographically: (), then the
+        sets of model.parent_set_lattice, which count_families counts."""
+        return CandidateSets(self.predecessors(node), self.max_parents)
+
+
+class CandidateSets(Sequence):
+    """The subsets of at most max_parents of the sorted predecessors, by size,
+    then lexicographically, each tuple built only when its index is read: the
+    searches read a few tied sets of a node's thousands."""
+
+    def __init__(self, predecessors: tuple[int, ...], max_parents: int):
+        self._predecessors = predecessors
+        # sizes[m]: how many sets hold m predecessors
+        self._sizes = [math.comb(len(predecessors), m)
+                       for m in range(min(max_parents, len(predecessors)) + 1)]
+        self._len = sum(self._sizes)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(self._len))]
+        k = operator.index(index)
+        if k < 0:
+            k += self._len
+        if not 0 <= k < self._len:
+            raise IndexError("candidate parent set index out of range")
+        m = 0
+        while k >= self._sizes[m]:  # the set's size, and its rank among the sets of that size
+            k -= self._sizes[m]
+            m += 1
+        preds, x, chosen = self._predecessors, 0, []
+        for left in range(m, 0, -1):  # each member skips the sets that start earlier
+            while k >= (skipped := math.comb(len(preds) - x - 1, left - 1)):
+                k -= skipped
+                x += 1
+            chosen.append(preds[x])
+            x += 1
+        return tuple(chosen)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        for m in range(len(self._sizes)):
+            yield from combinations(self._predecessors, m)
 
 
 @dataclass(frozen=True)

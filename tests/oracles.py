@@ -16,15 +16,19 @@ part of the package:
   them, and the subgraph and order-compatibility relations between DAGs;
 * the identifiability report and beta built one candidate DAG at a time,
   each candidate's NAL summed over its own families and its df counted by
-  df_complexity.
+  df_complexity;
+* a node's candidate parent sets listed whole with itertools.combinations,
+  and the complexity profile written through csv.writer.
 
 Only public package names are used here.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -273,3 +277,25 @@ def beta_of_collection(candidates: Sequence[Dag], missing, num_vars: int) -> flo
         raise ConfigError(f"node {i} with parents {list(ps)} is never observed "
                           "under this missingness")
     return min(probs, default=1.0)
+
+
+# ---------------------------------------------------------------------------
+# Candidate parent sets and the profile file, the obvious way
+# ---------------------------------------------------------------------------
+
+def candidate_listing(predecessors: Sequence[int], max_parents: int) -> list[tuple[int, ...]]:
+    """Every subset of at most max_parents of the predecessors, by size, then
+    lexicographically over the sorted predecessors."""
+    preds = sorted(predecessors)
+    return [ps for m in range(min(max_parents, len(preds)) + 1) for ps in combinations(preds, m)]
+
+
+def write_profile_csv(points, path) -> None:
+    """`learn --profile`'s file: t, score at %.10g, and each point's edges as
+    "p->i" joined by ";" over the nodes in order, one csv.writer row a point."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(["t", "score", "edges"])
+        for pt in points:
+            edges = [f"{p}->{i}" for i, parents in enumerate(pt.dag.parents) for p in parents]
+            writer.writerow([pt.t, f"{pt.best_score:.10g}", ";".join(edges)])

@@ -3,8 +3,10 @@
 The traced benchmark wraps functions at the module bindings its workloads
 list and reports a metric absent when a binding is gone, so a refactor that
 drops one would only show as an empty per-layer metric. These tests fail
-instead: every binding must resolve, and a traced tiny two-node command must
-fill the sampling and counting metrics. The others pin the full-size
+instead: every binding must resolve, a traced tiny two-node command must fill
+the sampling and counting metrics, and a traced tiny learn37_kper2 command
+must count every candidate parent set once for the search and once for the
+profile. The others pin the full-size
 learn37_kper2 and population8 outputs to the benchmark's reference digests.
 They load perfbench/workloads.py and perfbench/tracing.py from their files and
 change nothing there.
@@ -56,6 +58,32 @@ def test_traced_two_node_command_fills_the_sampling_metrics(tmp_path, capsys):
     assert metrics["sampling.records"] == prepared.work
     # the probe reads the replicates of each cell's two_node_wrong_fraction call
     assert metrics["experiments.replicates"] == prepared.sizes["replicates"]
+
+
+@pytest.mark.parametrize("profile", [False, True])
+def test_traced_learn37_command_counts_each_candidate_once_a_search(profile, tmp_path,
+                                                                     capsys):
+    # search.parent_sets reads len() of every candidate_parent_sets result: a
+    # search that read the sets without asking for them would leave it short
+    import nalearn.cli
+    from nalearn.search import SearchSpace
+
+    workload = workloads.WORKLOADS["learn37_kper2"]
+    prepared = workload.prepare(tmp_path, seed=1, size=workloads.TINY)
+    argv = prepared.argv if profile else prepared.argv[:prepared.argv.index("--profile")]
+    tracer = tracing.Tracer(frozenset(workload.bindings))
+    with tracer.installed():
+        assert nalearn.cli.main(argv) == 0
+    capsys.readouterr()
+    assert not tracer.absent
+    metrics = tracing.layer_metrics(tracer)
+    num_nodes, max_parents = prepared.sizes["variables"], prepared.extra["max_parents"]
+    space = SearchSpace(range(num_nodes), max_parents)
+    searches = 2 if profile else 1  # learn_structure, then complexity_profile
+    assert metrics["search.parent_sets"] == searches * sum(map(space.num_candidates,
+                                                               range(num_nodes)))
+    assert metrics["search.parent_sets"] == (prepared.work if profile else prepared.work / 2)
+    assert metrics["data.count_sufficient_stats.calls"] > 0
 
 
 def _matches_the_reference_digest(name, seed, tmp_path, capsys) -> bool:

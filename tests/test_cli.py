@@ -29,7 +29,9 @@ from nalearn import (
 )
 from nalearn.cli import build_parser, main
 from nalearn.networks import eight_node_net
+from nalearn.search import CandidateSets, complexity_profile
 
+from oracles import write_profile_csv
 from util import exit_at_once, fail_to_fork, force_pools, net_to_dict, record_pools, save_net
 
 
@@ -172,6 +174,60 @@ def test_learn_profile_counts_each_candidate_once(tmp_path, capsys, monkeypatch)
     assert sorted(calls) == [(i, ()) for i in range(8)]
     assert sorted(batches) == [(i, tuple(range(i)), 3) for i in range(8)]
     assert counted == {i: space.num_candidates(i) - 1 for i in range(1, 8)}
+
+
+def test_learn_profile_never_iterates_the_candidate_sets(tmp_path, capsys, monkeypatch):
+    """The search reads each node's winners and ties by index; listing every
+    candidate of a node would go through __iter__."""
+    def refuse(sets):
+        raise AssertionError("iterated the candidate parent sets of a node")
+
+    monkeypatch.setattr(CandidateSets, "__iter__", refuse)
+    code, _ = learn_eight_node(tmp_path, capsys, 5)
+    assert code == 0
+
+
+def _eight_node_data(tmp_path):
+    net = eight_node_net()
+    structure_path = tmp_path / "structure.json"
+    save_structure(net.dag, list(net.variables), structure_path)
+    data_path = tmp_path / "data.csv"
+    write_csv(apply_mcar(forward_sample(net, 300, seed=5), KPerRecord(2), seed=6), data_path)
+    return structure_path, data_path
+
+
+def _one_node_data(tmp_path):
+    structure_path = tmp_path / "structure.json"
+    save_structure(Dag([[]]), [Variable("X1", 3)], structure_path)
+    data_path = tmp_path / "data.csv"
+    data_path.write_text("X1\n0\n2\nNA\n1\n2\n")
+    return structure_path, data_path
+
+
+@pytest.mark.parametrize("make_data, order", [
+    pytest.param(_eight_node_data, None, id="eight-node"),
+    pytest.param(_one_node_data, None, id="one-node"),
+    pytest.param(_eight_node_data, "V6,V1,V4,V0,V7,V2,V5,V3", id="eight-node-order"),
+])
+def test_profile_csv_equals_the_csv_writer_oracle(tmp_path, capsys, make_data, order):
+    structure_path, data_path = make_data(tmp_path)
+    options = ["--order", order] if order else []
+    code, _, _ = run(capsys, [
+        "learn", "--data", str(data_path), "--structure", str(structure_path),
+        "--penalty", "bic", "--out", str(tmp_path / "learned.json"),
+        "--profile", str(tmp_path / "profile.csv"), *options,
+    ])
+    assert code == 0
+    variables, _ = load_structure(structure_path)
+    names = [v.name for v in variables]
+    space = SearchSpace([names.index(name) for name in order.split(",")] if order
+                        else range(len(names)), 3)
+    points = complexity_profile(read_csv(data_path, variables), space)
+    write_profile_csv(points, tmp_path / "oracle.csv")
+    written = (tmp_path / "profile.csv").read_bytes()
+    assert written == (tmp_path / "oracle.csv").read_bytes()
+    # the first point is the empty DAG: its edges field is empty
+    assert written.split(b"\n")[1].endswith(b",") and points[0].dag == Dag([[]] * len(names))
 
 
 PINNED_PROFILES = [
@@ -576,6 +632,11 @@ _CHECK_WITHOUT_REFERENCE = [
                  id="sample --n 1e20"),
     pytest.param(_TWO_NODE, {**_TWO_NODE_CONFIG, "sample_sizes": [1e20]},
                  id="two-node sample_sizes 1e20"),
+    # cells that int() reads but write_csv never writes
+    *[pytest.param(["learn", "--data", "{config}", "--structure", "{net}", "--penalty", "bic",
+                    "--out", "{out}"], f"X1,X2\n0,1\n1,{cell}\n", id=f"learn cell {name}")
+      for name, cell in [("-1", "-1"), ("0_1", "0_1"), ("space 1", " 1"), ("+1", "+1"),
+                         ("01", "01"), ("-0", "-0"), ("arabic-indic 1", "\u0661")]],
 ])
 def test_malformed_spec_exit_2(two_node_files, tmp_path, capsys, argv, config):
     _, net_path, _ = two_node_files

@@ -88,6 +88,25 @@ def test_counts_index_errors():
         count_sufficient_stats(FOUR, 1, [0, 0])
 
 
+def test_prefixes_of_one_shape_keep_the_slices_of_their_own_chunk_size():
+    """(X1,) and (X3,) share their cube's shape, but X2's five states after X1
+    give X1's sets one to a slice where X3's take three, so the two split the
+    wide digit from X3 on into slices of different spans."""
+    cards = [2, 2, 5, 2, 2, 2, 2]
+    variables = [Variable(f"X{i}", q) for i, q in enumerate(cards)]
+    data = random_dataset(variables, 5, np.random.default_rng(1), 0.2)
+    families = SearchSpace([1, 2, 3, 4, 5, 6, 0], 2).candidate_parent_sets(0)[1:]
+    with mock.patch.object(nalearn.data, "CHUNK_BUDGET", 100), on_records():
+        counts, widths = [], []
+        for n_ikj, w in count_families(data, 0, range(1, 7), 2):
+            counts += np.split(n_ikj, np.cumsum(w)[:-1], axis=1)
+            widths += w.tolist()
+    assert widths == [math.prod(cards[p] for p in f) for f in families]
+    for parents, got in zip(families, counts):
+        want = count_sufficient_stats(data, 0, parents).n_ikj
+        np.testing.assert_array_equal(got, _batch_columns(want, parents, cards))
+
+
 def test_count_families_index_errors():
     data = Dataset([Variable(f"X{i}", 2) for i in range(4)], [(0, 1, 0, 1)] * 3)
     for node, predecessors in [(4, [0]), (3, [0, 5]), (3, [-1, 0]), (3, [0, 3]), (3, [1, 0]),
@@ -106,7 +125,7 @@ def _batch_columns(n_ikj, parents, cardinalities):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 7, nalearn.data.CHUNK_BUDGET]))
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 7, 60, 400, nalearn.data.CHUNK_BUDGET]))
 def test_count_families_walks_the_lattice_one_prefix_per_bincount(seed, budget):
     """Split by widths, count_families' counts are the node's candidate parent
     sets but the empty one, in the search's order, each equal to a call of its
@@ -466,6 +485,43 @@ def test_dataset_rejects_out_of_range_cells():
 def test_csv_malformed_rows_are_schema_errors(tmp_path, body):
     with pytest.raises(SchemaMismatch, match="line|outside"):
         read_csv(csv_file(tmp_path, "X1,X2\n" + body), BIN2)
+
+
+@pytest.mark.parametrize("cell", ["-1", "0_1", " 1", "+1", "01", "-0", "\u0661", "1 ", "na",
+                                  "00", "09", "-11"])
+def test_csv_cells_are_the_tokens_write_csv_writes(tmp_path, cell):
+    # each is read by int() or was read as a missing cell before the token
+    # table; X2's states 0..11 have two-digit tokens beside "01" and "09"
+    variables = [Variable("X1", 2), Variable("X2", 12)]
+    assert read_csv(csv_file(tmp_path, "X1,X2\n0,11\n1,NA\n0,10\n"), variables).num_records == 3
+    with pytest.raises(SchemaMismatch, match="^CSV line 3: "):
+        read_csv(csv_file(tmp_path, f"X1,X2\n0,1\n1,{cell}\n"), variables)
+
+
+@pytest.mark.parametrize("cell, message", [
+    ("x", "cells must be integers or NA"),
+    ("1.5", "cells must be integers or NA"),
+    ("2", "column 'X2' has values outside 0..1"),
+    ("-2", "column 'X2' has values outside 0..1"),
+    ("-1", "column 'X2' holds '-1', written neither as NA nor as a state 0..1"),
+])
+def test_csv_cell_errors_name_the_line_and_the_cell(tmp_path, cell, message):
+    with pytest.raises(SchemaMismatch) as exc:
+        read_csv(csv_file(tmp_path, f"X1,X2\n0,1\n1,{cell}\n"), BIN2)
+    assert str(exc.value) == f"CSV line 3: {message}"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from([2, 3, 10, 11, 300, 30000]), min_size=1, max_size=5),
+       st.integers(0, 30), st.floats(0.0, 0.7), st.integers(0, 2**31))
+def test_write_csv_read_csv_round_trip(tmp_path_factory, cards, n, missing_frac, seed):
+    variables = [Variable(f"X{i}", q) for i, q in enumerate(cards)]
+    data = random_dataset(variables, n, np.random.default_rng(seed), missing_frac)
+    path = tmp_path_factory.mktemp("round_trip") / "data.csv"
+    write_csv(data, path)
+    back = read_csv(path, variables)
+    assert back.codes.dtype == data.codes.dtype
+    np.testing.assert_array_equal(back.codes, data.codes)
 
 
 def test_empty_dataset():

@@ -36,7 +36,7 @@ from nalearn.errors import AllCandidatesUnobservable
 from nalearn.model import df_complexity, node_df
 from nalearn.scoring import node_nal, node_nal_from_counts, score_node
 
-from oracles import is_compatible_with_order
+from oracles import candidate_listing, is_compatible_with_order
 from util import on_records, random_dataset, random_net
 
 
@@ -165,8 +165,32 @@ def test_learned_dag_is_order_compatible():
 def test_candidate_set_enumeration():
     space = SearchSpace([0, 1, 2, 3], max_parents=2)
     sets = space.candidate_parent_sets(3)
-    assert sets == [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
-    assert space.candidate_parent_sets(0) == [()]
+    assert list(sets) == [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
+    assert list(space.candidate_parent_sets(0)) == [()]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.permutations(range(9)), st.integers(0, 8), st.data())
+def test_lazy_candidate_sets_equal_the_combinations_listing(order, position, draw):
+    # the node's predecessors are whatever the order puts before it: not
+    # contiguous, and sorted only by the listing
+    space_order = list(order)
+    node = space_order[position]
+    max_parents = draw.draw(st.integers(0, position + 1))
+    sets = SearchSpace(space_order, max_parents).candidate_parent_sets(node)
+    listing = candidate_listing(space_order[:position], max_parents)
+    assert len(sets) == len(listing)
+    assert [sets[k] for k in range(len(sets))] == listing
+    assert [sets[k] for k in range(-len(sets), 0)] == listing
+    for k in (len(sets), -len(sets) - 1):
+        with pytest.raises(IndexError):
+            sets[k]
+    start, stop = draw.draw(st.integers(-len(sets) - 2, len(sets) + 2)), draw.draw(
+        st.integers(-len(sets) - 2, len(sets) + 2))
+    step = draw.draw(st.sampled_from([1, 2, 3, -1, -2]))
+    assert sets[start:stop:step] == listing[start:stop:step]
+    assert sets[:] == listing
+    assert list(sets) == listing and list(iter(sets)) == listing
 
 
 def test_profile_two_node_complete():
