@@ -24,7 +24,6 @@ from .population import (
     check_identifiability,
     induced_theta_mcar,
     joint_distribution,
-    observation_probability,
     population_nal,
     population_nal_of,
 )
@@ -34,6 +33,7 @@ from .sampling import (
     apply_mcar,
     derive_seed,
     forward_sample,
+    observation_probability,
     splitmix64,
     subset_observation_probability,
 )

@@ -67,7 +67,7 @@ def code_dtype(variables: Iterable[Variable]) -> np.dtype:
     return np.min_scalar_type(max((v.cardinality for v in variables), default=0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value to compare by
 class Dataset:
     """An immutable table of categorical records with optional missing cells."""
 
@@ -159,7 +159,7 @@ class Dataset:
         return {}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value to compare by
 class SufficientCounts:
     """Counts n_i, n_ij, n_ikj for one node and one candidate parent set.
 
@@ -417,12 +417,13 @@ def write_csv(data: Dataset, path) -> None:
 
 class _StateTokens(dict):
     """The tokens write_csv writes for one column of q states, NA and str(0)
-    ... str(q - 1), to their values; a state's token is entered when first
-    read, so a column of many states costs only the tokens its file holds.
-    Any other token is a ValueError that says what the cell holds."""
+    ... str(q - 1), to their codes, NA to the sentinel q; a state's token is
+    entered when first read, so a column of many states costs only the tokens
+    its file holds. Any other token is a ValueError that says what the cell
+    holds."""
 
     def __init__(self, variable: Variable):
-        super().__init__({MISSING_TOKEN: MISSING})
+        super().__init__({MISSING_TOKEN: variable.cardinality})
         self.variable = variable
         self.top = str(variable.cardinality - 1)
 
@@ -473,4 +474,5 @@ def read_csv(path, variables: Sequence[Variable]) -> Dataset:
                     raise SchemaMismatch(f"CSV line {lineno}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise SchemaMismatch(f"{path}: not UTF-8 text: {exc}") from None
-    return Dataset(variables, rows)
+    codes = np.array(rows, code_dtype(variables)).reshape(len(rows), len(variables))
+    return Dataset.from_codes(variables, np.ascontiguousarray(codes.T))

@@ -22,10 +22,9 @@ from .errors import ConfigError, InsufficientGrid
 from .model import BayesNet, df_complexity, json_int, json_list, json_number, load_net, read_json
 from .networks import eight_node_net, two_node_net
 from .pool import pool_map
-from .population import observation_probability
 from .sampling import (
-    Bernoulli, KPerRecord, MissingnessModel, apply_mcar, derive_seed, forward_sample,
-    parse_missingness, splitmix64,
+    Bernoulli, apply_mcar, derive_seed, forward_sample, missingness_label,
+    observation_probability, parse_missingness, splitmix64,
 )
 from .scoring import Penalty, lambda_value, node_nal_from_counts, parse_penalty
 from .search import SearchSpace, learn_structure
@@ -109,16 +108,6 @@ def resolve_net(spec: str) -> BayesNet:
     if spec == "eight-node":
         return eight_node_net()
     return load_net(spec)
-
-
-def missingness_label(model: MissingnessModel | None) -> str:
-    """CSV label of a parsed regime; p is one probability when all are equal."""
-    if model is None:
-        return "complete"
-    if isinstance(model, KPerRecord):
-        return f"kper(k={model.k})"
-    ps = model.observe_probs
-    return f"bernoulli(p={ps[0] if len(set(ps)) == 1 else list(ps)!r})"
 
 
 def _distinct_labels(labels: list[str], field: str) -> list[str]:

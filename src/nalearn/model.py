@@ -144,7 +144,7 @@ def parent_config_count(parents: Sequence[int], variables: Sequence[Variable]) -
     return q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value to compare by
 class Cpt:
     """Conditional probability tables, one per node.
 
@@ -172,7 +172,7 @@ class Cpt:
         return bounds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # its Cpt's arrays have no single truth value
 class BayesNet:
     """A discrete Bayesian network: variables, structure and CPTs."""
 

@@ -7,8 +7,9 @@ it reads sample counts off a histogram, and it is scored by the same kernel
 as those counts, ``scoring.stacked_nal``: check_identifiability scores each
 node's distinct families side by side in one call, as search does with each
 node's counts. Under MCAR the records where a family is observed follow
-that marginal whatever the chance theta_i of observing it
-(observation_probability), so missingness enters only through beta.
+that marginal whatever the chance theta_i of observing it, so missingness
+enters only through beta, which reads theta_i from
+``sampling.observation_probability``.
 """
 
 from __future__ import annotations
@@ -24,17 +25,8 @@ import numpy as np
 from .data import STATE_SPACE_CAP, marginal
 from .errors import ConfigError, StateSpaceTooLarge
 from .model import BayesNet, Dag, node_df, parent_masks
-from .sampling import Bernoulli, MissingnessModel, subset_observation_probability
+from .sampling import MissingnessModel, observation_probability
 from .scoring import stacked_nal
-
-
-def _broadcast_factor(table: np.ndarray, axes: list[int], N: int) -> np.ndarray:
-    """Expand a factor with dims ordered by `axes` to N broadcastable dims."""
-    order = sorted(axes)
-    dest = [order.index(a) for a in axes]
-    src = np.moveaxis(table, range(len(axes)), dest)
-    idx = tuple(slice(None) if ax in axes else np.newaxis for ax in range(N))
-    return src[idx]
 
 
 def _joint_array(net: BayesNet) -> np.ndarray:
@@ -43,33 +35,17 @@ def _joint_array(net: BayesNet) -> np.ndarray:
     if total > STATE_SPACE_CAP:
         raise StateSpaceTooLarge(f"{total} joint states exceeds cap {STATE_SPACE_CAP}")
     joint = np.ones(shape)
-    N = net.num_nodes
-    for i in range(N):
-        parents = net.dag.parents[i]
-        q_i = net.variables[i].cardinality
-        q_parents = [net.variables[p].cardinality for p in parents]
-        table = net.cpt.tables[i].reshape(*q_parents, q_i)
-        joint = joint * _broadcast_factor(table, list(parents) + [i], N)
+    for i, parents in enumerate(net.dag.parents):
+        axes = [*parents, i]  # the CPT's axes, the child last
+        table = net.cpt.tables[i].reshape([shape[a] for a in axes])
+        table = np.moveaxis(table, range(len(axes)), [sorted(axes).index(a) for a in axes])
+        joint = joint * table.reshape([q if a in axes else 1 for a, q in enumerate(shape)])
     return joint
 
 
 def joint_distribution(net: BayesNet) -> np.ndarray:
     """Flat joint probability vector, node 0 slowest (C-order ravel)."""
     return _joint_array(net).ravel()
-
-
-def observation_probability(
-    node: int, parents: Sequence[int], missing: MissingnessModel | None, N: int
-) -> float:
-    """theta_i: the chance that node and its parents are all observed in a record."""
-    if missing is None:
-        return 1.0
-    if isinstance(missing, Bernoulli):
-        prob = missing.observe_probs[node]
-        for p in parents:
-            prob *= missing.observe_probs[p]
-        return prob
-    return subset_observation_probability(N, missing.k, len(parents) + 1)
 
 
 def induced_theta_mcar(g: Dag, joint: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -1,4 +1,5 @@
-"""Forward sampling and MCAR masking.
+"""Forward sampling and MCAR missingness: the models, their masks, the chance
+theta_i that each observes a family, and their CSV labels.
 
 All randomness flows through numpy's PCG64 generator seeded from a 64-bit
 integer. Per-replicate seeds are derived with splitmix64 so that replicates
@@ -8,7 +9,7 @@ are order-independent: seed_r = base_seed XOR splitmix64(r).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from typing import Sequence
 
 import numpy as np
@@ -155,3 +156,24 @@ def subset_observation_probability(N: int, k: int, s: int) -> float:
     if s + k > N:
         return 0.0
     return comb(N - k, s) / comb(N, s)
+
+
+def observation_probability(
+    node: int, parents: Sequence[int], missing: MissingnessModel | None, N: int
+) -> float:
+    """theta_i: the chance that node and its parents are all observed in a record."""
+    if missing is None:
+        return 1.0
+    if isinstance(missing, Bernoulli):
+        return prod(missing.observe_probs[v] for v in (node, *parents))
+    return subset_observation_probability(N, missing.k, len(parents) + 1)
+
+
+def missingness_label(model: MissingnessModel | None) -> str:
+    """CSV label of a parsed regime; p is one probability when all are equal."""
+    if model is None:
+        return "complete"
+    if isinstance(model, KPerRecord):
+        return f"kper(k={model.k})"
+    ps = model.observe_probs
+    return f"bernoulli(p={ps[0] if len(set(ps)) == 1 else list(ps)!r})"

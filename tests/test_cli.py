@@ -107,6 +107,32 @@ def test_score_subcommand(two_node_files, tmp_path, capsys):
     assert rows[-1][0] == "total"
 
 
+def test_mask_reads_its_schema_from_a_structure_file(two_node_files, tmp_path, capsys):
+    net, net_path, structure_path = two_node_files
+    data_path = tmp_path / "data.csv"
+    write_csv(forward_sample(net, 100, seed=3), data_path)
+    masked = {}
+    for option, path in (("--net", net_path), ("--structure", structure_path)):
+        masked[option] = tmp_path / f"masked{option}.csv"
+        code, _, _ = run(capsys, ["mask", "--in", str(data_path), "--missing", "kper:1",
+                                  "--seed", "4", "--out", str(masked[option]), option, str(path)])
+        assert code == 0
+    assert masked["--structure"].read_bytes() == masked["--net"].read_bytes()
+    assert read_csv(masked["--structure"], list(net.variables)).num_records == 100
+
+
+def test_score_decomposable_of_a_node_never_observed(two_node_files, tmp_path, capsys):
+    _, _, structure_path = two_node_files
+    data_path = tmp_path / "data.csv"
+    data_path.write_text("X1,X2\nNA,0\nNA,1\nNA,1\n")
+    code, out, _ = run(capsys, ["score", "--net-structure", str(structure_path), "--data",
+                                str(data_path), "--penalty", "bic", "--decomposable"])
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()))
+    assert rows[1][:2] == ["0", ""] and rows[1][2] == "-inf" and rows[1][3] == "0"
+    assert rows[-1] == ["total", "", "", "", "", "-inf"]
+
+
 def test_population_subcommand(two_node_files, capsys):
     _, net_path, _ = two_node_files
     code, out, _ = run(capsys, [
@@ -403,9 +429,9 @@ def test_population_refuses_an_oversized_order_space_before_listing(
 
 
 @pytest.mark.parametrize("mode, config", [
-    ("two-node", {}),
-    ("rates", {"missingness": ["none", "bernoulli:0.9,1"]}),
-    ("recovery", {"net": "eight-node"}),
+    pytest.param("two-node", {}, id="two-node-config0"),
+    pytest.param("rates", {"missingness": ["none", "bernoulli:0.9,1"]}, id="rates-config1"),
+    pytest.param("recovery", {"net": "eight-node"}, id="recovery-config2"),
 ])
 def test_experiment_refuses_an_oversized_run_before_listing(tmp_path, capsys, monkeypatch,
                                                             mode, config):
@@ -465,14 +491,14 @@ def test_experiment_out_of_memory_exit_2(tmp_path, capsys, monkeypatch, cpus):
 
 
 @pytest.mark.parametrize("extra", [
-    ["--penalty", "bic", "--max-parents", "-1"],
-    ["--penalty", "a1.5"],
-    ["--penalty", "a0.3c0"],
-    ["--penalty", "bic", "--order", "X2,X9"],
-    ["--penalty", "bic", "--order", "X1,X1"],
-    ["--penalty", "a0.3c"],
-    ["--penalty", "power"],
-    ["--penalty", "a0.3cinf"],
+    pytest.param(["--penalty", "bic", "--max-parents", "-1"], id="extra0"),
+    pytest.param(["--penalty", "a1.5"], id="extra1"),
+    pytest.param(["--penalty", "a0.3c0"], id="extra2"),
+    pytest.param(["--penalty", "bic", "--order", "X2,X9"], id="extra3"),
+    pytest.param(["--penalty", "bic", "--order", "X1,X1"], id="extra4"),
+    pytest.param(["--penalty", "a0.3c"], id="extra5"),
+    pytest.param(["--penalty", "power"], id="extra6"),
+    pytest.param(["--penalty", "a0.3cinf"], id="extra7"),
 ])
 def test_learn_bad_arguments_exit_2(two_node_files, tmp_path, capsys, extra):
     _, _, structure_path = two_node_files
@@ -483,6 +509,16 @@ def test_learn_bad_arguments_exit_2(two_node_files, tmp_path, capsys, extra):
         "--out", str(tmp_path / "learned.json"), *extra,
     ])
     assert code == 2 and err.startswith("error:")
+
+
+def _numbered(k, *values, names=("argv", "config")):
+    """pytest.param of row k under the id pytest gives row k of a table
+    without ids: a str, int or None value reads as itself, any other value
+    as its name and k. Each id is fixed by its literal k, so a row inserted
+    anywhere renames no other; a new row takes an id that names its case."""
+    return pytest.param(*values, id="-".join(
+        str(v) if v is None or isinstance(v, (str, int)) else f"{name}{k}"
+        for name, v in zip(names, values)))
 
 
 _NET = ["--net", "{net}"]
@@ -532,101 +568,114 @@ _CHECK_WITHOUT_REFERENCE = [
 
 
 @pytest.mark.parametrize("argv, config", [
-    *[(["population", *_NET, "--candidates", "order", "--missing", spec], None)
-      for spec in ["kper:x", "kper:2", "mar", "bernoulli:abc", "bernoulli:2",
-                   "bernoulli:0.5,0.5,0.5"]],
-    ([*_MASK, "--missing", "bernoulli", "--seed", "1"], None),
-    ([*_MASK, "--missing", "kper", "--seed", "1"], None),
-    ([*_MASK, "--missing", "kper:1", "--seed", "-1"], None),
-    (["sample", *_NET, "--n", "10", "--seed", "-1", "--out", "{out}"], None),
-    (["sample", *_NET, "--n", "-1", "--seed", "1", "--out", "{out}"], None),
-    *[(_TWO_NODE, {**_TWO_NODE_CONFIG, "penalties": ["aic", spec]})
-      for spec in ["a0.x", {"kind": "power"}, "mdl"]],
-    (["experiment", "--config", "{config}", "--mode", "rates", "--out", "{out_dir}"],
-     {"sample_sizes": [100, 200], "replicates": 1}),
-    (["population", "--net", "{net8}", "--candidates", "order"], None),  # 67,092,480 DAGs
-    (["population", *_NET, "--candidates", "order", "--max-parents", "-1"], None),
-    (_TWO_NODE, '{"sample_sizes": [100], "replicates": 2'),  # truncated JSON
-    (_TWO_NODE, []),  # not a JSON object
-    *[(_RECOVERY, {**_TWO_NODE_CONFIG, **fields})
-      for fields in [{"max_parents": -1}, {"order": [0, 0]}, {"order": [0, 1, 2]}]],
-    (_CANDIDATES, "[[[], [0]]"),  # truncated JSON
-    (_CANDIDATES, [[[], [0, 0]]]),  # a parent listed twice
-    (_CANDIDATES, [[[], [5]]]),  # a parent out of range
-    (_CANDIDATES, [[[1], [0]]]),  # a cycle
-    *[(_SAMPLE_FROM, net) for net in _BAD_SCHEMAS],
-    (_SAMPLE_FROM, {**_NET_DICT, "cpt": [[[0.4, 0.5]], _NET_DICT["cpt"][1]]}),  # row sum 0.9
-    *[(_LEARN_FROM, structure) for structure in _BAD_SCHEMAS],
-    *[(_TWO_NODE, {**_TWO_NODE_CONFIG, field: []})
-      for field in ["sample_sizes", "betas", "penalties"]],
-    (_RECOVERY, {**_TWO_NODE_CONFIG, "missingness": []}),
-    (_RATES, {"sample_sizes": [], "replicates": 2}),
-    *[(_CANDIDATES, [[[], [parent]], [[], []]]) for parent in [0.7, False, "0"]],
-    *[(_SAMPLE_FROM, net) for net in _NOT_INTEGERS],
-    *[(_LEARN_FROM, structure) for structure in _NOT_INTEGERS],
-    *[(_TWO_NODE, {**_TWO_NODE_CONFIG, **fields})
-      for fields in [{"sample_sizes": [100.7]}, {"replicates": 2.9}, {"seed": 1.5},
-                     {"seed": True}, {"replicates": "2"}]],
-    (_RECOVERY, {**_TWO_NODE_CONFIG, "order": [0, 1.5]}),
-    (["population", "--net", "{config}", "--candidates", "order", "--max-parents", "0"],
-     _WIDE_NET),
-    (_TWO_NODE, {**_TWO_NODE_CONFIG, "net": "eight-node"}),
-    *_CHECK_WITHOUT_REFERENCE,
-    (_SAMPLE_FROM, {**_NET_DICT, "cpt": [[[math.nan, math.nan]], _NET_DICT["cpt"][1]]}),
+    *[_numbered(k, ["population", *_NET, "--candidates", "order", "--missing", spec], None)
+      for k, spec in enumerate(["kper:x", "kper:2", "mar", "bernoulli:abc", "bernoulli:2",
+                                "bernoulli:0.5,0.5,0.5"])],
+    _numbered(6, [*_MASK, "--missing", "bernoulli", "--seed", "1"], None),
+    _numbered(7, [*_MASK, "--missing", "kper", "--seed", "1"], None),
+    _numbered(8, [*_MASK, "--missing", "kper:1", "--seed", "-1"], None),
+    _numbered(9, ["sample", *_NET, "--n", "10", "--seed", "-1", "--out", "{out}"], None),
+    _numbered(10, ["sample", *_NET, "--n", "-1", "--seed", "1", "--out", "{out}"], None),
+    *[_numbered(k, _TWO_NODE, {**_TWO_NODE_CONFIG, "penalties": ["aic", spec]})
+      for k, spec in enumerate(["a0.x", {"kind": "power"}, "mdl"], 11)],
+    _numbered(14, ["experiment", "--config", "{config}", "--mode", "rates", "--out", "{out_dir}"],
+              {"sample_sizes": [100, 200], "replicates": 1}),
+    # 67,092,480 DAGs
+    _numbered(15, ["population", "--net", "{net8}", "--candidates", "order"], None),
+    _numbered(16, ["population", *_NET, "--candidates", "order", "--max-parents", "-1"], None),
+    _numbered(17, _TWO_NODE, '{"sample_sizes": [100], "replicates": 2'),  # truncated JSON
+    _numbered(18, _TWO_NODE, []),  # not a JSON object
+    *[_numbered(k, _RECOVERY, {**_TWO_NODE_CONFIG, **fields})
+      for k, fields in enumerate([{"max_parents": -1}, {"order": [0, 0]}, {"order": [0, 1, 2]}],
+                                 19)],
+    _numbered(22, _CANDIDATES, "[[[], [0]]"),  # truncated JSON
+    _numbered(23, _CANDIDATES, [[[], [0, 0]]]),  # a parent listed twice
+    _numbered(24, _CANDIDATES, [[[], [5]]]),  # a parent out of range
+    _numbered(25, _CANDIDATES, [[[1], [0]]]),  # a cycle
+    *[_numbered(k, _SAMPLE_FROM, net) for k, net in enumerate(_BAD_SCHEMAS, 26)],
+    # a row that sums to 0.9
+    _numbered(29, _SAMPLE_FROM, {**_NET_DICT, "cpt": [[[0.4, 0.5]], _NET_DICT["cpt"][1]]}),
+    *[_numbered(k, _LEARN_FROM, structure) for k, structure in enumerate(_BAD_SCHEMAS, 30)],
+    *[_numbered(k, _TWO_NODE, {**_TWO_NODE_CONFIG, field: []})
+      for k, field in enumerate(["sample_sizes", "betas", "penalties"], 33)],
+    _numbered(36, _RECOVERY, {**_TWO_NODE_CONFIG, "missingness": []}),
+    _numbered(37, _RATES, {"sample_sizes": [], "replicates": 2}),
+    *[_numbered(k, _CANDIDATES, [[[], [parent]], [[], []]])
+      for k, parent in enumerate([0.7, False, "0"], 38)],
+    *[_numbered(k, _SAMPLE_FROM, net) for k, net in enumerate(_NOT_INTEGERS, 41)],
+    *[_numbered(k, _LEARN_FROM, structure) for k, structure in enumerate(_NOT_INTEGERS, 44)],
+    *[_numbered(k, _TWO_NODE, {**_TWO_NODE_CONFIG, **fields})
+      for k, fields in enumerate([{"sample_sizes": [100.7]}, {"replicates": 2.9}, {"seed": 1.5},
+                                  {"seed": True}, {"replicates": "2"}], 47)],
+    _numbered(52, _RECOVERY, {**_TWO_NODE_CONFIG, "order": [0, 1.5]}),
+    _numbered(53, ["population", "--net", "{config}", "--candidates", "order", "--max-parents",
+                   "0"], _WIDE_NET),
+    _numbered(54, _TWO_NODE, {**_TWO_NODE_CONFIG, "net": "eight-node"}),
+    *[_numbered(k, argv, config) for k, (argv, config) in enumerate(_CHECK_WITHOUT_REFERENCE, 55)],
+    _numbered(57, _SAMPLE_FROM,
+              {**_NET_DICT, "cpt": [[[math.nan, math.nan]], _NET_DICT["cpt"][1]]}),
     # JSON booleans that float() or int() would read as 0 or 1
-    (_TWO_NODE, {**_TWO_NODE_CONFIG, "betas": [True]}),
+    _numbered(58, _TWO_NODE, {**_TWO_NODE_CONFIG, "betas": [True]}),
     # a spec that is not a string, such as the dict spellings nalearn once read
-    *[(_RECOVERY, {**_TWO_NODE_CONFIG, "missingness": [spec]})
-      for spec in [True, {"mode": "kper", "k": 1}, ["bernoulli", 0.5]]],
-    (_RECOVERY, {**_TWO_NODE_CONFIG, "penalties": [{"kind": "bic"}]}),
+    *[_numbered(k, _RECOVERY, {**_TWO_NODE_CONFIG, "missingness": [spec]})
+      for k, spec in enumerate([True, {"mode": "kper", "k": 1}, ["bernoulli", 0.5]], 59)],
+    _numbered(62, _RECOVERY, {**_TWO_NODE_CONFIG, "penalties": [{"kind": "bic"}]}),
     # rate probes that would write nan: X1 and X2 never observed together in a
     # regime or in some replicate, or a gain that does not vary
-    *[(_RATES, {"sample_sizes": [100, 200], "replicates": 5, "missingness": [spec]})
-      for spec in ["kper:1", "bernoulli:0,1", "bernoulli:1,0"]],
-    (_RATES, {"sample_sizes": [2, 100], "replicates": 20, "missingness": ["bernoulli:0.3,1"]}),
-    (_RATES, {"sample_sizes": [1, 2], "replicates": 5}),
+    *[_numbered(k, _RATES, {"sample_sizes": [100, 200], "replicates": 5, "missingness": [spec]})
+      for k, spec in enumerate(["kper:1", "bernoulli:0,1", "bernoulli:1,0"], 63)],
+    _numbered(66, _RATES, {"sample_sizes": [2, 100], "replicates": 20,
+                           "missingness": ["bernoulli:0.3,1"]}),
+    _numbered(67, _RATES, {"sample_sizes": [1, 2], "replicates": 5}),
     # penalty specs outside the grammar: a kind with a suffix, a negative coef
-    *[(_TWO_NODE, {**_TWO_NODE_CONFIG, "penalties": [spec]})
-      for spec in ["bica0.3", "a0.3c-3"]],
-    *[([*_LEARN_FROM, "--penalty", spec], _NET_DICT) for spec in ["power", "aicc2"]],
+    *[_numbered(k, _TWO_NODE, {**_TWO_NODE_CONFIG, "penalties": [spec]})
+      for k, spec in enumerate(["bica0.3", "a0.3c-3"], 68)],
+    *[_numbered(k, [*_LEARN_FROM, "--penalty", spec], _NET_DICT)
+      for k, spec in enumerate(["power", "aicc2"], 70)],
     # specs that repeat a CSV label
-    (_TWO_NODE, {**_TWO_NODE_CONFIG, "penalties": ["a0.3", "a0.3c0.5"]}),
-    (_RECOVERY, {**_TWO_NODE_CONFIG, "missingness": ["none", "none"]}),
-    (_RATES, {"sample_sizes": [100, 200], "replicates": 5,
-              "missingness": ["none", "kper:0", "none"]}),
+    _numbered(72, _TWO_NODE, {**_TWO_NODE_CONFIG, "penalties": ["a0.3", "a0.3c0.5"]}),
+    _numbered(73, _RECOVERY, {**_TWO_NODE_CONFIG, "missingness": ["none", "none"]}),
+    _numbered(74, _RATES, {"sample_sizes": [100, 200], "replicates": 5,
+                           "missingness": ["none", "kper:0", "none"]}),
     # specs that give one model under two labels
-    (_RECOVERY, {**_TWO_NODE_CONFIG, "missingness": ["bernoulli:0.5", "bernoulli:0.5,0.5"]}),
-    (_TWO_NODE, {**_TWO_NODE_CONFIG, "penalties": ["a0.5", "a0.50"]}),
+    _numbered(75, _RECOVERY, {**_TWO_NODE_CONFIG,
+                              "missingness": ["bernoulli:0.5", "bernoulli:0.5,0.5"]}),
+    _numbered(76, _TWO_NODE, {**_TWO_NODE_CONFIG, "penalties": ["a0.5", "a0.50"]}),
     # a repeated n or beta: every copy would run and write rows that share a key
-    (_TWO_NODE, {"sample_sizes": [100, 100], "betas": [0.9, 0.9], "penalties": ["bic"]}),
-    (_TWO_NODE, {**_TWO_NODE_CONFIG, "betas": [0.9, 0.9]}),
-    (_RATES, {"sample_sizes": [100, 200, 100], "replicates": 5}),
-    ([*_MASK, "--missing", "none", "--seed", "1"], None),  # would mask nothing
+    _numbered(77, _TWO_NODE, {"sample_sizes": [100, 100], "betas": [0.9, 0.9],
+                              "penalties": ["bic"]}),
+    _numbered(78, _TWO_NODE, {**_TWO_NODE_CONFIG, "betas": [0.9, 0.9]}),
+    _numbered(79, _RATES, {"sample_sizes": [100, 200, 100], "replicates": 5}),
+    _numbered(80, [*_MASK, "--missing", "none", "--seed", "1"], None),  # would mask nothing
     # the two-node table masks X1 through betas alone
-    (_TWO_NODE, {**_TWO_NODE_CONFIG, "missingness": ["kper:1"]}),
-    (_TWO_NODE, {**_TWO_NODE_CONFIG, "net": 5}),  # str() would read it as "5"
+    _numbered(81, _TWO_NODE, {**_TWO_NODE_CONFIG, "missingness": ["kper:1"]}),
+    _numbered(82, _TWO_NODE, {**_TWO_NODE_CONFIG, "net": 5}),  # str() would read it as "5"
     # candidate documents that are not a non-empty list of DAGs, each a list of parent lists
-    *[(_CANDIDATES, doc) for doc in _NOT_CANDIDATE_LISTS],
-    *[(_CANDIDATES, doc) for doc in [[5], [[5]], [[[], "ab"]]]],
-    *[(_SAMPLE_FROM, {**_NET_DICT, "parents": parents}) for parents in [5, [[], "ab"]]],
+    *[_numbered(k, _CANDIDATES, doc) for k, doc in enumerate(_NOT_CANDIDATE_LISTS, 83)],
+    *[_numbered(k, _CANDIDATES, doc) for k, doc in enumerate([[5], [[5]], [[[], "ab"]]], 87)],
+    *[_numbered(k, _SAMPLE_FROM, {**_NET_DICT, "parents": parents})
+      for k, parents in enumerate([5, [[], "ab"]], 90)],
     # strings and booleans where JSON numbers or lists belong
-    (_TWO_NODE, {**_TWO_NODE_CONFIG, "betas": ["0.9", "1e0"]}),
-    *[(argv, {**_TWO_NODE_CONFIG, field: value}) for argv, field, value in _NOT_LISTS],
-    *[(_SAMPLE_FROM, {**_NET_DICT, "cpt": [table, _NET_DICT["cpt"][1]]})
-      for table in [[["0.4", "0.6"]], [[True, False]]]],
-    (_SAMPLE_FROM, {**_NET_DICT, "cpt": "ab"}),
+    _numbered(92, _TWO_NODE, {**_TWO_NODE_CONFIG, "betas": ["0.9", "1e0"]}),
+    *[_numbered(k, argv, {**_TWO_NODE_CONFIG, field: value})
+      for k, (argv, field, value) in enumerate(_NOT_LISTS, 93)],
+    *[_numbered(k, _SAMPLE_FROM, {**_NET_DICT, "cpt": [table, _NET_DICT["cpt"][1]]})
+      for k, table in enumerate([[["0.4", "0.6"]], [[True, False]]], 98)],
+    _numbered(100, _SAMPLE_FROM, {**_NET_DICT, "cpt": "ab"}),
     # candidates the bulk check must refuse: a parent beyond int64 and a negative
     # one, a self-loop, a three-node cycle, and a node-count mismatch in the
     # second candidate
-    *[(_CANDIDATES, [[[], [parent]], [[], []]]) for parent in [2**70, -1]],
-    (_CANDIDATES, [[[0], []]]),
-    (["population", "--net", "{net8}", "--candidates", "{config}"],
-     [[[2], [0], [1], [], [], [], [], []]]),
-    (_CANDIDATES, [[[], []], [[]]]),
+    *[_numbered(k, _CANDIDATES, [[[], [parent]], [[], []]])
+      for k, parent in enumerate([2**70, -1], 101)],
+    _numbered(103, _CANDIDATES, [[[0], []]]),
+    _numbered(104, ["population", "--net", "{net8}", "--candidates", "{config}"],
+              [[[2], [0], [1], [], [], [], [], []]]),
+    _numbered(105, _CANDIDATES, [[[], []], [[]]]),
     # a family that is never observed: beta would be 0
-    *[(["population", *_NET, "--candidates", "order", "--missing", spec], None)
-      for spec in ["bernoulli:0", "bernoulli:0,1", "kper:1"]],
-    ([*_CANDIDATES, "--max-parents", "1"], [[[], []]]),  # a file lists its own parents
+    *[_numbered(k, ["population", *_NET, "--candidates", "order", "--missing", spec], None)
+      for k, spec in enumerate(["bernoulli:0", "bernoulli:0,1", "kper:1"], 106)],
+    # a file lists its own parents
+    _numbered(109, [*_CANDIDATES, "--max-parents", "1"], [[[], []]]),
     # more records than numpy can hold
     pytest.param(["sample", *_NET, "--n", str(10**20), "--seed", "1", "--out", "{out}"], None,
                  id="sample --n 1e20"),
@@ -685,10 +734,10 @@ def test_a_candidate_outside_the_identity_order_prints_its_row(two_node_files, t
 
 
 @pytest.mark.parametrize("argv, doc, shape", [
-    *[(_CANDIDATES, doc, "a non-empty list of DAGs, each a list of parent lists")
-      for doc in _NOT_CANDIDATE_LISTS],
-    *[(_SAMPLE_FROM, {**_NET_DICT, "parents": parents}, "a list of parent lists")
-      for parents in [5, [[], "ab"]]],
+    *[_numbered(k, _CANDIDATES, doc, "a non-empty list of DAGs, each a list of parent lists",
+                names=("argv", "doc", "shape")) for k, doc in enumerate(_NOT_CANDIDATE_LISTS)],
+    *[_numbered(k, _SAMPLE_FROM, {**_NET_DICT, "parents": parents}, "a list of parent lists",
+                names=("argv", "doc", "shape")) for k, parents in enumerate([5, [[], "ab"]], 4)],
 ])
 def test_a_document_of_another_shape_names_the_shape(two_node_files, tmp_path, capsys,
                                                      argv, doc, shape):
@@ -701,7 +750,8 @@ def test_a_document_of_another_shape_names_the_shape(two_node_files, tmp_path, c
     assert err.startswith(f"error: {path}: ") and err.endswith(f"expected {shape}\n"), err
 
 
-@pytest.mark.parametrize("argv, field, value", _NOT_LISTS)
+@pytest.mark.parametrize("argv, field, value", [
+    _numbered(k, *row, names=("argv", "field", "value")) for k, row in enumerate(_NOT_LISTS)])
 def test_a_config_field_that_is_not_a_list_names_the_field(tmp_path, capsys, argv, field, value):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({**_TWO_NODE_CONFIG, field: value}))
@@ -710,7 +760,8 @@ def test_a_config_field_that_is_not_a_list_names_the_field(tmp_path, capsys, arg
     assert code == 2 and f"field {field!r}: expected a list, got {value!r}" in err, err
 
 
-@pytest.mark.parametrize("argv, config", _CHECK_WITHOUT_REFERENCE)
+@pytest.mark.parametrize("argv, config", [
+    _numbered(k, *row) for k, row in enumerate(_CHECK_WITHOUT_REFERENCE)])
 def test_check_without_a_reference_is_refused_before_sampling(tmp_path, capsys, monkeypatch,
                                                              argv, config):
     def no_sampling(*args):
@@ -879,6 +930,25 @@ def test_experiment_recovery_mode(tmp_path, capsys):
     ])
     assert code == 0
     assert (tmp_path / "recovery.csv").exists()
+
+
+def test_experiment_check_failure_exit_3(tmp_path, capsys, monkeypatch):
+    """--check writes the table, then one CHECK FAIL line per failing cell."""
+    measured = [("aic", 16.0), ("a0.2", 0.6), ("bic", 40.0)]  # the reference: 16.0, 0.0, 2.8
+    monkeypatch.setattr(nalearn.experiments, "run_two_node", lambda config: [
+        {"beta": 1.0, "n": 100, "penalty": label, "wrong_pct": pct, "mc_se": 0.0}
+        for label, pct in measured])
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"sample_sizes": [100], "betas": [1.0],
+                                       "penalties": [label for label, _ in measured]}))
+    code, _, err = run(capsys, ["experiment", "--config", str(config_path), "--mode",
+                                "two-node", "--out", str(tmp_path), "--check"])
+    assert code == 3
+    assert err.splitlines() == [
+        "CHECK FAIL (1.0, 100, 'a0.2'): expected ~0, measured 0.60%",
+        "CHECK FAIL (1.0, 100, 'bic'): expected 2.8 +- 1.57, measured 40.00%",
+    ]
+    assert len((tmp_path / "table1.csv").read_text().splitlines()) == 4
 
 
 def test_config_error_exit_code(tmp_path, capsys):

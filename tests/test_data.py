@@ -524,6 +524,34 @@ def test_write_csv_read_csv_round_trip(tmp_path_factory, cards, n, missing_frac,
     np.testing.assert_array_equal(back.codes, data.codes)
 
 
+@pytest.mark.parametrize("cards, body", [
+    pytest.param([2, 3], "", id="empty body"),
+    pytest.param([2, 3], "0,2\nNA,1\n1,NA\n", id="uint8"),
+    pytest.param([40000, 2], "39999,1\nNA,0\n0,NA\n256,1\n", id="uint16"),
+])
+def test_read_csv_codes_equal_the_constructor_codes(tmp_path, cards, body):
+    variables = [Variable(f"X{i + 1}", q) for i, q in enumerate(cards)]
+    values = [[MISSING if cell == "NA" else int(cell) for cell in line.split(",")]
+              for line in body.splitlines()]
+    back = read_csv(csv_file(tmp_path, "X1,X2\n" + body), variables)
+    want = Dataset(variables, values)
+    assert back.codes.dtype == want.codes.dtype and back.codes.shape == want.codes.shape
+    np.testing.assert_array_equal(back.codes, want.codes)
+    assert back.codes.flags.c_contiguous and not back.codes.flags.writeable
+
+
+def test_read_csv_skips_blank_lines(tmp_path):
+    back = read_csv(csv_file(tmp_path, "X1,X2\n0,1\n\n1,NA\n\r\n"), BIN2)
+    assert back.values.tolist() == [[0, 1], [1, MISSING]]
+
+
+@pytest.mark.parametrize("values", [[[0, 1, 0]], [[0]], [0, 1], [[[0, 1]]]],
+                         ids=["three columns", "one column", "one row, 1-d", "3-d"])
+def test_dataset_refuses_values_of_the_wrong_shape(values):
+    with pytest.raises(SchemaMismatch, match="does not match 2 variables"):
+        Dataset(BIN2, values)
+
+
 def test_empty_dataset():
     data = Dataset(BIN2, np.empty((0, 2)))
     assert data.num_records == 0

@@ -32,7 +32,7 @@ from nalearn.experiments import (
 from nalearn.sampling import Bernoulli, KPerRecord, derive_seed, parse_missingness, splitmix64
 from nalearn.scoring import lambda_value, parse_penalty
 
-from util import exit_at_once, fail_to_fork, force_pools
+from util import exit_at_once, fail_to_fork, force_pools, save_net
 
 
 def test_config_rejects_unknown_field():
@@ -233,6 +233,15 @@ def test_run_recovery_parallel_matches_serial(monkeypatch):
     assert run_recovery(cfg) == serial and len(pools) == 1
 
 
+def test_a_recovery_config_reads_its_net_from_a_file(tmp_path):
+    path = tmp_path / "net.json"
+    save_net(two_node_net(), path)
+    fields = dict(sample_sizes=(50,), penalties=("bic",), missingness=("kper:1",),
+                  replicates=3, seed=7)
+    rows = run_recovery(ExperimentConfig(net=str(path), **fields))
+    assert rows == run_recovery(ExperimentConfig(net="two-node", **fields)) and len(rows) == 1
+
+
 @pytest.fixture
 def opened_pools(monkeypatch):
     """The keyword arguments of every process pool the harness opens, with two
@@ -283,6 +292,13 @@ def test_run_rate_probe_slopes_and_grid():
         run_rate_probe(ExperimentConfig(sample_sizes=(100, 100), replicates=10, seed=1))
     with pytest.raises(InsufficientGrid):  # one replicate has no sd
         run_rate_probe(ExperimentConfig(sample_sizes=(100, 1000), replicates=1, seed=1))
+
+
+@pytest.mark.parametrize("net", ["eight-node", "nets/two-node.json"])
+def test_rate_probe_runs_on_the_two_node_net_alone(monkeypatch, net):
+    monkeypatch.setattr(nalearn.experiments, "monte_carlo", None)  # refused before sampling
+    with pytest.raises(ConfigError, match=f"two-node net only, got '{net}'"):
+        run_rate_probe(ExperimentConfig(net=net, sample_sizes=(100, 200), replicates=2))
 
 
 @pytest.mark.parametrize("fields, message", [
@@ -360,6 +376,14 @@ def test_check_two_node_accepts_reference_itself():
 def test_check_two_node_flags_outliers():
     rows = [{"beta": 1.0, "n": 100, "penalty": "aic", "wrong_pct": 90.0, "mc_se": 1.0}]
     assert check_two_node(rows) != []
+
+
+def test_check_two_node_allows_a_zero_reference_half_a_percent():
+    # the reference reads 0.0 at beta 1, n 100, a0.2
+    row = {"beta": 1.0, "n": 100, "penalty": "a0.2", "wrong_pct": 0.5, "mc_se": 0.0}
+    assert check_two_node([row]) == []
+    assert check_two_node([{**row, "wrong_pct": 0.6}]) == [
+        "(1.0, 100, 'a0.2'): expected ~0, measured 0.60%"]
 
 
 def test_check_two_node_matches_rows_by_penalty():

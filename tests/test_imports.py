@@ -122,3 +122,48 @@ def test_only_the_pool_module_opens_process_pools():
     outside = {name: found for name, found in uses.items() if found and name != "pool.py"}
     assert not outside, f"process pools opened outside nalearn.pool: {outside}"
     assert uses["pool.py"].count("ProcessPoolExecutor()") == 1
+
+
+MCAR_MODELS = {"Bernoulli", "KPerRecord"}
+
+
+def model_branches(tree: ast.Module):
+    """Each MCAR model class that an isinstance call in the module tests against."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                and len(node.args) == 2):
+            for part in ast.walk(node.args[1]):
+                name = part.id if isinstance(part, ast.Name) else getattr(part, "attr", None)
+                if name in MCAR_MODELS:
+                    yield name
+
+
+def imports_from(tree: ast.Module, module: str):
+    """The names a package module imports from nalearn.<module>, and "*" for
+    an import of the module itself."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.module in (f"nalearn.{module}", module if node.level else None)):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module in ("nalearn", None) and any(
+                alias.name == module for alias in node.names):
+            yield "*"
+        elif isinstance(node, ast.Import) and any(
+                alias.name == f"nalearn.{module}" for alias in node.names):
+            yield "*"
+
+
+def test_mcar_models_are_known_to_sampling_alone():
+    """nalearn.sampling parses the MCAR models, masks by them and gives each
+    family's theta and each model's label: no other module branches on a
+    model's class, population reads theta through observation_probability
+    alone, and experiments takes nothing from population."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    branches = {name: sorted(set(model_branches(tree))) for name, tree in trees.items()}
+    assert branches["sampling.py"] == sorted(MCAR_MODELS)
+    outside = {name: found for name, found in branches.items() if found and name != "sampling.py"}
+    assert not outside, f"MCAR models tested outside nalearn.sampling: {outside}"
+    concrete = sorted(set(imports_from(trees["population.py"], "sampling"))
+                      & (MCAR_MODELS | {"subset_observation_probability"}))
+    assert not concrete, f"population.py imports {concrete}"
+    assert not list(imports_from(trees["experiments.py"], "population"))

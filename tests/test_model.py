@@ -10,8 +10,10 @@ from nalearn import (
     BayesNet,
     Cpt,
     Dag,
+    Dataset,
     Variable,
     benchmark_structure_37,
+    count_sufficient_stats,
     df_complexity,
     load_net,
     load_structure,
@@ -205,3 +207,20 @@ def test_random_net_round_trip(tmp_path):
     assert loaded.dag == net.dag
     for a, b in zip(loaded.cpt.tables, net.cpt.tables):
         np.testing.assert_allclose(a, b, atol=0)
+
+
+def test_types_that_hold_arrays_compare_by_identity():
+    """Two equal-valued Datasets, SufficientCounts, Cpts or BayesNets are two
+    objects: == and `in` answer by identity instead of raising on the
+    arrays' truth value, and each hashes."""
+    net = two_node_net()
+    data = Dataset(net.variables, [[0, 1], [1, -1]])
+    twins = [
+        (data, Dataset(net.variables, [[0, 1], [1, -1]])),
+        (count_sufficient_stats(data, 1, (0,)), count_sufficient_stats(data, 1, (0,))),
+        (net.cpt, Cpt(net.cpt.tables)),
+        (net, BayesNet(net.variables, net.dag, net.cpt)),  # even over the same parts
+    ]
+    for a, b in twins:
+        assert a == a and a != b and a in [b, a] and a not in [b]
+        assert len({a, b, a}) == 2

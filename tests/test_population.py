@@ -39,7 +39,7 @@ from nalearn.search import SearchSpace
 
 import oracles
 from oracles import conditional, family_marginal, induced_joint, is_subgraph, joint_cube
-from util import all_dags, random_net
+from util import all_dags, random_cpt, random_net
 
 
 def families(*dags):
@@ -82,6 +82,37 @@ def test_joint_state_space_cap():
         net = BayesNet(variables, Dag([[]] * num), Cpt([np.full((1, q), 1 / q)] * num))
         with pytest.raises(StateSpaceTooLarge):
             joint_distribution(net)
+
+
+def shuffled_net(num_nodes, rng):
+    """A random net over q of 2 or 3 whose parents may follow their child in
+    index order, with up to three parents each."""
+    variables = [Variable(f"X{i}", int(rng.integers(2, 4))) for i in range(num_nodes)]
+    order = rng.permutation(num_nodes).tolist()
+    parents = [[] for _ in range(num_nodes)]
+    for place, node in enumerate(order):
+        size = int(rng.integers(0, min(3, place) + 1))
+        parents[node] = rng.choice(order[:place], size, replace=False).tolist()
+    dag = Dag(parents)
+    return BayesNet(variables, dag, random_cpt(dag, variables, rng))
+
+
+def test_each_joint_cell_is_the_node_order_product_of_its_cpt_entries():
+    rng = np.random.default_rng(61)
+    for trial in range(150):
+        net = shuffled_net(int(rng.integers(1, 7)), rng)
+        shape = [v.cardinality for v in net.variables]
+        want = np.empty(shape)
+        for state in np.ndindex(*shape):
+            p = 1.0
+            for i, parents in enumerate(net.dag.parents):
+                j = 0  # the parents' configuration, the last parent fastest
+                for parent in parents:
+                    j = j * shape[parent] + state[parent]
+                p *= net.cpt.tables[i][j, state[i]]
+            want[state] = p
+        got = nalearn.population._joint_array(net)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), trial
 
 
 def test_joint_sums_to_one_random_nets():

@@ -32,7 +32,7 @@ from nalearn import (
     select_from_profile,
     two_node_net,
 )
-from nalearn.errors import AllCandidatesUnobservable
+from nalearn.errors import AllCandidatesUnobservable, SchemaMismatch
 from nalearn.model import df_complexity, node_df
 from nalearn.scoring import node_nal, node_nal_from_counts, score_node
 
@@ -124,6 +124,17 @@ def test_all_candidates_unobservable():
     space = SearchSpace([0, 1])
     with pytest.raises(AllCandidatesUnobservable):
         best_parent_set(data, 0, space, AIC)
+
+
+@pytest.mark.parametrize("order", [[0], [0, 1, 2]], ids=["fewer nodes", "more nodes"])
+def test_a_space_over_another_node_count_is_refused(order):
+    data = forward_sample(two_node_net(), 20, seed=1)
+    for search in (lambda space: learn_structure(data, space, AIC),
+                   lambda space: best_parent_set(data, 0, space, AIC),
+                   lambda space: complexity_profile(data, space)):
+        with pytest.raises(SchemaMismatch, match="disagree on node count"):
+            search(SearchSpace(order))
+    assert data.family_scores == {}  # refused before any table was built
 
 
 def test_learn_structure_empty_dataset():
